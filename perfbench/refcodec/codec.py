@@ -1,0 +1,671 @@
+"""Progressive mesh codec: container format, encoder, decoder, R-D harness.
+
+Stream layout (format version 1, see docs/format.md):
+
+    header | chunk-length table | BASE_CONN | BASE_GEOM
+           | LVL_CONN LVL_GEOM (per level, coarsest first) | COMPLETION
+
+Every chunk is an independently framed range-coder segment; the adaptive
+models persist across chunks, so any prefix of whole chunks decodes. The
+COMPLETION chunk carries per-vertex integer residuals that pin the final
+geometry to the q_max grid exactly.
+
+The encoder is closed-loop: it feeds each chunk it emits into a real
+:class:`ProgressiveDecoder` instance and derives all stream-visible
+decisions (edge orderings, precision assignment, predictions) from that
+decoder's state, which makes encoder/decoder symmetry structural rather
+than aspirational.
+"""
+
+from __future__ import annotations
+
+import struct
+from dataclasses import dataclass, field
+
+import numpy as np
+
+from .entropy import AdaptiveModel, RangeDecoder, RangeEncoder, SignedIntCoder
+from .hierarchy import (Pattern, WgcConfig, _rotate_for_splits,
+                        build_hierarchy, subdivide_connectivity)
+from .mesh import NonManifoldError, TriMesh, edge_key, validate_manifold
+from .quantize import (DEFAULT_THRESHOLD, QuantGrid, assign_precision,
+                       make_grid, round_half_away)
+from .wavelet import analyze
+
+__all__ = ["EncodeConfig", "ProgressiveStream", "RateReport", "ChunkInfo",
+           "ProgressiveDecoder", "StreamFormatError", "TruncatedStreamError",
+           "encode", "decode", "decode_debug", "rd_curve", "bench_rows",
+           "BenchRow", "MAGIC", "FORMAT_VERSION"]
+
+MAGIC = b"PMC1"
+FORMAT_VERSION = 1
+
+_HEADER = struct.Struct("<4sBBBBIdddddIIHI")
+_FLAG_LIFTING = 1
+_FLAG_WGC = 2
+_FLAG_ADAPTIVE = 4
+
+
+class StreamFormatError(ValueError):
+    """Malformed container (bad magic, version, or structure)."""
+
+
+class TruncatedStreamError(Exception):
+    """Stream ends mid-chunk; carries whatever decoded cleanly."""
+
+    def __init__(self, message: str, last_complete_level: int | None = None,
+                 mesh: TriMesh | None = None, byte_offset: int | None = None):
+        super().__init__(message)
+        self.last_complete_level = last_complete_level
+        self.mesh = mesh
+        self.byte_offset = byte_offset
+
+
+@dataclass(frozen=True)
+class EncodeConfig:
+    q_max: int = 12
+    threshold: int = DEFAULT_THRESHOLD
+    wgc: bool = True
+    wgc_gamma: float = 0.25
+    lifting: bool = True
+    adaptive: bool = True
+    max_levels: int = 32
+
+
+@dataclass
+class ProgressiveStream:
+    """Parsed container. `vertex_map` and `q_sequences` are encoder-side
+    debug metadata (decoder vertex index -> original vertex index; encoder
+    precision sequences per level) and are not serialized."""
+
+    q_max: int
+    threshold: int
+    lifting: bool
+    wgc_enabled: bool
+    wgc_gamma: float
+    adaptive: bool
+    origin: np.ndarray
+    scale: float
+    base_vertex_count: int
+    base_face_count: int
+    level_count: int
+    original_vertex_count: int
+    chunks: list[bytes]
+    vertex_map: np.ndarray | None = None
+    q_sequences: list[list[int]] | None = None
+
+    @property
+    def chunk_count(self) -> int:
+        return 3 + 2 * self.level_count
+
+    def header_bytes(self) -> bytes:
+        flags = ((_FLAG_LIFTING if self.lifting else 0)
+                 | (_FLAG_WGC if self.wgc_enabled else 0)
+                 | (_FLAG_ADAPTIVE if self.adaptive else 0))
+        return _HEADER.pack(
+            MAGIC, FORMAT_VERSION, flags, self.q_max, 0, self.threshold,
+            self.wgc_gamma, float(self.origin[0]), float(self.origin[1]),
+            float(self.origin[2]), self.scale, self.base_vertex_count,
+            self.base_face_count, self.level_count,
+            self.original_vertex_count)
+
+    def to_bytes(self) -> bytes:
+        if len(self.chunks) != self.chunk_count:
+            raise StreamFormatError(
+                f"expected {self.chunk_count} chunks, have {len(self.chunks)}")
+        table = b"".join(struct.pack("<I", len(c)) for c in self.chunks)
+        return self.header_bytes() + table + b"".join(self.chunks)
+
+    @classmethod
+    def from_bytes(cls, data: bytes) -> "ProgressiveStream":
+        header, lengths = _parse_container(data)
+        offset = _HEADER.size + 4 * len(lengths)
+        chunks = []
+        for n in lengths:
+            if offset + n > len(data):
+                raise TruncatedStreamError(
+                    f"chunk of {n} bytes truncated at offset {offset}",
+                    byte_offset=offset)
+            chunks.append(data[offset:offset + n])
+            offset += n
+        return cls(chunks=chunks, **header)
+
+
+def _parse_container(data: bytes):
+    """Header fields and declared chunk lengths from raw bytes."""
+    if len(data) < _HEADER.size:
+        raise TruncatedStreamError("stream shorter than the fixed header",
+                                   byte_offset=len(data))
+    (magic, version, flags, q_max, _reserved, threshold, gamma,
+     ox, oy, oz, scale, base_nv, base_nf, level_count,
+     original_nv) = _HEADER.unpack_from(data)
+    if magic != MAGIC:
+        raise StreamFormatError(f"bad magic {magic!r}, expected {MAGIC!r}")
+    if version != FORMAT_VERSION:
+        raise StreamFormatError(f"unsupported format version {version}")
+    n_chunks = 3 + 2 * level_count
+    table_end = _HEADER.size + 4 * n_chunks
+    if len(data) < table_end:
+        raise TruncatedStreamError("stream ends inside the chunk table",
+                                   byte_offset=len(data))
+    lengths = list(struct.unpack_from(f"<{n_chunks}I", data, _HEADER.size))
+    header = dict(
+        q_max=q_max, threshold=threshold,
+        lifting=bool(flags & _FLAG_LIFTING),
+        wgc_enabled=bool(flags & _FLAG_WGC), wgc_gamma=gamma,
+        adaptive=bool(flags & _FLAG_ADAPTIVE),
+        origin=np.array([ox, oy, oz]), scale=scale,
+        base_vertex_count=base_nv, base_face_count=base_nf,
+        level_count=level_count, original_vertex_count=original_nv)
+    return header, lengths
+
+
+# -- rate accounting -------------------------------------------------------
+
+@dataclass(frozen=True)
+class ChunkInfo:
+    name: str
+    level: int          # -1 for non-level chunks
+    nbytes: int
+    category: str       # "connectivity" | "geometry" | "overhead"
+
+
+@dataclass
+class RateReport:
+    chunks: list[ChunkInfo]
+    original_vertex_count: int
+
+    def _bits(self, category: str) -> int:
+        return 8 * sum(c.nbytes for c in self.chunks if c.category == category)
+
+    @property
+    def total_bits(self) -> int:
+        return 8 * sum(c.nbytes for c in self.chunks)
+
+    @property
+    def connectivity_bits(self) -> int:
+        return self._bits("connectivity")
+
+    @property
+    def geometry_bits(self) -> int:
+        return self._bits("geometry")
+
+    @property
+    def overhead_bits(self) -> int:
+        return self._bits("overhead")
+
+    @property
+    def completion_bits(self) -> int:
+        return 8 * sum(c.nbytes for c in self.chunks if c.name == "completion")
+
+    @property
+    def progressive_geometry_bits(self) -> int:
+        """Geometry payload excluding the lossless completion residuals."""
+        return self.geometry_bits - self.completion_bits
+
+    @property
+    def total_bpv(self) -> float:
+        return self.total_bits / self.original_vertex_count
+
+    @property
+    def geometry_bpv(self) -> float:
+        return self.geometry_bits / self.original_vertex_count
+
+    @property
+    def connectivity_bpv(self) -> float:
+        return self.connectivity_bits / self.original_vertex_count
+
+
+# -- persistent model set --------------------------------------------------
+
+class _Models:
+    """All adaptive state shared across chunks of one stream direction."""
+
+    Q_ESCAPE = 17       # q_i delta alphabet: 0..16 -> -8..+8, 17 = escape
+
+    def __init__(self, q_max: int):
+        self.base_conn = SignedIntCoder(raw_bits=32)
+        self.base_geom = SignedIntCoder(raw_bits=q_max + 2)
+        self.split = AdaptiveModel(2)
+        self.diag = AdaptiveModel(2)
+        self.q_delta = AdaptiveModel(18)
+        self.detail = SignedIntCoder(raw_bits=q_max + 8)
+        self.completion = SignedIntCoder(raw_bits=q_max + 2)
+        self.prev_q = q_max
+
+    def encode_q(self, enc, q: int) -> None:
+        delta = q - self.prev_q
+        if -8 <= delta <= 8:
+            enc.encode_symbol(self.q_delta, delta + 8)
+        else:
+            enc.encode_symbol(self.q_delta, self.Q_ESCAPE)
+            enc.encode_raw(q, 5)
+        self.prev_q = q
+
+    def decode_q(self, dec) -> int:
+        sym = dec.decode_symbol(self.q_delta)
+        q = dec.decode_raw(5) if sym == self.Q_ESCAPE else self.prev_q + sym - 8
+        self.prev_q = q
+        return q
+
+
+def _precision_for(prediction: np.ndarray, positions: np.ndarray,
+                   grid: QuantGrid, threshold: int, adaptive: bool) -> int:
+    if not adaptive:
+        return grid.q_max
+    q, _ = assign_precision(prediction, positions, grid, threshold)
+    return q
+
+
+def _face_edges(face) -> list[tuple[int, int]]:
+    a, b, c = (int(x) for x in face)
+    return [edge_key(a, b), edge_key(b, c), edge_key(c, a)]
+
+
+# -- decoder ---------------------------------------------------------------
+
+class ProgressiveDecoder:
+    """Chunk-at-a-time decoder; also used internally by the encoder."""
+
+    def __init__(self, grid: QuantGrid, threshold: int, lifting: bool,
+                 adaptive: bool, base_vertex_count: int, base_face_count: int,
+                 level_count: int, original_vertex_count: int):
+        self.grid = grid
+        self.threshold = threshold
+        self.lifting = lifting
+        self.adaptive = adaptive
+        self.base_vertex_count = base_vertex_count
+        self.base_face_count = base_face_count
+        self.level_count = level_count
+        self.original_vertex_count = original_vertex_count
+        self.models = _Models(grid.q_max)
+        self.faces: np.ndarray | None = None
+        self.positions: np.ndarray | None = None
+        self.levels_done = 0
+        self.completed = False
+        self.final_ints: np.ndarray | None = None
+        # debug side-channel: transmitted and locally recomputed precisions
+        self.q_transmitted: list[list[int]] = []
+        self.q_recomputed: list[list[int]] = []
+        self.last_split_edges: list[tuple[int, int]] = []
+
+    # -- state views ------------------------------------------------------
+
+    @property
+    def mesh(self) -> TriMesh:
+        if self.positions is None or self.faces is None:
+            raise StreamFormatError("no base mesh decoded yet")
+        return TriMesh(self.positions, self.faces, validate=False)
+
+    def edge_list(self) -> list[tuple[int, int]]:
+        """Current edges in canonical (sorted-key) stream order."""
+        edges = set()
+        for face in self.faces:
+            edges.update(_face_edges(face))
+        return sorted(edges)
+
+    # -- chunk readers -----------------------------------------------------
+
+    def read_base_conn(self, data: bytes) -> None:
+        dec = RangeDecoder(data)
+        prev = 0
+        flat = np.empty(3 * self.base_face_count, dtype=np.int64)
+        for i in range(len(flat)):
+            prev += self.models.base_conn.decode(dec)
+            flat[i] = prev
+        self.faces = flat.reshape(-1, 3)
+
+    def read_base_geom(self, data: bytes) -> None:
+        dec = RangeDecoder(data)
+        ints = np.empty((self.base_vertex_count, 3), dtype=np.int64)
+        prev = np.zeros(3, dtype=np.int64)
+        for i in range(self.base_vertex_count):
+            for ax in range(3):
+                prev[ax] += self.models.base_geom.decode(dec)
+            ints[i] = prev
+        self.positions = self.grid.dequantize(ints)
+
+    def read_level(self, conn_data: bytes, geom_data: bytes) -> None:
+        m = self.models
+        nc = len(self.positions)
+
+        dec = RangeDecoder(conn_data)
+        split_edges = [e for e in self.edge_list()
+                       if dec.decode_symbol(m.split) == 1]
+        split_map = {e: nc + r for r, e in enumerate(split_edges)}
+        diag_bits = {}
+        for fid, face in enumerate(self.faces):
+            n = sum(e in split_map for e in _face_edges(face))
+            if n == 2:
+                diag_bits[fid] = dec.decode_symbol(m.diag)
+        new_faces = subdivide_connectivity(self.faces, split_map, diag_bits)
+
+        dec = RangeDecoder(geom_data)
+        details = np.empty((len(split_edges), 3), dtype=np.float64)
+        q_rx, q_local = [], []
+        for r, (u, v) in enumerate(split_edges):
+            prediction = 0.5 * (self.positions[u] + self.positions[v])
+            q_local.append(_precision_for(prediction, self.positions,
+                                          self.grid, self.threshold,
+                                          self.adaptive))
+            q = m.decode_q(dec)
+            q_rx.append(q)
+            step = 1 << (self.grid.q_max - q)
+            for ax in range(3):
+                details[r, ax] = m.detail.decode(dec) * step / self.grid.scale
+
+        fine = np.empty((nc + len(split_edges), 3), dtype=np.float64)
+        fine[:nc] = self.positions
+        if self.lifting and split_edges:
+            acc = np.zeros((nc, 3), dtype=np.float64)
+            cnt = np.zeros(nc, dtype=np.int64)
+            for r, (u, v) in enumerate(split_edges):
+                acc[u] += details[r]
+                acc[v] += details[r]
+                cnt[u] += 1
+                cnt[v] += 1
+            touched = cnt > 0
+            fine[:nc][touched] += acc[touched] / (4.0 * cnt[touched, None])
+        for r, (u, v) in enumerate(split_edges):
+            fine[nc + r] = 0.5 * (fine[u] + fine[v]) + details[r]
+
+        self.positions = fine
+        self.faces = new_faces
+        self.levels_done += 1
+        self.q_transmitted.append(q_rx)
+        self.q_recomputed.append(q_local)
+        self.last_split_edges = split_edges
+
+    def read_completion(self, data: bytes) -> None:
+        dec = RangeDecoder(data)
+        ints = self.grid.quantize(self.positions)
+        for i in range(len(ints)):
+            for ax in range(3):
+                ints[i, ax] += self.models.completion.decode(dec)
+        self.final_ints = ints
+        self.positions = self.grid.dequantize(ints)
+        self.completed = True
+
+
+# -- encoder ---------------------------------------------------------------
+
+def encode(mesh: TriMesh, config: EncodeConfig | None = None):
+    """Compress a manifold mesh; returns (ProgressiveStream, RateReport)."""
+    config = config or EncodeConfig()
+    problems = validate_manifold(mesh)
+    if problems:
+        raise NonManifoldError("; ".join(problems))
+    grid = make_grid(mesh, config.q_max)
+    wgc = WgcConfig(enabled=config.wgc, gamma=config.wgc_gamma)
+    records = build_hierarchy(mesh, wgc, config.max_levels)
+
+    geometry = mesh.vertices
+    coeff_sets = []
+    for rec in records:                      # finest-first analysis chain
+        cs = analyze(rec, geometry, config.lifting)
+        coeff_sets.append(cs)
+        geometry = cs.approx_geometry
+    base_mesh = records[-1].coarse_mesh if records else mesh
+    base_geometry = geometry
+
+    sim = ProgressiveDecoder(
+        grid=grid, threshold=config.threshold, lifting=config.lifting,
+        adaptive=config.adaptive, base_vertex_count=base_mesh.vertex_count,
+        base_face_count=base_mesh.face_count, level_count=len(records),
+        original_vertex_count=mesh.vertex_count)
+    m = _Models(config.q_max)
+    chunks: list[bytes] = []
+
+    enc = RangeEncoder()
+    prev = 0
+    for v in base_mesh.faces.ravel():
+        m.base_conn.encode(enc, int(v) - prev)
+        prev = int(v)
+    chunks.append(enc.finish())
+    sim.read_base_conn(chunks[-1])
+
+    enc = RangeEncoder()
+    base_ints = grid.quantize(base_geometry)
+    prev_row = np.zeros(3, dtype=np.int64)
+    for row in base_ints:
+        for ax in range(3):
+            m.base_geom.encode(enc, int(row[ax] - prev_row[ax]))
+        prev_row = row
+    chunks.append(enc.finish())
+    sim.read_base_geom(chunks[-1])
+
+    pi = np.arange(base_mesh.vertex_count, dtype=np.int64)
+    q_sequences: list[list[int]] = []
+
+    for rec, cs in zip(reversed(records), reversed(coeff_sets)):
+        split_of = {}                        # coarse edge key -> odd fine id
+        for odd, (a, b) in rec.parent_edge.items():
+            key = edge_key(rec.fine_to_coarse[a], rec.fine_to_coarse[b])
+            split_of[key] = odd
+        trisect_bit = {}                     # ordered coarse edge pair -> bit
+        for g in rec.face_groups:
+            if g.pattern is Pattern.TRISECT:
+                ca, cb, cc = (rec.fine_to_coarse[v] for v in g.coarse_face)
+                trisect_bit[(edge_key(ca, cb), edge_key(cb, cc))] = g.diag_bit
+
+        enc = RangeEncoder()
+        flags = {}
+        for u, v in sim.edge_list():
+            bit = 1 if edge_key(int(pi[u]), int(pi[v])) in split_of else 0
+            flags[(u, v)] = bit
+            enc.encode_symbol(m.split, bit)
+        split_edges = [e for e, bit in flags.items() if bit]
+        split_edges.sort()
+        for face in sim.faces:
+            face = tuple(int(x) for x in face)
+            face_flags = tuple(bool(flags[e]) for e in _face_edges(face))
+            if sum(face_flags) != 2:
+                continue
+            (p0, p1, p2), _ = _rotate_for_splits(face, face_flags)
+            kab = edge_key(int(pi[p0]), int(pi[p1]))
+            kbc = edge_key(int(pi[p1]), int(pi[p2]))
+            if (kab, kbc) in trisect_bit:
+                bit = trisect_bit[(kab, kbc)]
+            else:                            # opposite winding mirrors the bit
+                bit = 1 - trisect_bit[(kbc, kab)]
+            enc.encode_symbol(m.diag, bit)
+        conn_chunk = enc.finish()
+
+        enc = RangeEncoder()
+        decoded = sim.positions
+        q_list = []
+        for u, v in split_edges:
+            prediction = 0.5 * (decoded[u] + decoded[v])
+            q = _precision_for(prediction, decoded, grid, config.threshold,
+                               config.adaptive)
+            q_list.append(q)
+            m.encode_q(enc, q)
+            odd = split_of[edge_key(int(pi[u]), int(pi[v]))]
+            step = 1 << (config.q_max - q)
+            ints = round_half_away(cs.details[odd] * grid.scale / step)
+            for ax in range(3):
+                m.detail.encode(enc, int(ints[ax]))
+        geom_chunk = enc.finish()
+
+        chunks.append(conn_chunk)
+        chunks.append(geom_chunk)
+        sim.read_level(conn_chunk, geom_chunk)
+        q_sequences.append(q_list)
+
+        nc = len(pi)
+        new_pi = np.empty(rec.fine_mesh.vertex_count, dtype=np.int64)
+        new_pi[:nc] = rec.coarse_to_fine[pi]
+        for r, (u, v) in enumerate(split_edges):
+            new_pi[nc + r] = split_of[edge_key(int(pi[u]), int(pi[v]))]
+        pi = new_pi
+        if len(pi) != len(sim.positions):
+            raise AssertionError("encoder/decoder vertex count diverged")
+
+    exact_ints = grid.quantize(mesh.vertices)
+    target = exact_ints[pi]
+    current = grid.quantize(sim.positions)
+    enc = RangeEncoder()
+    residual = target - current
+    for row in residual:
+        for ax in range(3):
+            m.completion.encode(enc, int(row[ax]))
+    chunks.append(enc.finish())
+    sim.read_completion(chunks[-1])
+    if not np.array_equal(sim.final_ints, target):
+        raise AssertionError("completion residuals failed to close the loop")
+
+    origin = np.asarray(grid.origin, dtype=np.float64)
+    stream = ProgressiveStream(
+        q_max=config.q_max, threshold=config.threshold,
+        lifting=config.lifting, wgc_enabled=config.wgc,
+        wgc_gamma=config.wgc_gamma, adaptive=config.adaptive,
+        origin=origin, scale=grid.scale,
+        base_vertex_count=base_mesh.vertex_count,
+        base_face_count=base_mesh.face_count, level_count=len(records),
+        original_vertex_count=mesh.vertex_count, chunks=chunks,
+        vertex_map=pi.copy(), q_sequences=q_sequences)
+    report = _build_report(stream)
+    return stream, report
+
+
+def _build_report(stream: ProgressiveStream) -> RateReport:
+    infos = [ChunkInfo("header", -1, _HEADER.size, "overhead"),
+             ChunkInfo("chunk_table", -1, 4 * stream.chunk_count, "overhead"),
+             ChunkInfo("base_conn", -1, len(stream.chunks[0]), "connectivity"),
+             ChunkInfo("base_geom", -1, len(stream.chunks[1]), "geometry")]
+    for lvl in range(stream.level_count):
+        conn, geom = stream.chunks[2 + 2 * lvl], stream.chunks[3 + 2 * lvl]
+        infos.append(ChunkInfo("level_conn", lvl + 1, len(conn), "connectivity"))
+        infos.append(ChunkInfo("level_geom", lvl + 1, len(geom), "geometry"))
+    infos.append(ChunkInfo("completion", -1, len(stream.chunks[-1]), "geometry"))
+    report = RateReport(infos, stream.original_vertex_count)
+    if report.total_bits != 8 * len(stream.to_bytes()):
+        raise AssertionError("rate report does not account for every bit")
+    return report
+
+
+# -- decoding entry points -------------------------------------------------
+
+def _decoder_for(header: dict) -> ProgressiveDecoder:
+    grid = QuantGrid(header["origin"], header["scale"], header["q_max"])
+    return ProgressiveDecoder(
+        grid=grid, threshold=header["threshold"], lifting=header["lifting"],
+        adaptive=header["adaptive"],
+        base_vertex_count=header["base_vertex_count"],
+        base_face_count=header["base_face_count"],
+        level_count=header["level_count"],
+        original_vertex_count=header["original_vertex_count"])
+
+
+def _decode_impl(data: bytes, up_to_level: int | None):
+    header, lengths = _parse_container(data)
+    level_count = header["level_count"]
+    if up_to_level is not None and up_to_level > level_count:
+        raise ValueError(
+            f"requested level {up_to_level}, stream has {level_count}")
+    target = level_count if up_to_level is None else up_to_level
+
+    offset = _HEADER.size + 4 * len(lengths)
+    bounds = []
+    for n in lengths:
+        bounds.append((offset, offset + n))
+        offset += n
+
+    def chunk(i: int) -> bytes | None:
+        start, end = bounds[i]
+        return data[start:end] if end <= len(data) else None
+
+    dec = _decoder_for(header)
+    base_conn, base_geom = chunk(0), chunk(1)
+    if base_conn is None or base_geom is None:
+        raise TruncatedStreamError(
+            "stream truncated before the base mesh was complete",
+            last_complete_level=None, byte_offset=len(data))
+    dec.read_base_conn(base_conn)
+    dec.read_base_geom(base_geom)
+
+    for lvl in range(target):
+        conn = chunk(2 + 2 * lvl)
+        geom = chunk(3 + 2 * lvl)
+        if conn is None or geom is None:
+            raise TruncatedStreamError(
+                f"stream truncated inside level {lvl + 1}; last complete "
+                f"level is {lvl}", last_complete_level=lvl, mesh=dec.mesh,
+                byte_offset=len(data))
+        dec.read_level(conn, geom)
+
+    if target == level_count:
+        completion = chunk(len(bounds) - 1)
+        if completion is None:
+            raise TruncatedStreamError(
+                "stream truncated inside the completion chunk; last "
+                f"complete level is {level_count}",
+                last_complete_level=level_count, mesh=dec.mesh,
+                byte_offset=len(data))
+        dec.read_completion(completion)
+    return dec
+
+
+def decode(source, up_to_level: int | None = None) -> TriMesh:
+    """Decode a full stream or any prefix of whole levels.
+
+    `up_to_level=None` decodes everything (all levels plus the lossless
+    completion residuals); `up_to_level=0` yields the base mesh. Decoding
+    the final level implies the completion chunk.
+    """
+    return decode_debug(source, up_to_level).mesh
+
+
+def decode_debug(source, up_to_level: int | None = None) -> ProgressiveDecoder:
+    """Like :func:`decode` but returns the decoder with its debug state
+    (recomputed precision sequences, final grid integers)."""
+    data = source.to_bytes() if isinstance(source, ProgressiveStream) \
+        else bytes(source)
+    return _decode_impl(data, up_to_level)
+
+
+# -- rate-distortion harness ----------------------------------------------
+
+@dataclass(frozen=True)
+class BenchRow:
+    level: int
+    nbytes: int          # cumulative stream prefix size
+    bpv: float
+    rms_norm: float
+    max_norm: float
+
+
+def bench_rows(mesh: TriMesh, config: EncodeConfig | None = None,
+               seed: int = 0, samples_per_unit_area: float | None = None,
+               stream: ProgressiveStream | None = None) -> list[BenchRow]:
+    """One row per decodable prefix; the final level includes completion."""
+    from .metrics import sampled_distance
+
+    if stream is None:
+        stream, _ = encode(mesh, config)
+    data = stream.to_bytes()
+    fixed = _HEADER.size + 4 * stream.chunk_count
+    nv = stream.original_vertex_count
+    rows = []
+    for level in range(stream.level_count + 1):
+        decoded = decode(data, up_to_level=level)
+        nbytes = fixed + sum(len(c) for c in stream.chunks[:2 + 2 * level])
+        if level == stream.level_count:
+            nbytes += len(stream.chunks[-1])
+        dist = sampled_distance(mesh, decoded, samples_per_unit_area,
+                                seed=seed, direction="symmetric")
+        rows.append(BenchRow(level, nbytes, 8 * nbytes / nv,
+                             dist.rms, dist.max_dist))
+    return rows
+
+
+def rd_curve(mesh: TriMesh, config: EncodeConfig | None = None,
+             sample_points: int | None = None,
+             seed: int = 0) -> list[tuple[float, float]]:
+    """(bits-per-vertex, normalized RMS) per decodable prefix."""
+    spua = None
+    if sample_points is not None:
+        from .metrics import total_area
+        spua = sample_points / total_area(mesh)
+    rows = bench_rows(mesh, config, seed=seed, samples_per_unit_area=spua)
+    return [(row.bpv, row.rms_norm) for row in rows]
