@@ -10,7 +10,7 @@ at the chosen grid precision.
 
 from .codec import (BenchRow, EncodeConfig, ProgressiveStream, RateReport,
                     StreamFormatError, TruncatedStreamError, bench_rows,
-                    decode, decode_debug, encode, rd_curve)
+                    decode, decode_debug, encode)
 from .entropy import BACKEND_NAME
 from .hierarchy import (FaceGroup, LevelRecord, Pattern, WgcConfig,
                         build_hierarchy, resubdivide, simplify_once)
@@ -34,7 +34,7 @@ __all__ = [
     "TriMesh", "TruncatedStreamError", "WgcConfig", "analyze", "bench_rows",
     "bounding_box", "bpv", "build_hierarchy", "decode", "decode_debug",
     "edge_key", "encode", "load_mesh", "make_grid", "point_to_triangle",
-    "quantize_details", "rd_curve", "resubdivide", "sampled_distance",
+    "quantize_details", "resubdivide", "sampled_distance",
     "save_mesh", "scale_to_precision", "simplify_once", "synthesize",
     "validate_manifold", "assign_precision", "__version__",
 ]

@@ -27,14 +27,15 @@ import numpy as np
 from .entropy import AdaptiveModel, RangeDecoder, RangeEncoder, SignedIntCoder
 from .hierarchy import (Pattern, WgcConfig, _rotate_for_splits,
                         build_hierarchy, subdivide_connectivity)
-from .mesh import NonManifoldError, TriMesh, edge_key, validate_manifold
+from .mesh import (MeshError, NonManifoldError, TriMesh, edge_key,
+                   validate_manifold)
 from .quantize import (DEFAULT_THRESHOLD, QuantGrid, assign_precision,
                        make_grid, round_half_away)
 from .wavelet import analyze
 
 __all__ = ["EncodeConfig", "ProgressiveStream", "RateReport", "ChunkInfo",
            "ProgressiveDecoder", "StreamFormatError", "TruncatedStreamError",
-           "encode", "decode", "decode_debug", "rd_curve", "bench_rows",
+           "encode", "decode", "decode_debug", "bench_rows",
            "BenchRow", "MAGIC", "FORMAT_VERSION"]
 
 MAGIC = b"PMC1"
@@ -392,6 +393,8 @@ class ProgressiveDecoder:
 def encode(mesh: TriMesh, config: EncodeConfig | None = None):
     """Compress a manifold mesh; returns (ProgressiveStream, RateReport)."""
     config = config or EncodeConfig()
+    if not np.isfinite(mesh.vertices).all():
+        raise MeshError("vertex coordinates must be finite (found NaN or inf)")
     problems = validate_manifold(mesh)
     if problems:
         raise NonManifoldError("; ".join(problems))
@@ -657,15 +660,3 @@ def bench_rows(mesh: TriMesh, config: EncodeConfig | None = None,
         rows.append(BenchRow(level, nbytes, 8 * nbytes / nv,
                              dist.rms, dist.max_dist))
     return rows
-
-
-def rd_curve(mesh: TriMesh, config: EncodeConfig | None = None,
-             sample_points: int | None = None,
-             seed: int = 0) -> list[tuple[float, float]]:
-    """(bits-per-vertex, normalized RMS) per decodable prefix."""
-    spua = None
-    if sample_points is not None:
-        from .metrics import total_area
-        spua = sample_points / total_area(mesh)
-    rows = bench_rows(mesh, config, seed=seed, samples_per_unit_area=spua)
-    return [(row.bpv, row.rms_norm) for row in rows]

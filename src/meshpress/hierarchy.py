@@ -10,6 +10,14 @@ The grouping strategy is greedy over faces in ascending index order with
 an edge registry that keeps the per-coarse-edge split decision globally
 consistent, followed by a demotion fixpoint: any vertex whose star cannot
 be covered by consistent groups is forced even and the pass is rerun.
+
+Each pass builds its adjacency once (`_PassTables`): faces as lists, the
+face and apex across every (face, local edge) as in the corner table of
+Rossignac et al. (SMI 2001), boundary sets and valences. Midpoint
+deviations and parent-edge lengths are memoised per pass. Each is one
+`np.linalg.norm` of a 3-vector and must stay exactly that expression:
+a last-ulp change flips `>` comparisons and with them the stream.
+Nothing cached outlives `simplify_once`.
 """
 
 from __future__ import annotations
@@ -115,50 +123,78 @@ class _Registry:
         return n
 
 
-class _PassState:
-    def __init__(self, mesh: TriMesh, wgc: WgcConfig, forbidden: set[int]):
+class _PassTables:
+    """Adjacency and geometry of one pass's input mesh. Local edge i of
+    face f runs from faces[f][i] to faces[f][(i + 1) % 3]; opp[3 * f + i]
+    and apex[3 * f + i] are the face and vertex across it (None on a
+    boundary)."""
+
+    def __init__(self, mesh: TriMesh):
         self.mesh = mesh
-        self.wgc = wgc
-        self.forbidden = forbidden
-        self.mark = np.zeros(mesh.vertex_count, dtype=np.int8)
-        self.parent: dict[int, tuple[int, int]] = {}
-        self.grouped = np.full(mesh.face_count, -1, dtype=np.int64)
-        self.groups: list[FaceGroup] = []
-        self.registry = _Registry()
+        self.faces: list[list[int]] = mesh.faces.tolist()
+        self.opp: list[int | None] = []
+        self.apex: list[int | None] = []
+        for f, face in enumerate(self.faces):
+            for i in range(3):
+                u, v = face[i], face[(i + 1) % 3]
+                n = mesh.neighbor_across(f, u, v)
+                self.opp.append(n)
+                self.apex.append(None if n is None else sum(self.faces[n]) - u - v)
         self.boundary = mesh.boundary_edges()
         self.boundary_vertices = {v for e in self.boundary for v in e}
+        self.valence = [len(n) for n in mesh.vertex_neighbors]
+        self._deviation: dict[tuple[int, int, int], tuple[float, float]] = {}
+
+    def deviation(self, v: int, a: int, b: int) -> tuple[float, float]:
+        """(|p_v - midpoint(a, b)|, |p_a - p_b|), bitwise symmetric in a, b."""
+        key = (v, a, b) if a < b else (v, b, a)
+        hit = self._deviation.get(key)
+        if hit is None:
+            pos = self.mesh.vertices
+            mid = 0.5 * (pos[a] + pos[b])
+            hit = (float(np.linalg.norm(pos[v] - mid)),
+                   float(np.linalg.norm(pos[a] - pos[b])))
+            self._deviation[key] = hit
+        return hit
+
+
+class _PassState:
+    def __init__(self, tables: _PassTables, wgc: WgcConfig, forbidden: set[int]):
+        self.tables = tables
+        self.wgc = wgc
+        self.forbidden = forbidden
+        self.mark = [_UNKNOWN] * tables.mesh.vertex_count
+        self.parent: dict[int, tuple[int, int]] = {}
+        self.grouped = [-1] * len(tables.faces)
+        self.groups: list[FaceGroup] = []
+        self.registry = _Registry()
 
     # -- admissibility -----------------------------------------------------
-
-    def can_be_even(self, v: int) -> bool:
-        return self.mark[v] != _ODD
 
     def can_be_odd(self, v: int, a: int, b: int) -> bool:
         if v in self.forbidden or self.mark[v] == _EVEN:
             return False
+        t = self.tables
         # an interior midpoint vertex has at most 6 star faces (<= 3 per
         # side of its parent edge), so higher valence rules odd out
-        if (v not in self.boundary_vertices
-                and len(self.mesh.vertex_neighbors[v]) > 6):
+        if v not in t.boundary_vertices and t.valence[v] > 6:
             return False
         if self.mark[v] == _ODD and self.parent[v] != edge_key(a, b):
             return False
-        if v in self.boundary_vertices:
+        if v in t.boundary_vertices:
             # a boundary vertex may only collapse along the boundary
-            if (edge_key(a, v) not in self.boundary
-                    or edge_key(v, b) not in self.boundary):
+            if (edge_key(a, v) not in t.boundary
+                    or edge_key(v, b) not in t.boundary):
                 return False
         if self.wgc.enabled:
-            pos = self.mesh.vertices
-            mid = 0.5 * (pos[a] + pos[b])
-            if (np.linalg.norm(pos[v] - mid)
-                    > self.wgc.gamma * np.linalg.norm(pos[a] - pos[b])):
+            dev, length = t.deviation(v, a, b)
+            if dev > self.wgc.gamma * length:
                 return False
         return True
 
     def split_entry(self, a: int, b: int, mid: int):
         # a split coarse edge must not also exist as a fine edge
-        if self.mesh.has_edge(a, b):
+        if self.tables.mesh.has_edge(a, b):
             return None
         return (edge_key(a, b), _Registry.SPLIT, mid)
 
@@ -177,28 +213,21 @@ class _PassState:
             self.parent[odd] = edge_key(a, b)
 
 
-def _distinct(*vals) -> bool:
-    return len(set(vals)) == len(vals)
-
-
 def _try_quadrisect(st: _PassState, f: int):
-    mesh = st.mesh
-    m1, m2, m3 = (int(x) for x in mesh.faces[f])
-    n12 = mesh.neighbor_across(f, m1, m2)
-    n23 = mesh.neighbor_across(f, m2, m3)
-    n31 = mesh.neighbor_across(f, m3, m1)
+    t, grouped, mark = st.tables, st.grouped, st.mark
+    e = 3 * f
+    n12, n23, n31 = t.opp[e:e + 3]
     if n12 is None or n23 is None or n31 is None:
         return None
-    if not _distinct(f, n12, n23, n31):
+    if len({f, n12, n23, n31}) != 4:
         return None
-    if any(st.grouped[n] >= 0 for n in (n12, n23, n31)):
+    if grouped[n12] >= 0 or grouped[n23] >= 0 or grouped[n31] >= 0:
         return None
-    a = mesh.face_apex(n31, m3, m1)
-    b = mesh.face_apex(n12, m1, m2)
-    c = mesh.face_apex(n23, m2, m3)
-    if not _distinct(a, b, c, m1, m2, m3):
+    m1, m2, m3 = t.faces[f]
+    b, c, a = t.apex[e:e + 3]
+    if len({a, b, c, m1, m2, m3}) != 6:
         return None
-    if not (st.can_be_even(a) and st.can_be_even(b) and st.can_be_even(c)):
+    if mark[a] == _ODD or mark[b] == _ODD or mark[c] == _ODD:
         return None
     if not (st.can_be_odd(m1, a, b) and st.can_be_odd(m2, b, c)
             and st.can_be_odd(m3, c, a)):
@@ -214,34 +243,38 @@ def _try_quadrisect(st: _PassState, f: int):
 
 def _try_trisect(st: _PassState, f: int):
     """Match `f` as the middle face of a trisected coarse triangle."""
-    mesh = st.mesh
-    verts = [int(x) for x in mesh.faces[f]]
+    t, grouped, mark = st.tables, st.grouped, st.mark
+    verts = t.faces[f]
     candidates = []
     for rot in range(3):
         ma, b, mb = verts[rot], verts[(rot + 1) % 3], verts[(rot + 2) % 3]
-        n3 = mesh.neighbor_across(f, mb, ma)
-        if n3 is None or st.grouped[n3] >= 0 or n3 == f:
+        e = 3 * f + (rot + 2) % 3                  # edge (mb, ma)
+        n3 = t.opp[e]
+        if n3 is None or grouped[n3] >= 0:
             continue
-        y = mesh.face_apex(n3, ma, mb)
-        for diag_bit, (hinge_u, hinge_v) in enumerate(((ma, y), (mb, y))):
-            # bit 0: n3 = (ma, mb, C), diagonal from ma; bit 1: n3 = (A, ma, mb)
-            n1 = mesh.neighbor_across(n3, hinge_u, hinge_v)
-            if n1 is None or n1 == f or st.grouped[n1] >= 0:
+        y = t.apex[e]
+        # bit 0: n3 = (ma, mb, C), diagonal from ma, hinge (ma, y);
+        # bit 1: n3 = (A, ma, mb), hinge (mb, y). A hinge is the edge of
+        # n3 that follows the vertex it leaves out.
+        for diag_bit, left_out in enumerate((mb, ma)):
+            h = 3 * n3 + (t.faces[n3].index(left_out) + 1) % 3
+            n1 = t.opp[h]
+            if n1 is None or n1 == f or grouped[n1] >= 0:
                 continue
-            z = mesh.face_apex(n1, hinge_u, hinge_v)
+            z = t.apex[h]
             if diag_bit == 0:
                 A, B, C = z, b, y
                 fine_ids = (n1, f, n3)
             else:
                 A, B, C = y, b, z
                 fine_ids = (n3, f, n1)
-            if not _distinct(A, B, C, ma, mb):
+            if len({A, B, C, ma, mb}) != 5:
                 continue
-            if not all(st.can_be_even(v) for v in (A, B, C)):
+            if mark[A] == _ODD or mark[B] == _ODD or mark[C] == _ODD:
                 continue
             if not (st.can_be_odd(ma, A, B) and st.can_be_odd(mb, B, C)):
                 continue
-            if not mesh.has_edge(C, A):
+            if not t.mesh.has_edge(C, A):
                 continue
             entries = [st.split_entry(A, B, ma), st.split_entry(B, C, mb),
                        (edge_key(C, A), _Registry.UNSPLIT, None)]
@@ -253,24 +286,25 @@ def _try_trisect(st: _PassState, f: int):
                                (n1, n3)))
     if not candidates:
         return None
-    candidates.sort(key=lambda t: t[0])
+    candidates.sort(key=lambda cand: cand[0])
     _, group, entries, others = candidates[0]
     return group, entries, others
 
 
 def _try_bisect(st: _PassState, f: int):
-    mesh = st.mesh
-    verts = [int(x) for x in mesh.faces[f]]
+    t, grouped, mark = st.tables, st.grouped, st.mark
+    verts = t.faces[f]
     candidates = []
     for rot in range(3):
         a, m, c = verts[rot], verts[(rot + 1) % 3], verts[(rot + 2) % 3]
-        n = mesh.neighbor_across(f, m, c)
-        if n is None or st.grouped[n] >= 0:
+        e = 3 * f + (rot + 1) % 3                  # edge (m, c)
+        n = t.opp[e]
+        if n is None or grouped[n] >= 0:
             continue
-        b = mesh.face_apex(n, m, c)
-        if not _distinct(a, b, c, m):
+        b = t.apex[e]
+        if len({a, b, c, m}) != 4:
             continue
-        if not all(st.can_be_even(v) for v in (a, b, c)):
+        if mark[a] == _ODD or mark[b] == _ODD or mark[c] == _ODD:
             continue
         if not st.can_be_odd(m, a, b):
             continue
@@ -286,22 +320,20 @@ def _try_bisect(st: _PassState, f: int):
         candidates.append((n, group, entries, (n,)))
     if not candidates:
         return None
-    candidates.sort(key=lambda t: t[0])
+    candidates.sort(key=lambda cand: cand[0])
     _, group, entries, others = candidates[0]
     return group, entries, others
 
 
-def _group_score(mesh: TriMesh, group: FaceGroup) -> float:
+def _group_score(tables: _PassTables, group: FaceGroup) -> float:
     """Worst midpoint deviation of the group's odd vertices, relative to
     the parent edge length. True subdivision structure scores low."""
-    pos = mesh.vertices
     worst = 0.0
     for odd, (a, b) in group.split_edges.items():
-        edge = float(np.linalg.norm(pos[a] - pos[b]))
+        dev, edge = tables.deviation(odd, a, b)
         if edge <= 0.0:
             return np.inf
-        mid = 0.5 * (pos[a] + pos[b])
-        worst = max(worst, float(np.linalg.norm(pos[odd] - mid)) / edge)
+        worst = max(worst, dev / edge)
     return worst
 
 
@@ -315,14 +347,14 @@ def _grow(st: _PassState, seed_faces) -> None:
     force its neighborhood into the same consistent tiling, and conflicts
     can only arise along seams between independently seeded regions.
     """
-    mesh = st.mesh
-    valence = np.array([len(n) for n in mesh.vertex_neighbors])
+    t = st.tables
+    vertex_faces = t.mesh.vertex_faces
 
     def seed_rank(group: FaceGroup) -> int:
         # Irregular interior vertices must survive every valid tiling, so
         # a candidate keeping one as an even corner is almost certainly in
         # the globally consistent coset: prefer such candidates as seeds.
-        anchored = any(valence[v] != 6 and v not in st.boundary_vertices
+        anchored = any(t.valence[v] != 6 and v not in t.boundary_vertices
                        for v in group.coarse_face)
         return 0 if anchored else 1
 
@@ -330,9 +362,8 @@ def _grow(st: _PassState, seed_faces) -> None:
         # parent-edge length is comparable across patterns (a coarse-face
         # perimeter would make bisects look finer than quadrisects)
         total = 0.0
-        for a, b in group.split_edges.values():
-            total += float(np.linalg.norm(mesh.vertices[a]
-                                          - mesh.vertices[b]))
+        for odd, (a, b) in group.split_edges.items():
+            total += t.deviation(odd, a, b)[1]
         return total / len(group.split_edges)
 
     attempts = (_try_quadrisect, _try_trisect, _try_bisect)
@@ -361,7 +392,7 @@ def _grow(st: _PassState, seed_faces) -> None:
             elif tier == 0 and ref_scale is not None \
                     and scale > 1.5 * ref_scale:
                 eff_tier = 1
-            score = _group_score(mesh, group)
+            score = _group_score(t, group)
             # fuller patterns beat a marginally better-scoring partial
             # match (almost always a spurious reading of a regular region)
             if eff_tier == 0:
@@ -388,21 +419,16 @@ def _grow(st: _PassState, seed_faces) -> None:
         st.commit(group, entries)
         ref = scale_of(group)
         for v in (*group.coarse_face, *group.split_edges):
-            for nf in mesh.vertex_faces[v]:
+            for nf in vertex_faces[v]:
                 push(nf, 0, ref)
 
 
 def _finalize_violations(st: _PassState) -> set[int]:
     """Vertices that must be demoted for ungrouped faces to become
     UNCHANGED coarse faces."""
-    bad: set[int] = set()
-    for f in range(st.mesh.face_count):
-        if st.grouped[f] >= 0:
-            continue
-        for v in st.mesh.faces[f]:
-            if st.mark[v] == _ODD:
-                bad.add(int(v))
-    return bad
+    mark, grouped = st.mark, st.grouped
+    return {v for f, face in enumerate(st.tables.faces) if grouped[f] < 0
+            for v in face if mark[v] == _ODD}
 
 
 def _retract(st: _PassState, bad: set[int]) -> tuple[_PassState, list[int]]:
@@ -410,7 +436,7 @@ def _retract(st: _PassState, bad: set[int]) -> tuple[_PassState, list[int]]:
     registry from the survivors. Returns the new state and the freed faces."""
     survivors = [g for g in st.groups
                  if not any(v in bad for v in g.split_edges)]
-    fresh = _PassState(st.mesh, st.wgc, st.forbidden)
+    fresh = _PassState(st.tables, st.wgc, st.forbidden)
     for g in survivors:
         entries = []
         for odd, (a, b) in g.split_edges.items():
@@ -422,8 +448,8 @@ def _retract(st: _PassState, bad: set[int]) -> tuple[_PassState, list[int]]:
             if key not in mids:
                 entries.append((key, _Registry.UNSPLIT, None))
         fresh.commit(g, entries)
-    freed = [f for f in range(st.mesh.face_count)
-             if st.grouped[f] >= 0 and fresh.grouped[f] < 0]
+    freed = [f for f, (old, new) in enumerate(zip(st.grouped, fresh.grouped))
+             if old >= 0 and new < 0]
     return fresh, freed
 
 
@@ -445,11 +471,11 @@ def _dissolve_conflicts(st: _PassState) -> None:
         for v in g.split_edges:        # a shared split edge puts its
             odd_groups.setdefault(v, []).append(gid)    # odd in 2 groups
     removed: set[int] = set()
-    queue = [f for f in range(st.mesh.face_count) if st.grouped[f] < 0]
+    queue = [f for f, gid in enumerate(st.grouped) if gid < 0]
     while queue:
         f = queue.pop()
-        for v in st.mesh.faces[f]:
-            for gid in odd_groups.get(int(v), ()):
+        for v in st.tables.faces[f]:
+            for gid in odd_groups.get(v, ()):
                 if gid in removed:
                     continue
                 removed.add(gid)
@@ -465,7 +491,7 @@ def _dissolve_conflicts(st: _PassState) -> None:
         survivors = [g for gid, g in enumerate(st.groups)
                      if gid not in removed]
         st.groups = survivors
-        st.grouped.fill(-1)
+        st.grouped = [-1] * len(st.grouped)
         for gid, g in enumerate(survivors):
             for fid in g.fine_face_ids:
                 st.grouped[fid] = gid
@@ -483,7 +509,7 @@ def simplify_once(mesh: TriMesh, wgc: WgcConfig | None = None) -> LevelRecord | 
     """
     wgc = wgc or WgcConfig()
     forbidden: set[int] = set()
-    st = _PassState(mesh, wgc, forbidden)
+    st = _PassState(_PassTables(mesh), wgc, forbidden)
     _grow(st, range(mesh.face_count))
     prev = np.inf
     while True:
@@ -496,16 +522,16 @@ def simplify_once(mesh: TriMesh, wgc: WgcConfig | None = None) -> LevelRecord | 
         prev = len(bad)
         forbidden |= bad
         st, freed = _retract(st, bad)
-        stranded = [f for f in range(mesh.face_count) if st.grouped[f] < 0]
+        stranded = [f for f, gid in enumerate(st.grouped) if gid < 0]
         _grow(st, sorted(set(freed) | set(stranded)))
     if not st.parent:
         return None
 
     # leftover faces survive unchanged
-    for f in range(mesh.face_count):
+    for f, face in enumerate(st.tables.faces):
         if st.grouped[f] >= 0:
             continue
-        face = tuple(int(x) for x in mesh.faces[f])
+        face = tuple(face)
         entries = [(edge_key(face[i], face[(i + 1) % 3]), _Registry.UNSPLIT, None)
                    for i in range(3)]
         st.commit(FaceGroup(Pattern.UNCHANGED, face, (f,), {}), entries)

@@ -72,6 +72,21 @@ def test_encode_malformed_mesh_exits_parse(runner, tmp_path):
     assert "error:" in result.output
 
 
+@pytest.mark.parametrize("bad", ["nan", "inf"])
+def test_encode_non_finite_mesh_exits_parse(runner, tmp_path, bad):
+    mesh = shapes.icosphere(2)
+    lines = [f"v {x!r} {y!r} {z!r}" for x, y, z in mesh.vertices.tolist()]
+    lines[3] = f"v 0.5 {bad} 0.25"
+    lines += [f"f {a + 1} {b + 1} {c + 1}" for a, b, c in mesh.faces.tolist()]
+    src = tmp_path / "bad.obj"
+    src.write_text("\n".join(lines) + "\n")
+    result = runner.invoke(main, ["encode", str(src), str(tmp_path / "o.pmc")])
+    assert result.exit_code == EXIT_PARSE, result.output
+    assert "error:" in result.output and "finite" in result.output
+    assert "Traceback" not in result.output
+    assert not (tmp_path / "o.pmc").exists()
+
+
 def test_decode_truncated_exits_3_and_names_level(runner, mesh_file, tmp_path):
     out, _ = _encode(runner, mesh_file, tmp_path)
     data = open(out, "rb").read()

@@ -5,7 +5,7 @@ from meshpress import codec, shapes
 from meshpress.codec import (EncodeConfig, ProgressiveStream,
                              StreamFormatError, TruncatedStreamError,
                              decode, decode_debug, encode)
-from meshpress.mesh import NonManifoldError, TriMesh
+from meshpress.mesh import MeshError, NonManifoldError, TriMesh
 from meshpress.quantize import QuantGrid
 
 
@@ -65,6 +65,21 @@ def test_non_manifold_input_rejected():
     faces = [[0, 1, 2], [0, 3, 4]]      # bowtie at vertex 0
     with pytest.raises(NonManifoldError):
         encode(TriMesh(verts, faces))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_input_rejected_before_analysis(monkeypatch, bad):
+    mesh = shapes.icosphere(2)
+    verts = mesh.vertices.copy()
+    verts[5, 1] = bad
+
+    def must_not_run(*args, **kwargs):
+        raise AssertionError("non-finite input reached the pipeline")
+
+    monkeypatch.setattr(codec, "validate_manifold", must_not_run)
+    monkeypatch.setattr(codec, "build_hierarchy", must_not_run)
+    with pytest.raises(MeshError, match="finite"):
+        encode(TriMesh(verts, mesh.faces))
 
 
 # -- container --------------------------------------------------------------
@@ -219,11 +234,3 @@ def test_bench_rows_shape_and_monotone_rate(corpus, encoded):
     assert rows[-1].nbytes == len(stream.to_bytes())
     for r in rows:
         assert r.bpv == pytest.approx(8 * r.nbytes / mesh.vertex_count)
-
-
-def test_rd_curve_points_match_bench(corpus, encoded):
-    mesh = corpus["grid"]
-    stream, _ = encoded["grid"]
-    rows = codec.bench_rows(mesh, stream=stream, seed=3)
-    pts = codec.rd_curve(mesh, EncodeConfig(), seed=3)
-    assert pts == [(r.bpv, r.rms_norm) for r in rows]

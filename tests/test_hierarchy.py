@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from meshpress import shapes
-from meshpress.hierarchy import (Pattern, WgcConfig, build_hierarchy,
-                                 resubdivide, simplify_once)
+from meshpress.hierarchy import (Pattern, WgcConfig, _PassTables,
+                                 build_hierarchy, resubdivide, simplify_once)
 from meshpress.mesh import TriMesh, edge_key
 
 
@@ -224,3 +224,27 @@ def test_full_subdivision_chains_invert_exactly(corpus):
         records = build_hierarchy(corpus[name])
         got = [r.coarse_mesh.vertex_count for r in records]
         assert got[:len(counts)] == counts
+
+
+# -- per-pass tables --------------------------------------------------------
+
+
+def test_pass_tables_match_mesh_adjacency(corpus):
+    for name, mesh in corpus.items():
+        tables = _PassTables(mesh)
+        boundary = mesh.boundary_edges()
+        assert tables.faces == mesh.faces.tolist(), name
+        for f, face in enumerate(tables.faces):
+            for i in range(3):
+                u, v = face[i], face[(i + 1) % 3]
+                other = mesh.neighbor_across(f, u, v)
+                assert tables.opp[3 * f + i] == other, (name, f, i)
+                if edge_key(u, v) in boundary:
+                    assert other is None
+                    assert tables.apex[3 * f + i] is None, (name, f, i)
+                else:
+                    assert tables.apex[3 * f + i] == mesh.face_apex(other, u, v)
+        expected = {v for e in boundary for v in e}
+        assert tables.boundary_vertices == expected, name
+        assert tables.valence == [len(n) for n in mesh.vertex_neighbors]
+    assert _PassTables(corpus["grid"]).boundary_vertices   # open patch
