@@ -20,7 +20,7 @@ from .meshio import ParseError, load_mesh, save_mesh
 from .metrics import (DistortionResult, bpv, point_to_triangle,
                       sampled_distance)
 from .quantize import (DEFAULT_THRESHOLD, MIN_PRECISION, QuantGrid,
-                       assign_precision, make_grid, quantize_details,
+                       assign_precision, batch_precision, make_grid,
                        scale_to_precision)
 from .wavelet import CoefficientSet, analyze, synthesize
 
@@ -32,9 +32,9 @@ __all__ = [
     "MIN_PRECISION", "MeshError", "NonManifoldError", "ParseError", "Pattern",
     "ProgressiveStream", "QuantGrid", "RateReport", "StreamFormatError",
     "TriMesh", "TruncatedStreamError", "WgcConfig", "analyze", "bench_rows",
-    "bounding_box", "bpv", "build_hierarchy", "decode", "decode_debug",
-    "edge_key", "encode", "load_mesh", "make_grid", "point_to_triangle",
-    "quantize_details", "resubdivide", "sampled_distance",
+    "batch_precision", "bounding_box", "bpv", "build_hierarchy", "decode",
+    "decode_debug", "edge_key", "encode", "load_mesh", "make_grid",
+    "point_to_triangle", "resubdivide", "sampled_distance",
     "save_mesh", "scale_to_precision", "simplify_once", "synthesize",
     "validate_manifold", "assign_precision", "__version__",
 ]

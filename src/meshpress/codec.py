@@ -14,11 +14,17 @@ The encoder is closed-loop: it feeds each chunk it emits into a real
 :class:`ProgressiveDecoder` instance and derives all stream-visible
 decisions (edge orderings, precision assignment, predictions) from that
 decoder's state, which makes encoder/decoder symmetry structural rather
-than aspirational.
+than aspirational. A level is read in two halves: the connectivity half
+fixes the split edges and runs the precision rule once for all of them
+on the positions decoded so far; the geometry half dequantizes the
+details with those q_i (a transmitted q_i that differs is a
+StreamFormatError) and synthesizes. The encoder writes each level's
+geometry chunk from the q_i its decoder derived in between.
 """
 
 from __future__ import annotations
 
+import math
 import struct
 from dataclasses import dataclass, field
 
@@ -29,9 +35,9 @@ from .hierarchy import (Pattern, WgcConfig, _rotate_for_splits,
                         build_hierarchy, subdivide_connectivity)
 from .mesh import (MeshError, NonManifoldError, TriMesh, edge_key,
                    validate_manifold)
-from .quantize import (DEFAULT_THRESHOLD, QuantGrid, assign_precision,
+from .quantize import (DEFAULT_THRESHOLD, QuantGrid, batch_precision,
                        make_grid, round_half_away)
-from .wavelet import analyze
+from .wavelet import analyze, synthesize_edges
 
 __all__ = ["EncodeConfig", "ProgressiveStream", "RateReport", "ChunkInfo",
            "ProgressiveDecoder", "StreamFormatError", "TruncatedStreamError",
@@ -137,13 +143,28 @@ def _parse_container(data: bytes):
     if len(data) < _HEADER.size:
         raise TruncatedStreamError("stream shorter than the fixed header",
                                    byte_offset=len(data))
-    (magic, version, flags, q_max, _reserved, threshold, gamma,
+    (magic, version, flags, q_max, reserved, threshold, gamma,
      ox, oy, oz, scale, base_nv, base_nf, level_count,
      original_nv) = _HEADER.unpack_from(data)
     if magic != MAGIC:
         raise StreamFormatError(f"bad magic {magic!r}, expected {MAGIC!r}")
     if version != FORMAT_VERSION:
         raise StreamFormatError(f"unsupported format version {version}")
+    if reserved:
+        raise StreamFormatError(f"reserved header byte is {reserved}, not 0")
+    if not 4 <= q_max <= 16:
+        raise StreamFormatError(f"q_max {q_max} outside [4, 16]")
+    extent = ((1 << q_max) - 1) / scale if scale > 0 else math.nan
+    if not all(map(math.isfinite, (scale, ox + extent, oy + extent,
+                                   oz + extent))):
+        raise StreamFormatError(f"origin ({ox}, {oy}, {oz}) and scale {scale} "
+                                "do not give a finite grid")
+    if base_nv > original_nv:
+        raise StreamFormatError(f"base mesh has {base_nv} vertices, the "
+                                f"full mesh only {original_nv}")
+    if 3 * base_nf > base_nv * (base_nv - 1):  # each edge borders <= 2 faces
+        raise StreamFormatError(f"{base_nf} base faces cannot be manifold "
+                                f"over {base_nv} vertices")
     n_chunks = 3 + 2 * level_count
     table_end = _HEADER.size + 4 * n_chunks
     if len(data) < table_end:
@@ -250,14 +271,6 @@ class _Models:
         return q
 
 
-def _precision_for(prediction: np.ndarray, positions: np.ndarray,
-                   grid: QuantGrid, threshold: int, adaptive: bool) -> int:
-    if not adaptive:
-        return grid.q_max
-    q, _ = assign_precision(prediction, positions, grid, threshold)
-    return q
-
-
 def _face_edges(face) -> list[tuple[int, int]]:
     a, b, c = (int(x) for x in face)
     return [edge_key(a, b), edge_key(b, c), edge_key(c, a)]
@@ -285,10 +298,12 @@ class ProgressiveDecoder:
         self.levels_done = 0
         self.completed = False
         self.final_ints: np.ndarray | None = None
-        # debug side-channel: transmitted and locally recomputed precisions
-        self.q_transmitted: list[list[int]] = []
+        # per level: the q_i the decoder derived (one precision pass each)
         self.q_recomputed: list[list[int]] = []
+        # state of the level whose connectivity was read last
         self.last_split_edges: list[tuple[int, int]] = []
+        self.level_q: list[int] = []
+        self._next_faces: np.ndarray | None = None
 
     # -- state views ------------------------------------------------------
 
@@ -313,6 +328,9 @@ class ProgressiveDecoder:
         flat = np.empty(3 * self.base_face_count, dtype=np.int64)
         for i in range(len(flat)):
             prev += self.models.base_conn.decode(dec)
+            if not 0 <= prev < self.base_vertex_count:
+                raise StreamFormatError(f"base face index {prev} outside "
+                                        f"[0, {self.base_vertex_count})")
             flat[i] = prev
         self.faces = flat.reshape(-1, 3)
 
@@ -327,10 +345,15 @@ class ProgressiveDecoder:
         self.positions = self.grid.dequantize(ints)
 
     def read_level(self, conn_data: bytes, geom_data: bytes) -> None:
+        self.read_level_conn(conn_data)
+        self.read_level_geom(geom_data)
+
+    def read_level_conn(self, data: bytes) -> None:
+        """Split flags and diagonal bits of the next level, then the q_i
+        of its split edges from the positions decoded so far."""
         m = self.models
         nc = len(self.positions)
-
-        dec = RangeDecoder(conn_data)
+        dec = RangeDecoder(data)
         split_edges = [e for e in self.edge_list()
                        if dec.decode_symbol(m.split) == 1]
         split_map = {e: nc + r for r, e in enumerate(split_edges)}
@@ -339,43 +362,39 @@ class ProgressiveDecoder:
             n = sum(e in split_map for e in _face_edges(face))
             if n == 2:
                 diag_bits[fid] = dec.decode_symbol(m.diag)
-        new_faces = subdivide_connectivity(self.faces, split_map, diag_bits)
-
-        dec = RangeDecoder(geom_data)
-        details = np.empty((len(split_edges), 3), dtype=np.float64)
-        q_rx, q_local = [], []
-        for r, (u, v) in enumerate(split_edges):
-            prediction = 0.5 * (self.positions[u] + self.positions[v])
-            q_local.append(_precision_for(prediction, self.positions,
-                                          self.grid, self.threshold,
-                                          self.adaptive))
-            q = m.decode_q(dec)
-            q_rx.append(q)
-            step = 1 << (self.grid.q_max - q)
-            for ax in range(3):
-                details[r, ax] = m.detail.decode(dec) * step / self.grid.scale
-
-        fine = np.empty((nc + len(split_edges), 3), dtype=np.float64)
-        fine[:nc] = self.positions
-        if self.lifting and split_edges:
-            acc = np.zeros((nc, 3), dtype=np.float64)
-            cnt = np.zeros(nc, dtype=np.int64)
-            for r, (u, v) in enumerate(split_edges):
-                acc[u] += details[r]
-                acc[v] += details[r]
-                cnt[u] += 1
-                cnt[v] += 1
-            touched = cnt > 0
-            fine[:nc][touched] += acc[touched] / (4.0 * cnt[touched, None])
-        for r, (u, v) in enumerate(split_edges):
-            fine[nc + r] = 0.5 * (fine[u] + fine[v]) + details[r]
-
-        self.positions = fine
-        self.faces = new_faces
-        self.levels_done += 1
-        self.q_transmitted.append(q_rx)
-        self.q_recomputed.append(q_local)
+        self._next_faces = subdivide_connectivity(self.faces, split_map,
+                                                  diag_bits)
         self.last_split_edges = split_edges
+        if self.adaptive:
+            edges = np.array(split_edges, dtype=np.int64).reshape(-1, 2)
+            prediction = 0.5 * (self.positions[edges[:, 0]]
+                                + self.positions[edges[:, 1]])
+            self.level_q = batch_precision(prediction, self.positions,
+                                           self.grid, self.threshold).tolist()
+        else:
+            self.level_q = [self.grid.q_max] * len(split_edges)
+
+    def read_level_geom(self, data: bytes) -> None:
+        """Details of the level read by :meth:`read_level_conn`, then
+        synthesis. Each transmitted q_i must equal the derived one."""
+        m = self.models
+        dec = RangeDecoder(data)
+        ints = np.empty((len(self.level_q), 3), dtype=np.int64)
+        for r, q in enumerate(self.level_q):
+            if m.decode_q(dec) != q:
+                raise StreamFormatError(
+                    f"level {self.levels_done + 1}: transmitted precision of "
+                    f"split vertex {r} differs from the derived q_i {q}")
+            for ax in range(3):
+                ints[r, ax] = m.detail.decode(dec)
+        steps = 1 << (self.grid.q_max - np.array(self.level_q, dtype=np.int64))
+        details = ints * steps[:, None] / self.grid.scale
+        edges = np.array(self.last_split_edges, dtype=np.int64).reshape(-1, 2)
+        self.positions = synthesize_edges(self.positions, edges, details,
+                                          self.lifting)
+        self.faces = self._next_faces
+        self.levels_done += 1
+        self.q_recomputed.append(self.level_q)
 
     def read_completion(self, data: bytes) -> None:
         dec = RangeDecoder(data)
@@ -457,8 +476,6 @@ def encode(mesh: TriMesh, config: EncodeConfig | None = None):
             bit = 1 if edge_key(int(pi[u]), int(pi[v])) in split_of else 0
             flags[(u, v)] = bit
             enc.encode_symbol(m.split, bit)
-        split_edges = [e for e, bit in flags.items() if bit]
-        split_edges.sort()
         for face in sim.faces:
             face = tuple(int(x) for x in face)
             face_flags = tuple(bool(flags[e]) for e in _face_edges(face))
@@ -472,28 +489,21 @@ def encode(mesh: TriMesh, config: EncodeConfig | None = None):
             else:                            # opposite winding mirrors the bit
                 bit = 1 - trisect_bit[(kbc, kab)]
             enc.encode_symbol(m.diag, bit)
-        conn_chunk = enc.finish()
+        chunks.append(enc.finish())
+        sim.read_level_conn(chunks[-1])
 
         enc = RangeEncoder()
-        decoded = sim.positions
-        q_list = []
-        for u, v in split_edges:
-            prediction = 0.5 * (decoded[u] + decoded[v])
-            q = _precision_for(prediction, decoded, grid, config.threshold,
-                               config.adaptive)
-            q_list.append(q)
+        split_edges = sim.last_split_edges
+        for (u, v), q in zip(split_edges, sim.level_q):
             m.encode_q(enc, q)
             odd = split_of[edge_key(int(pi[u]), int(pi[v]))]
             step = 1 << (config.q_max - q)
             ints = round_half_away(cs.details[odd] * grid.scale / step)
             for ax in range(3):
                 m.detail.encode(enc, int(ints[ax]))
-        geom_chunk = enc.finish()
-
-        chunks.append(conn_chunk)
-        chunks.append(geom_chunk)
-        sim.read_level(conn_chunk, geom_chunk)
-        q_sequences.append(q_list)
+        chunks.append(enc.finish())
+        q_sequences.append(sim.level_q)
+        sim.read_level_geom(chunks[-1])
 
         nc = len(pi)
         new_pi = np.empty(rec.fine_mesh.vertex_count, dtype=np.int64)

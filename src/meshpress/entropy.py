@@ -24,68 +24,7 @@ RangeDecoder = _backend.RangeDecoder
 BACKEND_NAME = _backend.BACKEND_NAME
 
 __all__ = ["AdaptiveModel", "RangeEncoder", "RangeDecoder", "BACKEND_NAME",
-           "BitSink", "BitSource", "SignedIntCoder",
-           "encode_symbol", "decode_symbol"]
-
-
-def encode_symbol(model, sink, sym: int) -> None:
-    sink.encode_symbol(model, sym)
-
-
-def decode_symbol(model, source) -> int:
-    return source.decode_symbol(model)
-
-
-class BitSink:
-    """MSB-first bit writer; flush pads the last byte with zero bits."""
-
-    def __init__(self):
-        self._buf = bytearray()
-        self._acc = 0
-        self._nbits = 0
-
-    def write_bit(self, bit: int) -> None:
-        self._acc = (self._acc << 1) | (bit & 1)
-        self._nbits += 1
-        if self._nbits == 8:
-            self._buf.append(self._acc)
-            self._acc = 0
-            self._nbits = 0
-
-    def write_bits(self, value: int, nbits: int) -> None:
-        for i in range(nbits - 1, -1, -1):
-            self.write_bit((value >> i) & 1)
-
-    @property
-    def bit_length(self) -> int:
-        return 8 * len(self._buf) + self._nbits
-
-    def getvalue(self) -> bytes:
-        out = bytearray(self._buf)
-        if self._nbits:
-            out.append(self._acc << (8 - self._nbits))
-        return bytes(out)
-
-
-class BitSource:
-    """MSB-first bit reader over a byte string."""
-
-    def __init__(self, data: bytes):
-        self._data = data
-        self._pos = 0
-
-    def read_bit(self) -> int:
-        byte, off = divmod(self._pos, 8)
-        if byte >= len(self._data):
-            raise EOFError("bit source exhausted")
-        self._pos += 1
-        return (self._data[byte] >> (7 - off)) & 1
-
-    def read_bits(self, nbits: int) -> int:
-        value = 0
-        for _ in range(nbits):
-            value = (value << 1) | self.read_bit()
-        return value
+           "SignedIntCoder"]
 
 
 class SignedIntCoder:

@@ -6,6 +6,8 @@ Per-vertex precision q_i is the smallest bit count in [4, q_max] at which
 a vertex and its nearest decoder-visible neighbor land at least
 sqrt(threshold) scaled grid units apart; everything the rule consumes is
 available to the decoder, which keeps both sides in lockstep.
+:func:`batch_precision` is the rule's one implementation: it takes all
+split vertices of a level at once, and the codec calls it once per level.
 """
 
 from __future__ import annotations
@@ -14,12 +16,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .hierarchy import LevelRecord
 from .mesh import TriMesh, bounding_box
-from .wavelet import CoefficientSet
 
-__all__ = ["QuantGrid", "make_grid", "scale_to_precision", "assign_precision",
-           "quantize_details", "MIN_PRECISION", "DEFAULT_THRESHOLD"]
+__all__ = ["QuantGrid", "make_grid", "scale_to_precision", "batch_precision",
+           "assign_precision", "MIN_PRECISION", "DEFAULT_THRESHOLD"]
 
 MIN_PRECISION = 4
 DEFAULT_THRESHOLD = 200
@@ -70,78 +70,44 @@ def scale_to_precision(coords: np.ndarray, q_max: int, q_i: int) -> np.ndarray:
     return np.asarray(coords, dtype=np.int64) >> (q_max - q_i)
 
 
-def _nearest_candidate(target: np.ndarray, candidates: np.ndarray) -> int:
-    """Index of the Euclidean nearest candidate; first index wins ties."""
-    d2 = np.sum((candidates - target) ** 2, axis=1)
-    return int(np.argmin(d2))
+_BLOCK_PAIRS = 1 << 12          # target x candidate pairs per search block
+
+
+def batch_precision(targets: np.ndarray, candidates: np.ndarray,
+                    grid: QuantGrid, threshold: int = DEFAULT_THRESHOLD
+                    ) -> np.ndarray:
+    """q_i of every target: the smallest q whose scaled squared distance
+    to the Euclidean nearest candidate (first index wins ties) reaches the
+    threshold, capped at q_max. The nearest-neighbour search runs in
+    blocks of about _BLOCK_PAIRS pairs to bound memory."""
+    targets = np.asarray(targets, dtype=np.float64).reshape(-1, 3)
+    candidates = np.asarray(candidates, dtype=np.float64).reshape(-1, 3)
+    if len(targets) and not len(candidates):
+        raise ValueError("empty candidate set")
+    step = max(1, _BLOCK_PAIRS // max(1, len(candidates)))
+    nearest = np.empty(len(targets), dtype=np.int64)
+    for s in range(0, len(targets), step):
+        block = targets[s:s + step, None, :]
+        d2 = np.sum((candidates[None, :, :] - block) ** 2, axis=2)
+        nearest[s:s + step] = np.argmin(d2, axis=1)
+    shifts = grid.q_max - np.arange(MIN_PRECISION, grid.q_max + 1)[:, None]
+    ci = grid.quantize(targets)[:, None, :] >> shifts       # (n, q, axis)
+    cj = grid.quantize(candidates[nearest])[:, None, :] >> shifts
+    reached = np.sum((ci - cj) ** 2, axis=2) >= threshold
+    return np.where(reached.any(axis=1),
+                    MIN_PRECISION + reached.argmax(axis=1), grid.q_max)
 
 
 def assign_precision(target: np.ndarray, candidates: np.ndarray,
-                     grid: QuantGrid, threshold: int = DEFAULT_THRESHOLD,
-                     exclude: int | None = None) -> tuple[int, np.ndarray]:
-    """Smallest q_i whose scaled squared neighbor distance reaches the
-    threshold, capped at q_max. Returns (q_i, target coords at q_i bits)."""
-    candidates = np.asarray(candidates, dtype=np.float64).reshape(-1, 3)
-    if exclude is not None:
-        keep = np.arange(len(candidates)) != exclude
-        candidates = candidates[keep]
-    if not len(candidates):
-        raise ValueError("empty candidate set")
-    nn = candidates[_nearest_candidate(target, candidates)]
-    ci = grid.quantize(target)
-    cj = grid.quantize(nn)
-    for q in range(MIN_PRECISION, grid.q_max + 1):
-        a = ci >> (grid.q_max - q)
-        b = cj >> (grid.q_max - q)
-        if int(np.sum((a - b) ** 2)) >= threshold:
-            return q, a
-    q = grid.q_max
-    return q, ci
+                     grid: QuantGrid, threshold: int = DEFAULT_THRESHOLD
+                     ) -> tuple[int, np.ndarray]:
+    """One-target :func:`batch_precision`. Returns (q_i, target coords at
+    q_i bits)."""
+    q = int(batch_precision(target, candidates, grid, threshold)[0])
+    return q, grid.quantize(target) >> (grid.q_max - q)
 
 
 def round_half_away(x: np.ndarray) -> np.ndarray:
     """Round to nearest integer, ties away from zero."""
     x = np.asarray(x, dtype=np.float64)
     return (np.sign(x) * np.floor(np.abs(x) + 0.5)).astype(np.int64)
-
-
-def canonical_odd_order(record: LevelRecord) -> list[int]:
-    """Odd vertices sorted by coarse parent edge (min, then max index)."""
-    def key(odd: int):
-        a, b = record.parent_edge[odd]
-        ca, cb = record.fine_to_coarse[a], record.fine_to_coarse[b]
-        return (min(ca, cb), max(ca, cb))
-    return sorted(record.parent_edge, key=key)
-
-
-def quantize_details(coeffs: CoefficientSet, record: LevelRecord,
-                     grid: QuantGrid, decoded_coarse: np.ndarray,
-                     threshold: int = DEFAULT_THRESHOLD):
-    """Per-odd-vertex precision and integer detail triples.
-
-    `decoded_coarse` must be exactly the geometry the decoder holds before
-    this level's details arrive; the prediction and the precision rule use
-    only that data. The detail quantizer step for a vertex is the grid
-    step at its own q_i.
-    """
-    if set(coeffs.details) != set(record.parent_edge):
-        raise ValueError("coefficient set does not match the level record")
-    decoded_coarse = np.asarray(decoded_coarse, dtype=np.float64)
-    if len(decoded_coarse) != record.coarse_mesh.vertex_count:
-        raise ValueError("decoded coarse geometry length mismatch")
-    out = []
-    fine_pos = {}
-    for odd in record.parent_edge:
-        a, b = record.parent_edge[odd]
-        mid = 0.5 * (record.fine_mesh.vertices[a] + record.fine_mesh.vertices[b])
-        fine_pos[odd] = mid + coeffs.details[odd]
-    for odd in canonical_odd_order(record):
-        a, b = record.parent_edge[odd]
-        ca, cb = record.fine_to_coarse[a], record.fine_to_coarse[b]
-        prediction = 0.5 * (decoded_coarse[ca] + decoded_coarse[cb])
-        q_i, _ = assign_precision(prediction, decoded_coarse, grid, threshold)
-        step = 1 << (grid.q_max - q_i)
-        detail = fine_pos[odd] - prediction
-        ints = round_half_away(detail * grid.scale / step)
-        out.append((odd, q_i, ints))
-    return out

@@ -1,3 +1,6 @@
+import time
+import warnings
+
 import numpy as np
 import pytest
 
@@ -5,6 +8,7 @@ from meshpress import codec, shapes
 from meshpress.codec import (EncodeConfig, ProgressiveStream,
                              StreamFormatError, TruncatedStreamError,
                              decode, decode_debug, encode)
+from meshpress.entropy import RangeEncoder, SignedIntCoder
 from meshpress.mesh import MeshError, NonManifoldError, TriMesh
 from meshpress.quantize import QuantGrid
 
@@ -112,6 +116,94 @@ def test_bad_version_rejected(encoded):
         decode(bytes(data))
 
 
+_HEADER_FIELDS = ("magic", "version", "flags", "q_max", "reserved",
+                  "threshold", "gamma", "ox", "oy", "oz", "scale", "base_nv",
+                  "base_nf", "level_count", "original_nv")
+
+
+def _with_header(data: bytes, **changes) -> bytes:
+    fields = dict(zip(_HEADER_FIELDS, codec._HEADER.unpack_from(data)))
+    fields.update(changes)
+    return codec._HEADER.pack(*fields.values()) + data[codec._HEADER.size:]
+
+
+@pytest.mark.parametrize("changes", [
+    dict(reserved=1),
+    dict(q_max=3),
+    dict(q_max=17),
+    dict(scale=0.0),
+    dict(scale=-2.0),
+    dict(scale=float("nan")),
+    dict(scale=float("inf")),
+    dict(scale=1e-320),                  # grid extent overflows
+    dict(ox=float("nan")),
+    dict(oz=float("-inf")),
+    dict(oy=1.79e308, scale=1e-304),     # far grid corner overflows
+], ids=lambda c: ",".join(f"{k}={v}" for k, v in c.items()))
+def test_header_field_rejected(encoded, changes):
+    data = _with_header(encoded["icosphere"][0].to_bytes(), **changes)
+    with pytest.raises(StreamFormatError):
+        ProgressiveStream.from_bytes(data)
+    with pytest.raises(StreamFormatError):
+        decode(data)
+
+
+def test_header_base_counts_bounded(encoded):
+    stream, _ = encoded["icosphere"]
+    data = stream.to_bytes()
+    nv = stream.base_vertex_count
+    with pytest.raises(StreamFormatError, match="vertices"):
+        decode(_with_header(data, base_nv=stream.original_vertex_count + 1))
+    with pytest.raises(StreamFormatError, match="manifold"):
+        decode(_with_header(data, base_nf=nv * (nv - 1) // 3 + 1))
+    # the tetrahedron meets the face bound with equality
+    tet, _ = encode(shapes.tetrahedron())
+    assert 3 * tet.base_face_count == tet.base_vertex_count * (
+        tet.base_vertex_count - 1)
+    assert decode(tet).face_count == 4
+
+
+def test_base_face_index_out_of_range_rejected(encoded):
+    stream, _ = encoded["icosphere"]
+    coder = SignedIntCoder(raw_bits=32)
+    enc = RangeEncoder()
+    for delta in (0, 1, stream.base_vertex_count):  # third index == count
+        coder.encode(enc, delta)
+    stream = ProgressiveStream.from_bytes(stream.to_bytes())
+    stream.chunks[0] = enc.finish()
+    with pytest.raises(StreamFormatError, match="face index"):
+        decode(stream)
+
+
+def test_bit_flips_raise_only_documented_errors():
+    """Seeded single-bit flips over the header, the chunk table and the
+    payload: each decodes to a mesh or raises one of the two documented
+    stream errors, quickly and without numpy warnings."""
+    stream, _ = encode(shapes.icosphere(2))
+    data = stream.to_bytes()
+    table_end = codec._HEADER.size + 4 * stream.chunk_count
+    rng = np.random.default_rng(2024)
+    header_bits = rng.choice(8 * table_end, size=150, replace=False)
+    payload_bits = 8 * table_end + rng.choice(8 * (len(data) - table_end),
+                                              size=250, replace=False)
+    outcomes = {"mesh": 0, "format": 0, "truncated": 0}
+    for bit in np.concatenate([header_bits, payload_bits]):
+        flipped = bytearray(data)
+        flipped[bit // 8] ^= 1 << (bit % 8)
+        start = time.perf_counter()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            try:
+                decode(bytes(flipped))
+                outcomes["mesh"] += 1
+            except StreamFormatError:
+                outcomes["format"] += 1
+            except TruncatedStreamError:
+                outcomes["truncated"] += 1
+        assert time.perf_counter() - start < 5.0, f"bit {bit}"
+    assert all(outcomes.values()), outcomes
+
+
 def test_encoding_is_deterministic():
     mesh = shapes.bumpy_sphere(2)
     a, _ = encode(mesh, EncodeConfig())
@@ -208,16 +300,73 @@ def test_decoder_recomputes_encoder_precisions(threshold):
     mesh = shapes.icosphere(2)
     stream, _ = encode(mesh, EncodeConfig(threshold=threshold))
     dec = decode_debug(stream)
-    assert dec.q_transmitted == dec.q_recomputed
-    assert dec.q_transmitted == stream.q_sequences
+    assert dec.q_recomputed == stream.q_sequences
+    assert all(type(q) is int for level in dec.q_recomputed for q in level)
 
 
 def test_fixed_precision_pins_qmax():
     mesh = shapes.icosphere(2)
     stream, _ = encode(mesh, EncodeConfig(adaptive=False, q_max=11))
     dec = decode_debug(stream)
-    for level in dec.q_transmitted:
-        assert all(q == 11 for q in level)
+    assert len(dec.q_recomputed) == stream.level_count
+    for level in dec.q_recomputed:
+        assert level and all(q == 11 for q in level)
+
+
+@pytest.mark.parametrize("adaptive", [True, False])
+def test_one_precision_pass_per_level(monkeypatch, adaptive):
+    calls = []
+    rule = codec.batch_precision
+
+    def counted(*args):
+        calls.append(len(args[0]))
+        return rule(*args)
+
+    monkeypatch.setattr(codec, "batch_precision", counted)
+    stream, _ = encode(shapes.icosphere(2), EncodeConfig(adaptive=adaptive))
+    assert stream.level_count >= 2
+    assert len(calls) == (stream.level_count if adaptive else 0)
+    calls.clear()
+    decode(stream)
+    assert len(calls) == (stream.level_count if adaptive else 0)
+    if adaptive:
+        assert calls == [len(level) for level in stream.q_sequences]
+
+
+def test_transmitted_precision_mismatch_rejected(monkeypatch):
+    """A stream whose q symbols say q_i + 1 (capped at q_max) where the
+    rule gives q_i still closes the encoder's loop, but not the decoder's."""
+    rule = codec.batch_precision
+    monkeypatch.setattr(codec, "batch_precision",
+                        lambda *args: np.minimum(rule(*args) + 1, 12))
+    stream, _ = encode(shapes.icosphere(2), EncodeConfig(q_max=12))
+    monkeypatch.undo()
+    assert decode(stream, up_to_level=0).vertex_count > 0
+    with pytest.raises(StreamFormatError, match="precision"):
+        decode(stream)
+
+
+def test_level_details_within_quantizer_bound():
+    """Without lifting, each new vertex of a level, before completion, is
+    off its input vertex by at most half its own quantizer step plus half
+    a q_max grid unit (the rounding of the coarse vertices it is predicted
+    from), per axis."""
+    mesh = shapes.icosphere(2)
+    stream, _ = encode(mesh, EncodeConfig(lifting=False, max_levels=1))
+    assert stream.level_count == 1
+    header, _ = codec._parse_container(stream.to_bytes())
+    dec = codec._decoder_for(header)
+    dec.read_base_conn(stream.chunks[0])
+    dec.read_base_geom(stream.chunks[1])
+    dec.read_level(stream.chunks[2], stream.chunks[3])
+    assert not dec.completed
+    nc = stream.base_vertex_count
+    q = np.array(dec.q_recomputed[0])
+    assert len(q) == len(dec.positions) - nc > 0
+    assert 4 <= q.min() and q.max() <= stream.q_max
+    bound = (0.5 * 2.0 ** (stream.q_max - q) + 0.5) / stream.scale
+    err = np.abs(dec.positions[nc:] - mesh.vertices[stream.vertex_map[nc:]])
+    assert np.all(err <= bound[:, None] * (1 + 1e-9))
 
 
 # -- rate-distortion harness ------------------------------------------------

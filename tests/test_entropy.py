@@ -1,15 +1,19 @@
 import math
+import os
+import shutil
 import subprocess
 import sys
+import sysconfig
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from meshpress.entropy import (BACKEND_NAME, AdaptiveModel, BitSink,
-                               BitSource, RangeDecoder, RangeEncoder,
-                               SignedIntCoder)
+import meshpress
+from meshpress.entropy import (BACKEND_NAME, AdaptiveModel, RangeDecoder,
+                               RangeEncoder, SignedIntCoder)
 
 
 def roundtrip(symbols, alphabet):
@@ -21,29 +25,6 @@ def roundtrip(symbols, alphabet):
     dec = RangeDecoder(data)
     model = AdaptiveModel(alphabet)
     return data, [dec.decode_symbol(model) for _ in symbols]
-
-
-# -- bit I/O ---------------------------------------------------------------
-
-
-def test_bit_sink_source_round_trip():
-    sink = BitSink()
-    sink.write_bits(0b1011001, 7)
-    sink.write_bit(1)
-    sink.write_bits(0xBEEF, 16)
-    assert sink.bit_length == 24
-    src = BitSource(sink.getvalue())
-    assert src.read_bits(7) == 0b1011001
-    assert src.read_bit() == 1
-    assert src.read_bits(16) == 0xBEEF
-    with pytest.raises(EOFError):
-        src.read_bit()
-
-
-def test_bit_sink_pads_with_zeros():
-    sink = BitSink()
-    sink.write_bits(0b101, 3)
-    assert sink.getvalue() == bytes([0b10100000])
 
 
 # -- adaptive model --------------------------------------------------------
@@ -197,10 +178,11 @@ print(BACKEND_NAME, enc.finish().hex())
 """
 
 
-def _run_fixture(pure: bool) -> tuple[str, str]:
+def _run_fixture(pure: bool, path: str | None = None) -> tuple[str, str]:
     env = {"MESHPRESS_PURE_PYTHON": "1"} if pure else {}
-    import os
-
+    if path is not None:
+        env["PYTHONPATH"] = os.pathsep.join(
+            filter(None, [path, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run([sys.executable, "-c", _FIXTURE_SCRIPT],
                           capture_output=True, text=True, check=True,
                           env={**os.environ, **env})
@@ -208,11 +190,39 @@ def _run_fixture(pure: bool) -> tuple[str, str]:
     return backend, hexdata
 
 
-def test_backends_are_byte_identical():
-    backend_default, hex_default = _run_fixture(pure=False)
+def _compiled_package(root: Path) -> str:
+    """Copy the package under `root` and compile its shipped `_coder_c.c`
+    there with the host C compiler; skips the test if that cannot be done."""
+    src = Path(meshpress.__file__).parent
+    cc = shutil.which("cc") or shutil.which("gcc")
+    include = sysconfig.get_paths()["include"]
+    if cc is None or not (src / "_coder_c.c").exists() \
+            or not Path(include, "Python.h").exists():
+        pytest.skip("no compiled coder installed and none can be built here "
+                    "(needs a C compiler, Python headers and _coder_c.c)")
+    pkg = root / "meshpress"
+    shutil.copytree(src, pkg, ignore=shutil.ignore_patterns("__pycache__",
+                                                            "*.so", "*.pyd"))
+    target = pkg / ("_coder_c" + sysconfig.get_config_var("EXT_SUFFIX"))
+    proc = subprocess.run([cc, "-shared", "-fPIC", "-O1", f"-I{include}",
+                           str(pkg / "_coder_c.c"), "-o", str(target)],
+                          capture_output=True, text=True)
+    if proc.returncode:
+        pytest.skip(f"compiling _coder_c.c failed: {proc.stderr[-400:]}")
+    return str(root)
+
+
+def test_backends_are_byte_identical(tmp_path):
+    """The compiled coder against the pure-Python one. Without an installed
+    compiled coder, the shipped C source is built into a scratch copy."""
+    backend, hex_compiled = _run_fixture(pure=False)
+    if backend == "python":
+        backend, hex_compiled = _run_fixture(
+            pure=False, path=_compiled_package(tmp_path))
+    assert backend == "cython"
     backend_pure, hex_pure = _run_fixture(pure=True)
     assert backend_pure == "python"
-    assert hex_default == hex_pure
+    assert hex_compiled == hex_pure
 
 
 def test_repeated_runs_are_byte_identical():

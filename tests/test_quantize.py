@@ -1,13 +1,11 @@
 import numpy as np
 import pytest
 
-from meshpress import shapes
-from meshpress.hierarchy import simplify_once
+from meshpress import quantize
 from meshpress.mesh import TriMesh
 from meshpress.quantize import (DEFAULT_THRESHOLD, MIN_PRECISION, QuantGrid,
-                                assign_precision, make_grid, quantize_details,
+                                assign_precision, batch_precision, make_grid,
                                 round_half_away, scale_to_precision)
-from meshpress.wavelet import analyze
 
 EMPTY = np.empty((0, 3), dtype=np.int64)
 
@@ -136,6 +134,31 @@ def test_assign_precision_empty_candidates_rejected():
         assign_precision(np.zeros(3), np.empty((0, 3)), _grid_1d(), 200)
 
 
+@pytest.mark.parametrize("n_cand", [1, 7, 5000])
+def test_batch_precision_matches_per_target_rule(monkeypatch, n_cand):
+    """Blocks of every size, ties included, give the one-target answers."""
+    grid = _grid_1d()
+    rng = np.random.default_rng(n_cand)
+    cands = rng.integers(0, 64, size=(n_cand, 3)).astype(float)
+    targets = np.vstack([rng.integers(0, 64, size=(40, 3)).astype(float),
+                         cands[:3], 0.5 * (cands[:3] + cands[-3:])])
+    want = []
+    for t in targets:
+        d2 = np.sum((cands - t) ** 2, axis=1)
+        want.append(assign_precision(t, cands[[int(np.argmin(d2))]],
+                                     grid, 200)[0])
+    for block in (1, 64, 1 << 12):
+        monkeypatch.setattr(quantize, "_BLOCK_PAIRS", block)
+        got = batch_precision(targets, cands, grid, 200)
+        assert got.tolist() == want
+
+
+def test_batch_precision_empty_targets():
+    grid = _grid_1d()
+    assert batch_precision(np.empty((0, 3)), np.zeros((2, 3)), grid).size == 0
+    assert batch_precision(np.empty((0, 3)), np.empty((0, 3)), grid).size == 0
+
+
 def test_precision_error_bound():
     grid = _grid_1d()
     rng = np.random.default_rng(9)
@@ -148,45 +171,3 @@ def test_precision_error_bound():
 def test_round_half_away():
     vals = np.array([0.5, -0.5, 0.6, -0.6, 1.49, -1.5, 0.0])
     assert np.array_equal(round_half_away(vals), [1, -1, 1, -1, 1, -2, 0])
-
-
-def test_quantize_details_round_trip_bound():
-    fine = shapes.icosphere(2)
-    record = simplify_once(fine)
-    grid = make_grid(fine, q_max=12)
-    coeffs = analyze(record, fine.vertices, lifting=False)
-    decoded_coarse = record.coarse_mesh.vertices
-    rows = quantize_details(coeffs, record, grid, decoded_coarse,
-                            threshold=DEFAULT_THRESHOLD)
-    assert {odd for odd, _, _ in rows} == set(record.parent_edge)
-    for odd, q_i, ints in rows:
-        assert MIN_PRECISION <= q_i <= grid.q_max
-        a, b = record.parent_edge[odd]
-        ca, cb = record.fine_to_coarse[a], record.fine_to_coarse[b]
-        prediction = 0.5 * (decoded_coarse[ca] + decoded_coarse[cb])
-        step = (1 << (grid.q_max - q_i)) / grid.scale
-        rebuilt = prediction + ints * step
-        err = np.abs(rebuilt - fine.vertices[odd])
-        assert err.max() <= 0.5 * step + 1e-12
-
-
-def test_quantize_details_zero_detail_is_zero_integers():
-    fine = shapes.subdivide_midpoint(shapes.icosahedron())  # exact midpoints
-    record = simplify_once(fine)
-    grid = make_grid(fine, q_max=12)
-    coeffs = analyze(record, fine.vertices, lifting=False)
-    rows = quantize_details(coeffs, record, grid,
-                            record.coarse_mesh.vertices, threshold=200)
-    # prediction equals the true position, so every detail rounds to zero
-    for _, _, ints in rows:
-        assert np.array_equal(ints, [0, 0, 0])
-
-
-def test_quantize_details_mismatch_rejected():
-    fine = shapes.icosphere(1)
-    record = simplify_once(fine)
-    grid = make_grid(fine, 12)
-    coeffs = analyze(record, fine.vertices)
-    with pytest.raises(ValueError):
-        quantize_details(coeffs, record, grid,
-                         record.coarse_mesh.vertices[:-1])

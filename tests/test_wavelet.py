@@ -4,7 +4,7 @@ import pytest
 from meshpress import shapes
 from meshpress.hierarchy import build_hierarchy, simplify_once
 from meshpress.mesh import TriMesh
-from meshpress.wavelet import analyze, synthesize
+from meshpress.wavelet import analyze, synthesize, synthesize_edges
 
 
 @pytest.fixture(scope="module")
@@ -106,3 +106,36 @@ def test_synthesize_validates_inputs(quad_level):
     bad.details.pop(next(iter(bad.details)))
     with pytest.raises(ValueError):
         synthesize(quad_level, bad)
+
+
+def _synthesize_per_edge(coarse, edges, details, lifted):
+    """Reference: the per-edge lifting and placement loops."""
+    nc = len(coarse)
+    fine = np.empty((nc + len(edges), 3))
+    fine[:nc] = coarse
+    if lifted and len(edges):
+        acc = np.zeros((nc, 3))
+        cnt = np.zeros(nc, dtype=np.int64)
+        for r, (u, v) in enumerate(edges):
+            acc[u] += details[r]
+            acc[v] += details[r]
+            cnt[u] += 1
+            cnt[v] += 1
+        touched = cnt > 0
+        fine[:nc][touched] += acc[touched] / (4.0 * cnt[touched, None])
+    for r, (u, v) in enumerate(edges):
+        fine[nc + r] = 0.5 * (fine[u] + fine[v]) + details[r]
+    return fine
+
+
+@pytest.mark.parametrize("lifted", [False, True])
+@pytest.mark.parametrize("n_edges", [0, 1, 80])
+def test_synthesize_edges_matches_per_edge_loops(lifted, n_edges):
+    rng = np.random.default_rng(n_edges)
+    coarse = rng.normal(size=(25, 3))
+    u = rng.integers(0, 25, size=n_edges)
+    edges = np.stack([u, (u + rng.integers(1, 25, size=n_edges)) % 25], axis=1)
+    details = rng.normal(size=(n_edges, 3)) * 1e-3
+    got = synthesize_edges(coarse, edges, details, lifted)
+    assert np.array_equal(got, _synthesize_per_edge(coarse, edges, details,
+                                                     lifted))
