@@ -356,6 +356,11 @@ class ProgressiveDecoder:
         dec = RangeDecoder(data)
         split_edges = [e for e in self.edge_list()
                        if dec.decode_symbol(m.split) == 1]
+        if nc + len(split_edges) > self.original_vertex_count:
+            raise StreamFormatError(
+                f"level {self.levels_done + 1} splits {len(split_edges)} "
+                f"edges of a {nc}-vertex mesh, beyond the header's "
+                f"{self.original_vertex_count} vertices")
         split_map = {e: nc + r for r, e in enumerate(split_edges)}
         diag_bits = {}
         for fid, face in enumerate(self.faces):
@@ -397,6 +402,10 @@ class ProgressiveDecoder:
         self.q_recomputed.append(self.level_q)
 
     def read_completion(self, data: bytes) -> None:
+        if len(self.positions) != self.original_vertex_count:
+            raise StreamFormatError(
+                f"decoded {len(self.positions)} vertices, the header "
+                f"claims {self.original_vertex_count}")
         dec = RangeDecoder(data)
         ints = self.grid.quantize(self.positions)
         for i in range(len(ints)):

@@ -163,6 +163,19 @@ def test_header_base_counts_bounded(encoded):
     assert decode(tet).face_count == 4
 
 
+def test_decoded_vertex_count_matches_header(encoded):
+    stream, _ = encoded["icosphere"]
+    data = stream.to_bytes()
+    nv = stream.original_vertex_count
+    assert stream.base_vertex_count + 1 < nv
+    # too small: the first level's splits overshoot the claim
+    with pytest.raises(StreamFormatError, match="splits"):
+        decode(_with_header(data, original_nv=stream.base_vertex_count + 1))
+    # too large: every level fits, the completion finds the mesh short
+    with pytest.raises(StreamFormatError, match="claims"):
+        decode(_with_header(data, original_nv=nv + 1))
+
+
 def test_base_face_index_out_of_range_rejected(encoded):
     stream, _ = encoded["icosphere"]
     coder = SignedIntCoder(raw_bits=32)
