@@ -17,11 +17,9 @@ from .hierarchy import (FaceGroup, LevelRecord, Pattern, WgcConfig,
 from .mesh import (BBox, MeshError, NonManifoldError, TriMesh, bounding_box,
                    edge_key, validate_manifold)
 from .meshio import ParseError, load_mesh, save_mesh
-from .metrics import (DistortionResult, bpv, point_to_triangle,
-                      sampled_distance)
+from .metrics import DistortionResult, point_to_triangle, sampled_distance
 from .quantize import (DEFAULT_THRESHOLD, MIN_PRECISION, QuantGrid,
-                       assign_precision, batch_precision, make_grid,
-                       scale_to_precision)
+                       assign_precision, batch_precision, make_grid)
 from .wavelet import CoefficientSet, analyze, synthesize
 
 __version__ = "0.1.0"
@@ -32,9 +30,9 @@ __all__ = [
     "MIN_PRECISION", "MeshError", "NonManifoldError", "ParseError", "Pattern",
     "ProgressiveStream", "QuantGrid", "RateReport", "StreamFormatError",
     "TriMesh", "TruncatedStreamError", "WgcConfig", "analyze", "bench_rows",
-    "batch_precision", "bounding_box", "bpv", "build_hierarchy", "decode",
+    "batch_precision", "bounding_box", "build_hierarchy", "decode",
     "decode_debug", "edge_key", "encode", "load_mesh", "make_grid",
     "point_to_triangle", "resubdivide", "sampled_distance",
-    "save_mesh", "scale_to_precision", "simplify_once", "synthesize",
+    "save_mesh", "simplify_once", "synthesize",
     "validate_manifold", "assign_precision", "__version__",
 ]

@@ -1,14 +1,18 @@
 """Progressive mesh codec: container format, encoder, decoder, R-D harness.
 
-Stream layout (format version 1, see docs/format.md):
+Stream layout (format version 2, see docs/format.md):
 
-    header | chunk-length table | BASE_CONN | BASE_GEOM
+    header | chunk table | BASE_CONN | BASE_GEOM
            | LVL_CONN LVL_GEOM (per level, coarsest first) | COMPLETION
 
 Every chunk is an independently framed range-coder segment; the adaptive
 models persist across chunks, so any prefix of whole chunks decodes. The
 COMPLETION chunk carries per-vertex integer residuals that pin the final
-geometry to the q_max grid exactly.
+geometry to the q_max grid exactly. Each chunk-table entry is the
+chunk's length and the zlib CRC32 of its bytes; :class:`_ChunkTable` is
+the one place that slices chunks out of raw bytes, and it tells a stream
+that ends inside a chunk (TruncatedStreamError) from a chunk whose bytes
+changed (StreamFormatError). Decoding checks only the chunks it reads.
 
 The encoder is closed-loop: it feeds each chunk it emits into a real
 :class:`ProgressiveDecoder` instance and derives all stream-visible
@@ -17,15 +21,17 @@ decoder's state, which makes encoder/decoder symmetry structural rather
 than aspirational. A level is read in two halves: the connectivity half
 fixes the split edges and runs the precision rule once for all of them
 on the positions decoded so far; the geometry half dequantizes the
-details with those q_i (a transmitted q_i that differs is a
-StreamFormatError) and synthesizes. The encoder writes each level's
-geometry chunk from the q_i its decoder derived in between.
+details with those q_i and synthesizes. The q_i are never transmitted:
+the encoder writes each level's geometry chunk with the q_i its decoder
+derived in between.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import struct
+import zlib
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -45,9 +51,10 @@ __all__ = ["EncodeConfig", "ProgressiveStream", "RateReport", "ChunkInfo",
            "BenchRow", "MAGIC", "FORMAT_VERSION"]
 
 MAGIC = b"PMC1"
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
 
 _HEADER = struct.Struct("<4sBBBBIdddddIIHI")
+_ENTRY = struct.Struct("<II")       # chunk-table entry: length, zlib.crc32
 _FLAG_LIFTING = 1
 _FLAG_WGC = 2
 _FLAG_ADAPTIVE = 4
@@ -120,26 +127,63 @@ class ProgressiveStream:
         if len(self.chunks) != self.chunk_count:
             raise StreamFormatError(
                 f"expected {self.chunk_count} chunks, have {len(self.chunks)}")
-        table = b"".join(struct.pack("<I", len(c)) for c in self.chunks)
+        table = b"".join(_ENTRY.pack(len(c), zlib.crc32(c))
+                         for c in self.chunks)
         return self.header_bytes() + table + b"".join(self.chunks)
 
     @classmethod
     def from_bytes(cls, data: bytes) -> "ProgressiveStream":
-        header, lengths = _parse_container(data)
-        offset = _HEADER.size + 4 * len(lengths)
-        chunks = []
-        for n in lengths:
-            if offset + n > len(data):
-                raise TruncatedStreamError(
-                    f"chunk of {n} bytes truncated at offset {offset}",
-                    byte_offset=offset)
-            chunks.append(data[offset:offset + n])
-            offset += n
+        header, table = _parse_container(data)
+        chunks = [table.payload(i) for i in range(len(table.entries))]
         return cls(chunks=chunks, **header)
 
 
+def _chunk_layout(level_count: int) -> list[tuple[str, int, str]]:
+    """(name, level, rate category) of every chunk in stream order; the
+    level is -1 for chunks outside the refinement levels."""
+    layout = [("base_conn", -1, "connectivity"), ("base_geom", -1, "geometry")]
+    for lvl in range(1, level_count + 1):
+        layout += [("level_conn", lvl, "connectivity"),
+                   ("level_geom", lvl, "geometry")]
+    return layout + [("completion", -1, "geometry")]
+
+
+class _ChunkTable:
+    """The chunk table of a raw stream and the chunk payloads it frames."""
+
+    def __init__(self, data: bytes, level_count: int):
+        self.layout = _chunk_layout(level_count)
+        end = _HEADER.size + _ENTRY.size * len(self.layout)
+        if len(data) < end:
+            raise TruncatedStreamError("stream ends inside the chunk table",
+                                       byte_offset=len(data))
+        self.data = data
+        self.entries = list(_ENTRY.iter_unpack(data[_HEADER.size:end]))
+        self.starts = list(itertools.accumulate(
+            (n for n, _ in self.entries), initial=end))
+
+    def payload(self, i: int) -> bytes:
+        """Chunk i, provided the data holds all of it and its CRC32
+        matches the table."""
+        (length, crc), start = self.entries[i], self.starts[i]
+        name, level, _ = self.layout[i]
+        where = f"{name} chunk" + (f" of level {level}" if level > 0 else "")
+        if start + length > len(self.data):
+            last = None if i < 2 else (i - 2) // 2
+            raise TruncatedStreamError(
+                f"stream truncated inside the {where}" + (
+                    "" if last is None else
+                    f"; last complete level is {last}"),
+                last_complete_level=last, byte_offset=start)
+        chunk = self.data[start:start + length]
+        if zlib.crc32(chunk) != crc:
+            raise StreamFormatError(f"{where} (chunk {i}) fails its CRC32 "
+                                    "check")
+        return chunk
+
+
 def _parse_container(data: bytes):
-    """Header fields and declared chunk lengths from raw bytes."""
+    """Header fields and the chunk table from raw bytes."""
     if len(data) < _HEADER.size:
         raise TruncatedStreamError("stream shorter than the fixed header",
                                    byte_offset=len(data))
@@ -165,12 +209,6 @@ def _parse_container(data: bytes):
     if 3 * base_nf > base_nv * (base_nv - 1):  # each edge borders <= 2 faces
         raise StreamFormatError(f"{base_nf} base faces cannot be manifold "
                                 f"over {base_nv} vertices")
-    n_chunks = 3 + 2 * level_count
-    table_end = _HEADER.size + 4 * n_chunks
-    if len(data) < table_end:
-        raise TruncatedStreamError("stream ends inside the chunk table",
-                                   byte_offset=len(data))
-    lengths = list(struct.unpack_from(f"<{n_chunks}I", data, _HEADER.size))
     header = dict(
         q_max=q_max, threshold=threshold,
         lifting=bool(flags & _FLAG_LIFTING),
@@ -179,7 +217,7 @@ def _parse_container(data: bytes):
         origin=np.array([ox, oy, oz]), scale=scale,
         base_vertex_count=base_nv, base_face_count=base_nf,
         level_count=level_count, original_vertex_count=original_nv)
-    return header, lengths
+    return header, _ChunkTable(data, level_count)
 
 
 # -- rate accounting -------------------------------------------------------
@@ -243,32 +281,13 @@ class RateReport:
 class _Models:
     """All adaptive state shared across chunks of one stream direction."""
 
-    Q_ESCAPE = 17       # q_i delta alphabet: 0..16 -> -8..+8, 17 = escape
-
     def __init__(self, q_max: int):
         self.base_conn = SignedIntCoder(raw_bits=32)
         self.base_geom = SignedIntCoder(raw_bits=q_max + 2)
         self.split = AdaptiveModel(2)
         self.diag = AdaptiveModel(2)
-        self.q_delta = AdaptiveModel(18)
         self.detail = SignedIntCoder(raw_bits=q_max + 8)
         self.completion = SignedIntCoder(raw_bits=q_max + 2)
-        self.prev_q = q_max
-
-    def encode_q(self, enc, q: int) -> None:
-        delta = q - self.prev_q
-        if -8 <= delta <= 8:
-            enc.encode_symbol(self.q_delta, delta + 8)
-        else:
-            enc.encode_symbol(self.q_delta, self.Q_ESCAPE)
-            enc.encode_raw(q, 5)
-        self.prev_q = q
-
-    def decode_q(self, dec) -> int:
-        sym = dec.decode_symbol(self.q_delta)
-        q = dec.decode_raw(5) if sym == self.Q_ESCAPE else self.prev_q + sym - 8
-        self.prev_q = q
-        return q
 
 
 def _face_edges(face) -> list[tuple[int, int]]:
@@ -380,18 +399,14 @@ class ProgressiveDecoder:
             self.level_q = [self.grid.q_max] * len(split_edges)
 
     def read_level_geom(self, data: bytes) -> None:
-        """Details of the level read by :meth:`read_level_conn`, then
-        synthesis. Each transmitted q_i must equal the derived one."""
-        m = self.models
+        """Details of the level read by :meth:`read_level_conn`,
+        dequantized with the q_i derived there, then synthesis."""
+        detail = self.models.detail
         dec = RangeDecoder(data)
         ints = np.empty((len(self.level_q), 3), dtype=np.int64)
-        for r, q in enumerate(self.level_q):
-            if m.decode_q(dec) != q:
-                raise StreamFormatError(
-                    f"level {self.levels_done + 1}: transmitted precision of "
-                    f"split vertex {r} differs from the derived q_i {q}")
+        for r in range(len(ints)):
             for ax in range(3):
-                ints[r, ax] = m.detail.decode(dec)
+                ints[r, ax] = detail.decode(dec)
         steps = 1 << (self.grid.q_max - np.array(self.level_q, dtype=np.int64))
         details = ints * steps[:, None] / self.grid.scale
         edges = np.array(self.last_split_edges, dtype=np.int64).reshape(-1, 2)
@@ -504,7 +519,6 @@ def encode(mesh: TriMesh, config: EncodeConfig | None = None):
         enc = RangeEncoder()
         split_edges = sim.last_split_edges
         for (u, v), q in zip(split_edges, sim.level_q):
-            m.encode_q(enc, q)
             odd = split_of[edge_key(int(pi[u]), int(pi[v]))]
             step = 1 << (config.q_max - q)
             ints = round_half_away(cs.details[odd] * grid.scale / step)
@@ -552,14 +566,11 @@ def encode(mesh: TriMesh, config: EncodeConfig | None = None):
 
 def _build_report(stream: ProgressiveStream) -> RateReport:
     infos = [ChunkInfo("header", -1, _HEADER.size, "overhead"),
-             ChunkInfo("chunk_table", -1, 4 * stream.chunk_count, "overhead"),
-             ChunkInfo("base_conn", -1, len(stream.chunks[0]), "connectivity"),
-             ChunkInfo("base_geom", -1, len(stream.chunks[1]), "geometry")]
-    for lvl in range(stream.level_count):
-        conn, geom = stream.chunks[2 + 2 * lvl], stream.chunks[3 + 2 * lvl]
-        infos.append(ChunkInfo("level_conn", lvl + 1, len(conn), "connectivity"))
-        infos.append(ChunkInfo("level_geom", lvl + 1, len(geom), "geometry"))
-    infos.append(ChunkInfo("completion", -1, len(stream.chunks[-1]), "geometry"))
+             ChunkInfo("chunk_table", -1, _ENTRY.size * stream.chunk_count,
+                       "overhead")]
+    infos += [ChunkInfo(name, level, len(chunk), category)
+              for (name, level, category), chunk
+              in zip(_chunk_layout(stream.level_count), stream.chunks)]
     report = RateReport(infos, stream.original_vertex_count)
     if report.total_bits != 8 * len(stream.to_bytes()):
         raise AssertionError("rate report does not account for every bit")
@@ -580,51 +591,25 @@ def _decoder_for(header: dict) -> ProgressiveDecoder:
 
 
 def _decode_impl(data: bytes, up_to_level: int | None):
-    header, lengths = _parse_container(data)
+    header, table = _parse_container(data)
     level_count = header["level_count"]
     if up_to_level is not None and up_to_level > level_count:
         raise ValueError(
             f"requested level {up_to_level}, stream has {level_count}")
     target = level_count if up_to_level is None else up_to_level
 
-    offset = _HEADER.size + 4 * len(lengths)
-    bounds = []
-    for n in lengths:
-        bounds.append((offset, offset + n))
-        offset += n
-
-    def chunk(i: int) -> bytes | None:
-        start, end = bounds[i]
-        return data[start:end] if end <= len(data) else None
-
     dec = _decoder_for(header)
-    base_conn, base_geom = chunk(0), chunk(1)
-    if base_conn is None or base_geom is None:
-        raise TruncatedStreamError(
-            "stream truncated before the base mesh was complete",
-            last_complete_level=None, byte_offset=len(data))
-    dec.read_base_conn(base_conn)
-    dec.read_base_geom(base_geom)
-
-    for lvl in range(target):
-        conn = chunk(2 + 2 * lvl)
-        geom = chunk(3 + 2 * lvl)
-        if conn is None or geom is None:
-            raise TruncatedStreamError(
-                f"stream truncated inside level {lvl + 1}; last complete "
-                f"level is {lvl}", last_complete_level=lvl, mesh=dec.mesh,
-                byte_offset=len(data))
-        dec.read_level(conn, geom)
-
-    if target == level_count:
-        completion = chunk(len(bounds) - 1)
-        if completion is None:
-            raise TruncatedStreamError(
-                "stream truncated inside the completion chunk; last "
-                f"complete level is {level_count}",
-                last_complete_level=level_count, mesh=dec.mesh,
-                byte_offset=len(data))
-        dec.read_completion(completion)
+    dec.read_base_conn(table.payload(0))
+    dec.read_base_geom(table.payload(1))
+    try:
+        for lvl in range(target):
+            dec.read_level(table.payload(2 + 2 * lvl),
+                           table.payload(3 + 2 * lvl))
+        if target == level_count:
+            dec.read_completion(table.payload(2 + 2 * level_count))
+    except TruncatedStreamError as exc:
+        exc.mesh = dec.mesh             # the last complete level
+        raise
     return dec
 
 
@@ -666,7 +651,7 @@ def bench_rows(mesh: TriMesh, config: EncodeConfig | None = None,
     if stream is None:
         stream, _ = encode(mesh, config)
     data = stream.to_bytes()
-    fixed = _HEADER.size + 4 * stream.chunk_count
+    fixed = _HEADER.size + _ENTRY.size * stream.chunk_count
     nv = stream.original_vertex_count
     rows = []
     for level in range(stream.level_count + 1):

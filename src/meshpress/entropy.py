@@ -16,23 +16,22 @@ BACKEND_NAME = "python"
 
 _TOP = 1 << 24
 _MASK32 = 0xFFFFFFFF
+_INCREMENT = 32             # count added per coded symbol
+_RESCALE_LIMIT = 1 << 14    # total past which all counts are halved
 
 
 class AdaptiveModel:
-    """Order-0 adaptive frequencies: counts start at 1, grow by a fixed
-    increment, and are halved (rounding up) past the rescale limit."""
+    """Order-0 adaptive frequencies: counts start at 1, grow by
+    _INCREMENT, and are halved (rounding up) past _RESCALE_LIMIT."""
 
-    __slots__ = ("n", "freq", "total", "limit", "inc")
+    __slots__ = ("n", "freq", "total")
 
-    def __init__(self, alphabet_size: int, rescale_limit: int = 1 << 14,
-                 increment: int = 32):
+    def __init__(self, alphabet_size: int):
         if alphabet_size < 1:
             raise ValueError("alphabet must be non-empty")
         self.n = alphabet_size
         self.freq = [1] * alphabet_size
         self.total = alphabet_size
-        self.limit = rescale_limit
-        self.inc = increment
 
     def cum_below(self, sym: int) -> int:
         return sum(self.freq[:sym])
@@ -47,9 +46,9 @@ class AdaptiveModel:
         return self.n - 1, cum - self.freq[-1]
 
     def update(self, sym: int) -> None:
-        self.freq[sym] += self.inc
-        self.total += self.inc
-        if self.total > self.limit:
+        self.freq[sym] += _INCREMENT
+        self.total += _INCREMENT
+        if self.total > _RESCALE_LIMIT:
             total = 0
             freq = self.freq
             for i in range(self.n):
@@ -180,11 +179,10 @@ class SignedIntCoder:
 
     ESCAPE = 16
 
-    def __init__(self, raw_bits: int = 32, rescale_limit: int = 1 << 14,
-                 increment: int = 32):
+    def __init__(self, raw_bits: int = 32):
         self.raw_bits = raw_bits
-        self.magnitude = AdaptiveModel(18, rescale_limit, increment)
-        self.sign = AdaptiveModel(2, rescale_limit, increment)
+        self.magnitude = AdaptiveModel(18)
+        self.sign = AdaptiveModel(2)
 
     def encode(self, enc, value: int) -> None:
         mag = abs(int(value))

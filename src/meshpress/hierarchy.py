@@ -105,10 +105,6 @@ class _Registry:
             else:
                 cur[2] += 1
 
-    def split_midpoint(self, key):
-        cur = self._table.get(key)
-        return cur[1] if cur is not None and cur[0] == self.SPLIT else None
-
     def reuse_count(self, entries) -> int:
         """Number of entries that re-use an already-registered split edge
         (same edge, same midpoint). Such a candidate is the forced

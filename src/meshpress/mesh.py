@@ -134,13 +134,6 @@ class TriMesh:
     def boundary_edges(self) -> set[tuple[int, int]]:
         return {key for key, fids in self.edge_faces.items() if len(fids) == 1}
 
-    def mean_edge_length(self) -> float:
-        keys = np.array(list(self.edge_faces), dtype=np.int64)
-        if not len(keys):
-            return 0.0
-        d = self.vertices[keys[:, 0]] - self.vertices[keys[:, 1]]
-        return float(np.mean(np.linalg.norm(d, axis=1)))
-
     def with_vertices(self, vertices) -> "TriMesh":
         """Same connectivity, new geometry."""
         return TriMesh(vertices, self.faces, validate=False)

@@ -1,8 +1,9 @@
-"""Metro-style surface distortion: sampled RMS / max distance and bpv.
+"""Metro-style surface distortion: sampled RMS / max distance.
 
-Distances are exact point-to-triangle minima; the accelerated path only
+Distances are exact point-to-triangle minima; the KD-tree path only
 narrows the candidate triangle set (provably a superset of the true
-nearest), so accelerated and brute-force results are bit-identical.
+nearest), so it is bit-identical to the brute-force reference
+(`distances_to_mesh(..., accelerated=False)`).
 Sampling is area-stratified and fully determined by the seed.
 
 The "symmetric" direction is the maximum of the two directed results
@@ -21,7 +22,7 @@ from scipy.spatial import cKDTree
 from .mesh import TriMesh, bounding_box
 
 __all__ = ["DistortionResult", "point_to_triangle", "sampled_distance",
-           "sample_surface", "triangle_areas", "total_area", "bpv",
+           "sample_surface", "triangle_areas",
            "DEFAULT_MIN_SAMPLES_PER_TRIANGLE", "MAX_TOTAL_SAMPLES"]
 
 DEFAULT_MIN_SAMPLES_PER_TRIANGLE = 10
@@ -121,10 +122,6 @@ def triangle_areas(mesh: TriMesh) -> np.ndarray:
     return 0.5 * np.linalg.norm(np.cross(b - a, c - a), axis=1)
 
 
-def total_area(mesh: TriMesh) -> float:
-    return float(triangle_areas(mesh).sum())
-
-
 def _sample_counts(areas: np.ndarray,
                    samples_per_unit_area: float | None) -> np.ndarray:
     if samples_per_unit_area is None:
@@ -216,17 +213,16 @@ def distances_to_mesh(points: np.ndarray, mesh: TriMesh,
 # -- public metric ---------------------------------------------------------
 
 def _directed(src: TriMesh, dst: TriMesh,
-              samples_per_unit_area: float | None, seed: int,
-              accelerated: bool):
+              samples_per_unit_area: float | None, seed: int):
     pts = sample_surface(src, samples_per_unit_area, seed)
-    d = distances_to_mesh(pts, dst, accelerated)
+    d = distances_to_mesh(pts, dst)
     return float(np.sqrt(np.mean(d * d))), float(d.max()), len(pts)
 
 
 def sampled_distance(a: TriMesh, b: TriMesh,
                      samples_per_unit_area: float | None = None,
-                     seed: int = 0, direction: str = "symmetric",
-                     accelerated: bool = True) -> DistortionResult:
+                     seed: int = 0, direction: str = "symmetric"
+                     ) -> DistortionResult:
     """Metro-style sampled distance, normalized by a's bbox diagonal.
 
     Symmetric mode takes the max of the two directed RMS values and of the
@@ -236,22 +232,13 @@ def sampled_distance(a: TriMesh, b: TriMesh,
     if diag <= 0:
         raise ValueError("reference mesh has a degenerate bounding box")
     if direction == "a_to_b":
-        rms, mx, n = _directed(a, b, samples_per_unit_area, seed, accelerated)
+        rms, mx, n = _directed(a, b, samples_per_unit_area, seed)
     elif direction == "b_to_a":
-        rms, mx, n = _directed(b, a, samples_per_unit_area, seed, accelerated)
+        rms, mx, n = _directed(b, a, samples_per_unit_area, seed)
     elif direction == "symmetric":
-        r1, m1, n1 = _directed(a, b, samples_per_unit_area, seed, accelerated)
-        r2, m2, n2 = _directed(b, a, samples_per_unit_area, seed, accelerated)
+        r1, m1, n1 = _directed(a, b, samples_per_unit_area, seed)
+        r2, m2, n2 = _directed(b, a, samples_per_unit_area, seed)
         rms, mx, n = max(r1, r2), max(m1, m2), n1 + n2
     else:
         raise ValueError(f"unknown direction {direction!r}")
     return DistortionResult(rms / diag, mx / diag, n, direction)
-
-
-def bpv(report, original_vertex_count: int) -> float:
-    """Bits per vertex of a rate report relative to the original count."""
-    if original_vertex_count <= 0:
-        raise ValueError("vertex count must be positive")
-    if report.total_bits <= 0:
-        raise ValueError("empty stream")
-    return report.total_bits / original_vertex_count

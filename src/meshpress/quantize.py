@@ -18,8 +18,8 @@ import numpy as np
 
 from .mesh import TriMesh, bounding_box
 
-__all__ = ["QuantGrid", "make_grid", "scale_to_precision", "batch_precision",
-           "assign_precision", "MIN_PRECISION", "DEFAULT_THRESHOLD"]
+__all__ = ["QuantGrid", "make_grid", "batch_precision", "assign_precision",
+           "MIN_PRECISION", "DEFAULT_THRESHOLD"]
 
 MIN_PRECISION = 4
 DEFAULT_THRESHOLD = 200
@@ -61,13 +61,6 @@ def make_grid(mesh: TriMesh, q_max: int = 12) -> QuantGrid:
     origin = box.min_corner.copy()
     origin.setflags(write=False)
     return QuantGrid(origin, scale, q_max)
-
-
-def scale_to_precision(coords: np.ndarray, q_max: int, q_i: int) -> np.ndarray:
-    """Keep the q_i most significant of q_max bits (floor scaling)."""
-    if not MIN_PRECISION <= q_i <= q_max:
-        raise ValueError(f"precision {q_i} outside [{MIN_PRECISION}, {q_max}]")
-    return np.asarray(coords, dtype=np.int64) >> (q_max - q_i)
 
 
 _BLOCK_PAIRS = 1 << 12          # target x candidate pairs per search block

@@ -359,8 +359,6 @@ def test_criterion_9_precision_symmetry(corpus):
     for threshold in (0, 200, 600):
         for mesh in corpus.values():
             stream, _ = encode(mesh, EncodeConfig(threshold=threshold))
-            # the decoder itself rejects a transmitted q_i that differs
-            # from the one it derives
             dec = decode_debug(stream)
             for enc_q, local_q in zip(stream.q_sequences, dec.q_recomputed,
                                       strict=True):

@@ -4,6 +4,7 @@ from click.testing import CliRunner
 
 from meshpress import shapes
 from meshpress.cli import CSV_HEADER, EXIT_PARSE, EXIT_TRUNCATED, main
+from meshpress.codec import ProgressiveStream
 from meshpress.meshio import load_mesh, save_mesh
 
 
@@ -96,6 +97,24 @@ def test_decode_truncated_exits_3_and_names_level(runner, mesh_file, tmp_path):
     result = runner.invoke(main, ["decode", cut, str(tmp_path / "x.off")])
     assert result.exit_code == EXIT_TRUNCATED
     assert "last complete level" in result.output
+
+
+def test_decode_corrupted_payload_exits_parse(runner, mesh_file, tmp_path):
+    out, _ = _encode(runner, mesh_file, tmp_path)
+    data = bytearray(open(out, "rb").read())
+    stream = ProgressiveStream.from_bytes(bytes(data))
+    assert len(stream.chunks[-1]) >= 2
+    data[-2] ^= 0x10                     # inside the completion chunk
+    bad = tmp_path / "bad.pmc"
+    bad.write_bytes(bytes(data))
+    result = runner.invoke(main, ["decode", str(bad), str(tmp_path / "x.off")])
+    assert result.exit_code == EXIT_PARSE
+    errors = [line for line in result.output.splitlines()
+              if line.startswith("error:")]
+    assert len(errors) == 1, result.output
+    assert "completion chunk" in errors[0] and "CRC32" in errors[0]
+    assert "Traceback" not in result.output
+    assert not (tmp_path / "x.off").exists()
 
 
 def test_decode_garbage_exits_parse(runner, tmp_path):

@@ -188,26 +188,95 @@ def test_base_face_index_out_of_range_rejected(encoded):
         decode(stream)
 
 
+def _table_end(stream) -> int:
+    return codec._HEADER.size + codec._ENTRY.size * stream.chunk_count
+
+
+def _chunk_bounds(stream) -> list[tuple[int, int]]:
+    """(start, end) byte offsets of every chunk in `stream.to_bytes()`."""
+    ends = np.cumsum([_table_end(stream)] + [len(c) for c in stream.chunks])
+    return list(zip(ends[:-1].tolist(), ends[1:].tolist()))
+
+
+def _flip(data: bytes, bit: int) -> bytes:
+    flipped = bytearray(data)
+    flipped[bit // 8] ^= 1 << (bit % 8)
+    return bytes(flipped)
+
+
+@pytest.mark.parametrize("adaptive", [True, False], ids=["adaptive", "fixed"])
+@pytest.mark.parametrize("make", [
+    lambda: shapes.icosphere(2),
+    lambda: shapes.cad_solid(subdivisions=2),
+], ids=["icosphere_2", "cad_solid_sub2"])
+def test_payload_bit_flips_raise_format_error(make, adaptive):
+    """One seeded bit flip in every non-empty chunk, then 200 seeded
+    flips over the whole payload: the CRC32 of the chunk table catches
+    each one, whatever the chunk kind."""
+    stream, _ = encode(make(), EncodeConfig(adaptive=adaptive))
+    data = stream.to_bytes()
+    rng = np.random.default_rng(5)
+    bits = [int(rng.integers(8 * start, 8 * end))
+            for start, end in _chunk_bounds(stream) if end > start]
+    table_end = _table_end(stream)
+    bits += (8 * table_end + rng.choice(8 * (len(data) - table_end), size=200,
+                                        replace=False)).tolist()
+    for bit in bits:
+        with pytest.raises(StreamFormatError, match="CRC32"):
+            decode(_flip(data, bit))
+
+
+def test_truncation_and_corruption_told_apart(encoded):
+    """A cut inside chunk k is a truncation that names the last complete
+    level; one changed byte in the same chunk is corruption that names
+    the chunk."""
+    stream, _ = encoded["icosphere"]
+    data = stream.to_bytes()
+    layout = codec._chunk_layout(stream.level_count)
+    for k, (start, end) in enumerate(_chunk_bounds(stream)):
+        if end == start:
+            continue
+        with pytest.raises(TruncatedStreamError) as info:
+            decode(data[:(start + end) // 2])
+        assert info.value.last_complete_level == (None if k < 2
+                                                  else (k - 2) // 2)
+        name, level, _ = layout[k]
+        with pytest.raises(StreamFormatError, match=name) as info:
+            decode(_flip(data, 8 * ((start + end) // 2)))
+        assert f"chunk {k}" in str(info.value)
+        if level > 0:
+            assert f"level {level}" in str(info.value)
+
+
+def test_preview_skips_unread_damaged_chunks(encoded):
+    stream, _ = encoded["icosphere"]
+    start, end = _chunk_bounds(stream)[-1]
+    assert end > start
+    damaged = _flip(stream.to_bytes(), 8 * start + 3)
+    preview = decode(damaged, up_to_level=stream.level_count - 1)
+    assert preview.vertex_count < stream.original_vertex_count
+    with pytest.raises(StreamFormatError, match="completion"):
+        decode(damaged)
+
+
 def test_bit_flips_raise_only_documented_errors():
     """Seeded single-bit flips over the header, the chunk table and the
     payload: each decodes to a mesh or raises one of the two documented
     stream errors, quickly and without numpy warnings."""
     stream, _ = encode(shapes.icosphere(2))
     data = stream.to_bytes()
-    table_end = codec._HEADER.size + 4 * stream.chunk_count
+    table_end = _table_end(stream)
     rng = np.random.default_rng(2024)
     header_bits = rng.choice(8 * table_end, size=150, replace=False)
     payload_bits = 8 * table_end + rng.choice(8 * (len(data) - table_end),
                                               size=250, replace=False)
     outcomes = {"mesh": 0, "format": 0, "truncated": 0}
     for bit in np.concatenate([header_bits, payload_bits]):
-        flipped = bytearray(data)
-        flipped[bit // 8] ^= 1 << (bit % 8)
         start = time.perf_counter()
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             try:
-                decode(bytes(flipped))
+                decode(_flip(data, int(bit)))
                 outcomes["mesh"] += 1
             except StreamFormatError:
                 outcomes["format"] += 1
@@ -344,19 +413,6 @@ def test_one_precision_pass_per_level(monkeypatch, adaptive):
     assert len(calls) == (stream.level_count if adaptive else 0)
     if adaptive:
         assert calls == [len(level) for level in stream.q_sequences]
-
-
-def test_transmitted_precision_mismatch_rejected(monkeypatch):
-    """A stream whose q symbols say q_i + 1 (capped at q_max) where the
-    rule gives q_i still closes the encoder's loop, but not the decoder's."""
-    rule = codec.batch_precision
-    monkeypatch.setattr(codec, "batch_precision",
-                        lambda *args: np.minimum(rule(*args) + 1, 12))
-    stream, _ = encode(shapes.icosphere(2), EncodeConfig(q_max=12))
-    monkeypatch.undo()
-    assert decode(stream, up_to_level=0).vertex_count > 0
-    with pytest.raises(StreamFormatError, match="precision"):
-        decode(stream)
 
 
 def test_level_details_within_quantizer_bound():

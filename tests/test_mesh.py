@@ -131,8 +131,3 @@ def test_with_vertices_keeps_connectivity():
     moved = m.with_vertices(m.vertices * 2.0)
     assert np.array_equal(moved.faces, m.faces)
     assert np.allclose(moved.vertices, m.vertices * 2.0)
-
-
-def test_mean_edge_length():
-    m = TriMesh([[0, 0, 0], [3, 0, 0], [0, 4, 0]], [[0, 1, 2]])
-    assert m.mean_edge_length() == pytest.approx((3 + 4 + 5) / 3)

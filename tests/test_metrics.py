@@ -3,9 +3,9 @@ import pytest
 
 from meshpress import shapes
 from meshpress.mesh import TriMesh
-from meshpress.metrics import (bpv, distances_to_mesh, point_to_triangle,
+from meshpress.metrics import (distances_to_mesh, point_to_triangle,
                                sample_surface, sampled_distance,
-                               total_area, triangle_areas)
+                               triangle_areas)
 
 
 def barycentric_oracle(p, tri, rounds=7, grid=17):
@@ -81,7 +81,6 @@ def test_triangle_areas_and_total():
     m = TriMesh([[0, 0, 0], [2, 0, 0], [0, 2, 0], [0, 0, 3]],
                 [[0, 1, 2], [0, 1, 3]])
     assert np.allclose(triangle_areas(m), [2.0, 3.0])
-    assert total_area(m) == pytest.approx(5.0)
 
 
 def test_samples_lie_on_surface_and_are_deterministic():
@@ -176,19 +175,3 @@ def test_degenerate_reference_rejected():
                    validate=False)
     with pytest.raises(ValueError):
         sampled_distance(line, shapes.triangle())
-
-
-# -- bpv --------------------------------------------------------------------
-
-
-class _FakeReport:
-    def __init__(self, total_bits):
-        self.total_bits = total_bits
-
-
-def test_bpv():
-    assert bpv(_FakeReport(1000), 100) == pytest.approx(10.0)
-    with pytest.raises(ValueError):
-        bpv(_FakeReport(1000), 0)
-    with pytest.raises(ValueError):
-        bpv(_FakeReport(0), 10)

@@ -5,7 +5,7 @@ from meshpress import quantize
 from meshpress.mesh import TriMesh
 from meshpress.quantize import (DEFAULT_THRESHOLD, MIN_PRECISION, QuantGrid,
                                 assign_precision, batch_precision, make_grid,
-                                round_half_away, scale_to_precision)
+                                round_half_away)
 
 EMPTY = np.empty((0, 3), dtype=np.int64)
 
@@ -48,25 +48,6 @@ def test_grid_validation():
         QuantGrid(np.zeros(3), 1.0, q_max=17)
     with pytest.raises(ValueError):
         QuantGrid(np.zeros(3), 0.0, q_max=12)
-
-
-def test_scale_to_precision_examples():
-    assert np.array_equal(scale_to_precision([4095, 0, 256], 12, 4), [15, 0, 1])
-    assert np.array_equal(scale_to_precision([7, 7, 7], 12, 4), [0, 0, 0])
-    c = np.array([123, 456, 789])
-    assert np.array_equal(scale_to_precision(c, 12, 12), c)
-    with pytest.raises(ValueError):
-        scale_to_precision(c, 12, 3)
-    with pytest.raises(ValueError):
-        scale_to_precision(c, 12, 13)
-
-
-def test_scale_matches_floor_oracle():
-    rng = np.random.default_rng(5)
-    c = rng.integers(0, 1 << 12, size=(200, 3))
-    for q in range(4, 13):
-        want = np.floor(c * 2.0 ** (q - 12)).astype(np.int64)
-        assert np.array_equal(scale_to_precision(c, 12, q), want)
 
 
 def _grid_1d(q_max=12):
@@ -157,15 +138,6 @@ def test_batch_precision_empty_targets():
     grid = _grid_1d()
     assert batch_precision(np.empty((0, 3)), np.zeros((2, 3)), grid).size == 0
     assert batch_precision(np.empty((0, 3)), np.empty((0, 3)), grid).size == 0
-
-
-def test_precision_error_bound():
-    grid = _grid_1d()
-    rng = np.random.default_rng(9)
-    c = rng.integers(0, 4096, size=(300, 3))
-    for q in range(4, 13):
-        back = scale_to_precision(c, 12, q).astype(np.int64) << (12 - q)
-        assert np.abs(c - back).max() <= (1 << (12 - q)) - 1
 
 
 def test_round_half_away():
