@@ -3,7 +3,8 @@
 Exit codes: 0 success, 2 parse/validation error, 3 truncated stream.
 Defaults (q_max=12, threshold=200, WGC on with gamma 0.25, lifting on)
 reproduce the reference configuration; `info` prints everything needed to
-re-run an identical encode. `MESHPRESS_SEED` overrides the sampling seed.
+re-run an identical encode, then the chunk table with each chunk's CRC32
+status. `MESHPRESS_SEED` overrides the sampling seed.
 """
 
 from __future__ import annotations
@@ -12,7 +13,6 @@ import os
 import sys
 
 import click
-import numpy as np
 
 from . import codec, metrics
 from .mesh import MeshError
@@ -108,7 +108,7 @@ def cmd_encode(input_path, output_path, dump_levels, **opts):
 @main.command(name="decode")
 @click.argument("input_path", type=click.Path(exists=True, dir_okay=False))
 @click.argument("output_path", type=click.Path(dir_okay=False, writable=True))
-@click.option("--level", type=int, default=None,
+@click.option("--level", type=click.IntRange(min=0), default=None,
               help="Stop after this many refinement levels (default: all).")
 def cmd_decode(input_path, output_path, level):
     """Decode a .pmc stream (or a prefix of it) to a mesh file."""
@@ -184,29 +184,47 @@ def cmd_bench(input_path, output, spua, seed, **opts):
 @main.command(name="info")
 @click.argument("input_path", type=click.Path(exists=True, dir_okay=False))
 def cmd_info(input_path):
-    """Print the header of a .pmc stream."""
+    """Print the header and chunk table of a .pmc stream.
+
+    Every chunk gets one line with its index, name, level ("-" outside the
+    refinement levels), byte length and CRC32 status. A stream whose
+    chunks are all present but fail their CRC32 check prints the whole
+    table, then exits 2 naming the first bad chunk."""
     with open(input_path, "rb") as fh:
         data = fh.read()
+    crc_errors = []
     try:
-        stream = codec.ProgressiveStream.from_bytes(data)
+        header, table = codec._parse_container(data)
+        for i in range(len(table.entries)):
+            try:
+                table.payload(i)
+            except codec.StreamFormatError as exc:
+                crc_errors.append((i, exc))
     except codec.TruncatedStreamError as exc:
         _fail(EXIT_TRUNCATED, str(exc))
     except codec.StreamFormatError as exc:
         _fail(EXIT_PARSE, str(exc))
-    origin = np.asarray(stream.origin)
+    origin = header["origin"]
     click.echo(f"format_version={codec.FORMAT_VERSION}")
-    click.echo(f"q_max={stream.q_max}")
-    click.echo(f"threshold={stream.threshold}")
-    click.echo(f"lifting={'on' if stream.lifting else 'off'}")
-    click.echo(f"wgc={'on' if stream.wgc_enabled else 'off'}")
-    click.echo(f"gamma={stream.wgc_gamma:.9g}")
-    click.echo(f"adaptive={'on' if stream.adaptive else 'off'}")
+    click.echo(f"q_max={header['q_max']}")
+    click.echo(f"threshold={header['threshold']}")
+    click.echo(f"lifting={'on' if header['lifting'] else 'off'}")
+    click.echo(f"wgc={'on' if header['wgc_enabled'] else 'off'}")
+    click.echo(f"gamma={header['wgc_gamma']:.9g}")
+    click.echo(f"adaptive={'on' if header['adaptive'] else 'off'}")
     click.echo(f"origin={origin[0]:.17g},{origin[1]:.17g},{origin[2]:.17g}")
-    click.echo(f"scale={stream.scale:.17g}")
-    click.echo(f"base_vertices={stream.base_vertex_count}")
-    click.echo(f"base_faces={stream.base_face_count}")
-    click.echo(f"levels={stream.level_count}")
-    click.echo(f"original_vertices={stream.original_vertex_count}")
+    click.echo(f"scale={header['scale']:.17g}")
+    click.echo(f"base_vertices={header['base_vertex_count']}")
+    click.echo(f"base_faces={header['base_face_count']}")
+    click.echo(f"levels={header['level_count']}")
+    click.echo(f"original_vertices={header['original_vertex_count']}")
+    bad = {i for i, _ in crc_errors}
+    for i, ((name, level, _), (length, _)) in enumerate(
+            zip(table.layout, table.entries)):
+        click.echo(f"chunk={i} name={name} level={level if level > 0 else '-'} "
+                   f"bytes={length} crc={'bad' if i in bad else 'ok'}")
+    if crc_errors:
+        _fail(EXIT_PARSE, str(crc_errors[0][1]))
 
 
 if __name__ == "__main__":

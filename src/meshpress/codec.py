@@ -591,6 +591,8 @@ def _decoder_for(header: dict) -> ProgressiveDecoder:
 
 
 def _decode_impl(data: bytes, up_to_level: int | None):
+    if up_to_level is not None and up_to_level < 0:
+        raise ValueError(f"requested level {up_to_level} is negative")
     header, table = _parse_container(data)
     level_count = header["level_count"]
     if up_to_level is not None and up_to_level > level_count:
@@ -618,7 +620,8 @@ def decode(source, up_to_level: int | None = None) -> TriMesh:
 
     `up_to_level=None` decodes everything (all levels plus the lossless
     completion residuals); `up_to_level=0` yields the base mesh. Decoding
-    the final level implies the completion chunk.
+    the final level implies the completion chunk. A negative level, or one
+    beyond the stream's level count, raises ValueError.
     """
     return decode_debug(source, up_to_level).mesh
 

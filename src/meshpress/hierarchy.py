@@ -14,17 +14,33 @@ be covered by consistent groups is forced even and the pass is rerun.
 Each pass builds its adjacency once (`_PassTables`): faces as lists, the
 face and apex across every (face, local edge) as in the corner table of
 Rossignac et al. (SMI 2001), boundary sets and valences. Midpoint
-deviations and parent-edge lengths are memoised per pass. Each is one
-`np.linalg.norm` of a 3-vector and must stay exactly that expression:
-a last-ulp change flips `>` comparisons and with them the stream.
+deviations and parent-edge lengths are memoised per pass. Each is
+`sqrt(d.dot(d))` of a 3-vector, exactly as `np.linalg.norm` computes it,
+and must stay that expression: a last-ulp change flips `>` comparisons
+and with them the stream.
+
+Every matcher is split in two. The static half runs once per pass, in
+`_PassTables`: per face and pattern it lists, in the original
+(rotation, diagonal) order, the candidate groups that pass every check
+no grouping state can change (topology and distinctness, valence, the
+boundary rule, the WGC test, `has_edge`), with their registry entries
+and ranking terms. The dynamic half, `_PassState.admits`, runs on every
+call: free faces, even/odd marks, `forbidden`, parents, and registry
+compatibility. Within one `_grow` those state checks only get stricter
+(faces only fill, marks only leave unknown, the registry only gains
+entries), so `_grow` pushes each face once per commit: a second push in
+the same commit would add a heap entry with the same key and a larger
+sequence number, which can never commit anything.
 Nothing cached outlives `simplify_once`.
 """
 
 from __future__ import annotations
 
 import heapq
+import math
 from dataclasses import dataclass, field
 from enum import IntEnum
+from typing import NamedTuple
 
 import numpy as np
 
@@ -119,14 +135,39 @@ class _Registry:
         return n
 
 
-class _PassTables:
-    """Adjacency and geometry of one pass's input mesh. Local edge i of
-    face f runs from faces[f][i] to faces[f][(i + 1) % 3]; opp[3 * f + i]
-    and apex[3 * f + i] are the face and vertex across it (None on a
-    boundary)."""
+class _Candidate(NamedTuple):
+    """A group that passes every state-free check, with its ranking terms.
+    entries[i] registers coarse edge i, (corners[i], corners[i + 1]); the
+    FaceGroup is only built for a candidate that commits."""
+    corners: tuple[int, int, int]
+    fine_face_ids: tuple[int, ...]
+    diag_bit: int
+    entries: tuple
+    others: tuple[int, ...]     # the group's fine faces other than the seed
+    scale: float                # mean parent-edge length
+    score: float                # worst relative midpoint deviation
+    rank: int                   # 0 when an irregular interior vertex is a corner
 
-    def __init__(self, mesh: TriMesh):
+    def to_group(self) -> FaceGroup:
+        c = self.corners
+        splits = {v: (c[i], c[(i + 1) % 3])
+                  for i, (_, kind, v) in enumerate(self.entries)
+                  if kind == _Registry.SPLIT}
+        return FaceGroup(Pattern(len(splits)), c, self.fine_face_ids, splits,
+                         self.diag_bit)
+
+
+class _PassTables:
+    """Adjacency, geometry and static candidates of one pass's input mesh.
+
+    Local edge i of face f runs from faces[f][i] to faces[f][(i + 1) % 3];
+    opp[3 * f + i] and apex[3 * f + i] are the face and vertex across it
+    (None on a boundary). candidates[pref][f] lists the quadrisect (pref
+    0), trisect (1) and bisect (2) groups seeded at f in matcher order."""
+
+    def __init__(self, mesh: TriMesh, wgc: WgcConfig = WgcConfig()):
         self.mesh = mesh
+        self.wgc = wgc
         self.faces: list[list[int]] = mesh.faces.tolist()
         self.opp: list[int | None] = []
         self.apex: list[int | None] = []
@@ -140,6 +181,11 @@ class _PassTables:
         self.boundary_vertices = {v for e in self.boundary for v in e}
         self.valence = [len(n) for n in mesh.vertex_neighbors]
         self._deviation: dict[tuple[int, int, int], tuple[float, float]] = {}
+        self._odd_entry: dict[tuple[int, int, int], tuple | None] = {}
+        self.candidates = [
+            [sorted(build(self, f), key=lambda c: sorted(c.others))
+             for f in range(len(self.faces))]
+            for build in (_quadrisects, _trisects, _bisects)]
 
     def deviation(self, v: int, a: int, b: int) -> tuple[float, float]:
         """(|p_v - midpoint(a, b)|, |p_a - p_b|), bitwise symmetric in a, b."""
@@ -148,16 +194,64 @@ class _PassTables:
         if hit is None:
             pos = self.mesh.vertices
             mid = 0.5 * (pos[a] + pos[b])
-            hit = (float(np.linalg.norm(pos[v] - mid)),
-                   float(np.linalg.norm(pos[a] - pos[b])))
+            dev, edge = pos[v] - mid, pos[a] - pos[b]
+            hit = (math.sqrt(dev.dot(dev)), math.sqrt(edge.dot(edge)))
             self._deviation[key] = hit
         return hit
 
+    def odd_entry(self, v: int, a: int, b: int):
+        """Registry entry making `v` the midpoint of coarse edge (a, b), or
+        None when a state-free rule forbids it; memoised like `deviation`."""
+        key = (v, a, b) if a < b else (v, b, a)
+        if key not in self._odd_entry:
+            self._odd_entry[key] = ((key[1:], _Registry.SPLIT, v)
+                                    if self._may_split(v, a, b) else None)
+        return self._odd_entry[key]
+
+    def _may_split(self, v: int, a: int, b: int) -> bool:
+        if v in self.boundary_vertices:
+            # a boundary vertex may only collapse along the boundary
+            if (edge_key(a, v) not in self.boundary
+                    or edge_key(v, b) not in self.boundary):
+                return False
+        elif self.valence[v] > 6:
+            # an interior midpoint vertex has at most 6 star faces (<= 3
+            # per side of its parent edge), so higher valence rules odd out
+            return False
+        if self.wgc.enabled:
+            dev, length = self.deviation(v, a, b)
+            if dev > self.wgc.gamma * length:
+                return False
+        # a split coarse edge must not also exist as a fine edge
+        return not self.mesh.has_edge(a, b)
+
+    def candidate(self, corners, fine_face_ids, entries, others,
+                  diag_bit: int = 0) -> _Candidate:
+        total, worst, splits = 0.0, 0.0, 0
+        for i, (_, kind, v) in enumerate(entries):
+            if kind != _Registry.SPLIT:
+                continue
+            dev, length = self.deviation(v, corners[i], corners[(i + 1) % 3])
+            # scale: parent-edge length is comparable across patterns (a
+            # coarse-face perimeter would make bisects look finer than
+            # quadrisects)
+            total += length
+            splits += 1
+            # score: worst deviation relative to the parent edge length;
+            # true subdivision structure scores low
+            worst = max(worst, dev / length) if length > 0.0 else np.inf
+        # Irregular interior vertices must survive every valid tiling, so
+        # a candidate keeping one as an even corner is almost certainly in
+        # the globally consistent coset: such candidates are preferred seeds.
+        anchored = any(self.valence[v] != 6 and v not in self.boundary_vertices
+                       for v in corners)
+        return _Candidate(corners, fine_face_ids, diag_bit, entries, others,
+                          total / splits, worst, 0 if anchored else 1)
+
 
 class _PassState:
-    def __init__(self, tables: _PassTables, wgc: WgcConfig, forbidden: set[int]):
+    def __init__(self, tables: _PassTables, forbidden: set[int]):
         self.tables = tables
-        self.wgc = wgc
         self.forbidden = forbidden
         self.mark = [_UNKNOWN] * tables.mesh.vertex_count
         self.parent: dict[int, tuple[int, int]] = {}
@@ -165,36 +259,23 @@ class _PassState:
         self.groups: list[FaceGroup] = []
         self.registry = _Registry()
 
-    # -- admissibility -----------------------------------------------------
-
-    def can_be_odd(self, v: int, a: int, b: int) -> bool:
-        if v in self.forbidden or self.mark[v] == _EVEN:
-            return False
-        t = self.tables
-        # an interior midpoint vertex has at most 6 star faces (<= 3 per
-        # side of its parent edge), so higher valence rules odd out
-        if v not in t.boundary_vertices and t.valence[v] > 6:
-            return False
-        if self.mark[v] == _ODD and self.parent[v] != edge_key(a, b):
-            return False
-        if v in t.boundary_vertices:
-            # a boundary vertex may only collapse along the boundary
-            if (edge_key(a, v) not in t.boundary
-                    or edge_key(v, b) not in t.boundary):
+    def admits(self, cand: _Candidate) -> bool:
+        """The state-dependent checks: the other faces are free, no corner
+        is odd, each odd vertex is allowed and unmarked or already odd on
+        the same parent edge, and the registry agrees."""
+        grouped, mark = self.grouped, self.mark
+        for n in cand.others:
+            if grouped[n] >= 0:
                 return False
-        if self.wgc.enabled:
-            dev, length = t.deviation(v, a, b)
-            if dev > self.wgc.gamma * length:
+        for v in cand.corners:
+            if mark[v] == _ODD:
                 return False
-        return True
-
-    def split_entry(self, a: int, b: int, mid: int):
-        # a split coarse edge must not also exist as a fine edge
-        if self.tables.mesh.has_edge(a, b):
-            return None
-        return (edge_key(a, b), _Registry.SPLIT, mid)
-
-    # -- commit ------------------------------------------------------------
+        for key, kind, v in cand.entries:
+            if kind == _Registry.SPLIT and (
+                    v in self.forbidden or mark[v] == _EVEN
+                    or (mark[v] == _ODD and self.parent[v] != key)):
+                return False
+        return self.registry.compatible(cand.entries)
 
     def commit(self, group: FaceGroup, entries) -> None:
         self.registry.commit(entries)
@@ -209,44 +290,36 @@ class _PassState:
             self.parent[odd] = edge_key(a, b)
 
 
-def _try_quadrisect(st: _PassState, f: int):
-    t, grouped, mark = st.tables, st.grouped, st.mark
+# -- matchers: static candidates per pass, state checks per call -----------
+
+def _quadrisects(t: _PassTables, f: int) -> list[_Candidate]:
     e = 3 * f
     n12, n23, n31 = t.opp[e:e + 3]
     if n12 is None or n23 is None or n31 is None:
-        return None
+        return []
     if len({f, n12, n23, n31}) != 4:
-        return None
-    if grouped[n12] >= 0 or grouped[n23] >= 0 or grouped[n31] >= 0:
-        return None
+        return []
     m1, m2, m3 = t.faces[f]
     b, c, a = t.apex[e:e + 3]
     if len({a, b, c, m1, m2, m3}) != 6:
-        return None
-    if mark[a] == _ODD or mark[b] == _ODD or mark[c] == _ODD:
-        return None
-    if not (st.can_be_odd(m1, a, b) and st.can_be_odd(m2, b, c)
-            and st.can_be_odd(m3, c, a)):
-        return None
-    entries = [st.split_entry(a, b, m1), st.split_entry(b, c, m2),
-               st.split_entry(c, a, m3)]
-    if None in entries or not st.registry.compatible(entries):
-        return None
-    group = FaceGroup(Pattern.QUADRISECT, (a, b, c), (n31, n12, n23, f),
-                      {m1: (a, b), m2: (b, c), m3: (c, a)})
-    return group, entries, (n12, n23, n31)
+        return []
+    entries = (t.odd_entry(m1, a, b), t.odd_entry(m2, b, c),
+               t.odd_entry(m3, c, a))
+    if None in entries:
+        return []
+    return [t.candidate((a, b, c), (n31, n12, n23, f), entries,
+                        (n12, n23, n31))]
 
 
-def _try_trisect(st: _PassState, f: int):
+def _trisects(t: _PassTables, f: int) -> list[_Candidate]:
     """Match `f` as the middle face of a trisected coarse triangle."""
-    t, grouped, mark = st.tables, st.grouped, st.mark
     verts = t.faces[f]
-    candidates = []
+    found = []
     for rot in range(3):
         ma, b, mb = verts[rot], verts[(rot + 1) % 3], verts[(rot + 2) % 3]
         e = 3 * f + (rot + 2) % 3                  # edge (mb, ma)
         n3 = t.opp[e]
-        if n3 is None or grouped[n3] >= 0:
+        if n3 is None:
             continue
         y = t.apex[e]
         # bit 0: n3 = (ma, mb, C), diagonal from ma, hinge (ma, y);
@@ -255,7 +328,7 @@ def _try_trisect(st: _PassState, f: int):
         for diag_bit, left_out in enumerate((mb, ma)):
             h = 3 * n3 + (t.faces[n3].index(left_out) + 1) % 3
             n1 = t.opp[h]
-            if n1 is None or n1 == f or grouped[n1] >= 0:
+            if n1 is None or n1 == f:
                 continue
             z = t.apex[h]
             if diag_bit == 0:
@@ -264,73 +337,56 @@ def _try_trisect(st: _PassState, f: int):
             else:
                 A, B, C = y, b, z
                 fine_ids = (n3, f, n1)
-            if len({A, B, C, ma, mb}) != 5:
+            if len({A, B, C, ma, mb}) != 5 or not t.mesh.has_edge(C, A):
                 continue
-            if mark[A] == _ODD or mark[B] == _ODD or mark[C] == _ODD:
+            entries = (t.odd_entry(ma, A, B), t.odd_entry(mb, B, C),
+                       (edge_key(C, A), _Registry.UNSPLIT, None))
+            if None in entries:
                 continue
-            if not (st.can_be_odd(ma, A, B) and st.can_be_odd(mb, B, C)):
-                continue
-            if not t.mesh.has_edge(C, A):
-                continue
-            entries = [st.split_entry(A, B, ma), st.split_entry(B, C, mb),
-                       (edge_key(C, A), _Registry.UNSPLIT, None)]
-            if None in entries or not st.registry.compatible(entries):
-                continue
-            group = FaceGroup(Pattern.TRISECT, (A, B, C), fine_ids,
-                              {ma: (A, B), mb: (B, C)}, diag_bit)
-            candidates.append(((min(n1, n3), max(n1, n3)), group, entries,
-                               (n1, n3)))
-    if not candidates:
-        return None
-    candidates.sort(key=lambda cand: cand[0])
-    _, group, entries, others = candidates[0]
-    return group, entries, others
+            found.append(t.candidate((A, B, C), fine_ids, entries, (n1, n3),
+                                     diag_bit))
+    return found
 
 
-def _try_bisect(st: _PassState, f: int):
-    t, grouped, mark = st.tables, st.grouped, st.mark
+def _bisects(t: _PassTables, f: int) -> list[_Candidate]:
     verts = t.faces[f]
-    candidates = []
+    found = []
     for rot in range(3):
         a, m, c = verts[rot], verts[(rot + 1) % 3], verts[(rot + 2) % 3]
         e = 3 * f + (rot + 1) % 3                  # edge (m, c)
         n = t.opp[e]
-        if n is None or grouped[n] >= 0:
+        if n is None:
             continue
         b = t.apex[e]
         if len({a, b, c, m}) != 4:
             continue
-        if mark[a] == _ODD or mark[b] == _ODD or mark[c] == _ODD:
-            continue
-        if not st.can_be_odd(m, a, b):
-            continue
-        entry = st.split_entry(a, b, m)
+        entry = t.odd_entry(m, a, b)
         if entry is None:
             continue
-        entries = [entry,
+        entries = (entry,
                    (edge_key(b, c), _Registry.UNSPLIT, None),
-                   (edge_key(c, a), _Registry.UNSPLIT, None)]
-        if not st.registry.compatible(entries):
-            continue
-        group = FaceGroup(Pattern.BISECT, (a, b, c), (f, n), {m: (a, b)})
-        candidates.append((n, group, entries, (n,)))
-    if not candidates:
-        return None
-    candidates.sort(key=lambda cand: cand[0])
-    _, group, entries, others = candidates[0]
-    return group, entries, others
+                   (edge_key(c, a), _Registry.UNSPLIT, None))
+        found.append(t.candidate((a, b, c), (f, n), entries, (n,)))
+    return found
 
 
-def _group_score(tables: _PassTables, group: FaceGroup) -> float:
-    """Worst midpoint deviation of the group's odd vertices, relative to
-    the parent edge length. True subdivision structure scores low."""
-    worst = 0.0
-    for odd, (a, b) in group.split_edges.items():
-        dev, edge = tables.deviation(odd, a, b)
-        if edge <= 0.0:
-            return np.inf
-        worst = max(worst, dev / edge)
-    return worst
+def _first_admitted(st: _PassState, cands) -> _Candidate | None:
+    for cand in cands:
+        if st.admits(cand):
+            return cand
+    return None
+
+
+def _try_quadrisect(st: _PassState, f: int) -> _Candidate | None:
+    return _first_admitted(st, st.tables.candidates[0][f])
+
+
+def _try_trisect(st: _PassState, f: int) -> _Candidate | None:
+    return _first_admitted(st, st.tables.candidates[1][f])
+
+
+def _try_bisect(st: _PassState, f: int) -> _Candidate | None:
+    return _first_admitted(st, st.tables.candidates[2][f])
 
 
 def _grow(st: _PassState, seed_faces) -> None:
@@ -343,25 +399,7 @@ def _grow(st: _PassState, seed_faces) -> None:
     force its neighborhood into the same consistent tiling, and conflicts
     can only arise along seams between independently seeded regions.
     """
-    t = st.tables
-    vertex_faces = t.mesh.vertex_faces
-
-    def seed_rank(group: FaceGroup) -> int:
-        # Irregular interior vertices must survive every valid tiling, so
-        # a candidate keeping one as an even corner is almost certainly in
-        # the globally consistent coset: prefer such candidates as seeds.
-        anchored = any(t.valence[v] != 6 and v not in t.boundary_vertices
-                       for v in group.coarse_face)
-        return 0 if anchored else 1
-
-    def scale_of(group: FaceGroup) -> float:
-        # parent-edge length is comparable across patterns (a coarse-face
-        # perimeter would make bisects look finer than quadrisects)
-        total = 0.0
-        for odd, (a, b) in group.split_edges.items():
-            total += t.deviation(odd, a, b)[1]
-        return total / len(group.split_edges)
-
+    vertex_faces = st.tables.mesh.vertex_faces
     attempts = (_try_quadrisect, _try_trisect, _try_bisect)
     seq = 0
     heap: list[tuple] = []
@@ -371,12 +409,10 @@ def _grow(st: _PassState, seed_faces) -> None:
         if st.grouped[f] >= 0:
             return
         for pref, attempt in enumerate(attempts):
-            hit = attempt(st, f)
-            if hit is None:
+            cand = attempt(st, f)
+            if cand is None:
                 continue
-            group, entries, _ = hit
-            reuse = st.registry.reuse_count(entries)
-            scale = scale_of(group)
+            reuse = st.registry.reuse_count(cand.entries)
             # a candidate re-using a committed split edge is the forced
             # continuation of that region: frontier tier, ordered by how
             # strongly it is forced. Without reuse, a coarser candidate
@@ -386,19 +422,18 @@ def _grow(st: _PassState, seed_faces) -> None:
             if reuse > 0:
                 eff_tier = 0
             elif tier == 0 and ref_scale is not None \
-                    and scale > 1.5 * ref_scale:
+                    and cand.scale > 1.5 * ref_scale:
                 eff_tier = 1
-            score = _group_score(t, group)
             # fuller patterns beat a marginally better-scoring partial
             # match (almost always a spurious reading of a regular region)
             if eff_tier == 0:
-                key = (0, -reuse, float(pref), 0.0, score)
+                key = (0, -reuse, float(pref), 0.0, cand.score)
             else:
                 # between seeds of the same pattern, finer-scale
                 # candidates go first so that on meshes refined at mixed
                 # scales the finest structure claims its faces before any
                 # coarser grouping can
-                key = (1, seed_rank(group), float(pref), scale, score)
+                key = (1, cand.rank, float(pref), cand.scale, cand.score)
             heapq.heappush(heap, (*key, seq, f, pref))
             seq += 1
 
@@ -408,15 +443,16 @@ def _grow(st: _PassState, seed_faces) -> None:
         *_, f, pref = heapq.heappop(heap)
         if st.grouped[f] >= 0:
             continue
-        hit = attempts[pref](st, f)  # revalidate against the current state
-        if hit is None:
+        cand = attempts[pref](st, f)  # revalidate against the current state
+        if cand is None:
             continue
-        group, entries, _ = hit
-        st.commit(group, entries)
-        ref = scale_of(group)
-        for v in (*group.coarse_face, *group.split_edges):
-            for nf in vertex_faces[v]:
-                push(nf, 0, ref)
+        group = cand.to_group()
+        st.commit(group, cand.entries)
+        # each face once per commit: exact, see the module docstring
+        touched = (nf for v in (*group.coarse_face, *group.split_edges)
+                   for nf in vertex_faces[v])
+        for nf in dict.fromkeys(touched):
+            push(nf, 0, cand.scale)
 
 
 def _finalize_violations(st: _PassState) -> set[int]:
@@ -432,7 +468,7 @@ def _retract(st: _PassState, bad: set[int]) -> tuple[_PassState, list[int]]:
     registry from the survivors. Returns the new state and the freed faces."""
     survivors = [g for g in st.groups
                  if not any(v in bad for v in g.split_edges)]
-    fresh = _PassState(st.tables, st.wgc, st.forbidden)
+    fresh = _PassState(st.tables, st.forbidden)
     for g in survivors:
         entries = []
         for odd, (a, b) in g.split_edges.items():
@@ -505,7 +541,7 @@ def simplify_once(mesh: TriMesh, wgc: WgcConfig | None = None) -> LevelRecord | 
     """
     wgc = wgc or WgcConfig()
     forbidden: set[int] = set()
-    st = _PassState(_PassTables(mesh), wgc, forbidden)
+    st = _PassState(_PassTables(mesh, wgc), forbidden)
     _grow(st, range(mesh.face_count))
     prev = np.inf
     while True:

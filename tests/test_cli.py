@@ -59,6 +59,18 @@ def test_decode_prefix_level_zero(runner, mesh_file, tmp_path):
     assert load_mesh(base).vertex_count < original.vertex_count
 
 
+def test_decode_negative_level_exits_parse(runner, mesh_file, tmp_path):
+    out, _ = _encode(runner, mesh_file, tmp_path)
+    result = runner.invoke(main, ["decode", out, str(tmp_path / "x.off"),
+                                  "--level", "-1"])
+    assert result.exit_code == EXIT_PARSE
+    errors = [line for line in result.output.splitlines()
+              if line.lower().startswith("error:")]
+    assert len(errors) == 1 and "--level" in errors[0], result.output
+    assert "Traceback" not in result.output
+    assert not (tmp_path / "x.off").exists()
+
+
 def test_encode_missing_file_exits_parse(runner, tmp_path):
     result = runner.invoke(main, ["encode", str(tmp_path / "nope.off"),
                                   str(tmp_path / "o.pmc")])
@@ -185,3 +197,55 @@ def test_info_truncated_exits_3(runner, mesh_file, tmp_path):
         fh.write(data[:30])
     result = runner.invoke(main, ["info", cut])
     assert result.exit_code == EXIT_TRUNCATED
+
+
+def _info_chunks(output):
+    return [dict(field.split("=") for field in line.split())
+            for line in output.splitlines() if line.startswith("chunk=")]
+
+
+def test_info_prints_chunk_table(runner, mesh_file, tmp_path):
+    out, _ = _encode(runner, mesh_file, tmp_path)
+    stream = ProgressiveStream.from_bytes(open(out, "rb").read())
+    result = runner.invoke(main, ["info", out])
+    assert result.exit_code == 0, result.output
+    chunks = _info_chunks(result.output)
+    assert [int(c["chunk"]) for c in chunks] == list(range(stream.chunk_count))
+    assert [int(c["bytes"]) for c in chunks] == [len(c) for c in stream.chunks]
+    assert [c["name"] for c in chunks[:3]] == ["base_conn", "base_geom",
+                                              "level_conn"]
+    assert [c["level"] for c in chunks] == \
+        ["-", "-"] + [str(1 + i // 2) for i in range(2 * stream.level_count)] \
+        + ["-"]
+    assert {c["crc"] for c in chunks} == {"ok"}
+
+
+def test_info_flipped_payload_byte_exits_parse(runner, mesh_file, tmp_path):
+    out, _ = _encode(runner, mesh_file, tmp_path)
+    data = bytearray(open(out, "rb").read())
+    stream = ProgressiveStream.from_bytes(bytes(data))
+    data[-len(stream.chunks[-1]) - 1] ^= 0x04    # last byte of chunk -2
+    bad = tmp_path / "bad.pmc"
+    bad.write_bytes(bytes(data))
+    result = runner.invoke(main, ["info", str(bad)])
+    assert result.exit_code == EXIT_PARSE
+    chunks = _info_chunks(result.output)
+    assert len(chunks) == stream.chunk_count
+    assert [c["crc"] for c in chunks] == \
+        ["ok"] * (stream.chunk_count - 2) + ["bad", "ok"]
+    errors = [line for line in result.output.splitlines()
+              if line.startswith("error:")]
+    assert len(errors) == 1, result.output
+    assert f"chunk {stream.chunk_count - 2}" in errors[0]
+    assert "CRC32" in errors[0]
+
+
+def test_info_cut_inside_chunk_exits_3(runner, mesh_file, tmp_path):
+    out, _ = _encode(runner, mesh_file, tmp_path)
+    data = open(out, "rb").read()
+    stream = ProgressiveStream.from_bytes(data)
+    cut = tmp_path / "cut.pmc"
+    cut.write_bytes(data[:len(data) - len(stream.chunks[-1]) // 2])
+    result = runner.invoke(main, ["info", str(cut)])
+    assert result.exit_code == EXIT_TRUNCATED
+    assert "completion chunk" in result.output

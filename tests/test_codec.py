@@ -317,6 +317,16 @@ def test_level_beyond_stream_rejected(encoded):
         decode(stream.to_bytes(), up_to_level=stream.level_count + 1)
 
 
+@pytest.mark.parametrize("level", [-1, -5])
+def test_negative_level_rejected(encoded, level):
+    # a negative level used to fall through to the base mesh
+    data = encoded["icosphere"][0].to_bytes()
+    with pytest.raises(ValueError, match="negative"):
+        decode(data, up_to_level=level)
+    with pytest.raises(ValueError, match="negative"):
+        decode_debug(data, up_to_level=level)
+
+
 def test_truncation_sweep_names_last_level(encoded):
     stream, _ = encoded["grid"]
     data = stream.to_bytes()

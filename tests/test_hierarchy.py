@@ -1,7 +1,10 @@
+import hashlib
+from collections import Counter
+
 import numpy as np
 import pytest
 
-from meshpress import shapes
+from meshpress import hierarchy, shapes
 from meshpress.hierarchy import (Pattern, WgcConfig, _PassTables,
                                  build_hierarchy, resubdivide, simplify_once)
 from meshpress.mesh import TriMesh, edge_key
@@ -248,3 +251,94 @@ def test_pass_tables_match_mesh_adjacency(corpus):
         assert tables.boundary_vertices == expected, name
         assert tables.valence == [len(n) for n in mesh.vertex_neighbors]
     assert _PassTables(corpus["grid"]).boundary_vertices   # open patch
+
+
+# -- pinned hierarchies -----------------------------------------------------
+
+def hierarchy_digest(records) -> str:
+    """SHA-256 over every level's even vertices, parent edges and groups."""
+    h = hashlib.sha256()
+    for r in records:
+        h.update(repr([int(v) for v in r.even_vertices]).encode())
+        h.update(repr(sorted((int(k), (int(a), int(b)))
+                             for k, (a, b) in r.parent_edge.items())).encode())
+        h.update(repr([(int(g.pattern), tuple(int(v) for v in g.coarse_face),
+                        tuple(int(v) for v in g.fine_face_ids), int(g.diag_bit))
+                       for g in r.face_groups]).encode())
+    return h.hexdigest()
+
+
+# Hierarchy digests. Check order and candidate order in the matchers decide
+# every grouping, so a change to either shows up here on far more meshes
+# than the golden streams cover. cad_solid(subdivisions=2, seed=s) and
+# random_convex(200, seed=s) for s = 0..9, default WGC:
+CAD_PINS = [
+    "2a2f33cf04ab53b087faba5b912e038ca2c03f7c72a0f0ebbd4c5fcb7a777404",
+    "2b4e39a7f7759b8eb2f535e5d7f3d428a6ba220cc33baed6731119e12bc88c58",
+    "a51fbb412eb93d8eba42abbcd43b20dbfda52f12dd1e4ad3cefd24591238b294",
+    "8d1cf63fbe9b54deadb59cf9fa11b4b088c3aa7460fde669967e1cfabcf34aca",
+    "9991e0a234d511d21a8e2b0f1de2e888528a81b7566dd5086c683ad1e1431cc8",
+    "f1dc9858be6fd2ff9165335cae8b05c5ca85b00a06cd87b47bb7a42015449e24",
+    "84e35a76d631b08f89a31e301a92cddea7f955c0a3be6b7381843ec4953a3c7c",
+    "1bde90a83926365a3e51188de1f826ada9a07bb7d65a21d4bf518481c9f24b46",
+    "0d5bc66cfec0da4004b546ed801b46191fa765c6f16f021575fd866724a8a201",
+    "2dfb5f28e347297613c8eac051f514144392dce764bd69d42e5c867f5d67ce55",
+]
+CONVEX_PINS = [
+    "8720654e4dd741a9cb4c8e624e6254cd15368aacd9877ca163f5d592b6596cad",
+    "bd1e4f95f78e39bbec3944fca7a0e13786b0262db6c13ef27c0247cf7bcd8dde",
+    "fc87f7ea654e69faffb357cb82aa62c3782d373bbf298b657e860fd72b5f7ddb",
+    "af7a4a36118668b311b49c88ed94ab28a5a16607539bdf390c2562500cc9dae8",
+    "19339eaa3bc71139d0d76bec4070b83fca4d7737c24f71123a99dec61479a33c",
+    "cd66132494ae930c1b63fb4c976262b64804588ad45b648618950b109f79e038",
+    "a57a1e1aabdc9464c1ff8721550a407bc521e570e8c385e17d9f8fea4b8bc71a",
+    "68b8358fdceaf47029520d1d821f753408698368e09e6e552ea2333c1c8778d1",
+    "b84a50d95c0c5397057a4079fb03d4aff120a14a18a92f0372bd82afca01f780",
+    "d200c5c05eefd72911f55fbdc89dc6c75656c3f6edbf827c993a6a3f2d90c9ae",
+]
+NO_WGC, TIGHT_WGC = WgcConfig(enabled=False), WgcConfig(gamma=0.15)
+CONFIG_PINS = {
+    ("grid", NO_WGC): "8a19170606ddcfc0e620335072c64a98e126b31025fb18a55b0b8be802e49cfa",
+    ("grid", TIGHT_WGC): "da740ef5dfee2d012c77515a9511d1a14ed4f4bed5876200ee04ebf6b00466d7",
+    ("bumpy", NO_WGC): "15fd801f86236958342f960b0e8811385712381151b3c3e88863202528875ec5",
+    ("bumpy", TIGHT_WGC): "e2691b53a5d003721006e025bc16ae34a671a3f14d0130c84d84b98539f4c085",
+}
+
+
+def test_hierarchy_is_pinned():
+    def digests(make, seeds):
+        return [hierarchy_digest(build_hierarchy(make(s))) for s in seeds]
+
+    assert digests(lambda s: shapes.cad_solid(subdivisions=2, seed=s),
+                   range(10)) == CAD_PINS
+    assert digests(lambda s: shapes.random_convex(200, seed=s),
+                   range(10)) == CONVEX_PINS
+    meshes = {"grid": shapes.grid_patch(9, 9), "bumpy": shapes.bumpy_sphere(3)}
+    got = {(name, wgc): hierarchy_digest(build_hierarchy(meshes[name], wgc))
+           for name, wgc in CONFIG_PINS}
+    assert got == CONFIG_PINS
+
+
+# -- matcher work ------------------------------------------------------------
+
+MATCHERS = ("_try_quadrisect", "_try_trisect", "_try_bisect")
+
+
+# calls of each matcher during one build_hierarchy; before static candidates
+# and one push per face per commit they were (4818, 4572, 4598) on the CAD
+# mesh and (12319, 12555, 13106) on the hull
+@pytest.mark.parametrize("make, bounds", [
+    (lambda: shapes.cad_solid(subdivisions=2), (3989, 3743, 3769)),
+    (lambda: shapes.random_convex(200), (11049, 11285, 11816)),
+], ids=["cad", "convex"])
+def test_matcher_calls_bounded(monkeypatch, make, bounds):
+    mesh = make()
+    calls = Counter()
+    for name in MATCHERS:
+        def counted(st, f, _match=getattr(hierarchy, name), _name=name):
+            calls[_name] += 1
+            return _match(st, f)
+        monkeypatch.setattr(hierarchy, name, counted)
+    build_hierarchy(mesh)
+    got = tuple(calls[name] for name in MATCHERS)
+    assert all(0 < n <= bound for n, bound in zip(got, bounds)), got
