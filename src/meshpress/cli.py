@@ -82,8 +82,8 @@ def main():
 def cmd_encode(input_path, output_path, dump_levels, **opts):
     """Compress a mesh into a progressive .pmc stream."""
     mesh = _load(input_path)
-    config = _config(**opts)
     try:
+        config = _config(**opts)
         stream, report = codec.encode(mesh, config)
     except (MeshError, ValueError) as exc:
         _fail(EXIT_PARSE, str(exc))

@@ -85,6 +85,19 @@ class EncodeConfig:
     adaptive: bool = True
     max_levels: int = 32
 
+    def __post_init__(self):
+        # reject, before any work is done, values the header cannot hold
+        # and values that would silently switch a stage off
+        if not 4 <= self.q_max <= 16:
+            raise ValueError(f"q_max must be in [4, 16], got {self.q_max}")
+        if not 0 <= self.threshold < 1 << 32:
+            raise ValueError(f"threshold must be in [0, 2^32), "
+                             f"got {self.threshold}")
+        WgcConfig(self.wgc, self.wgc_gamma)     # gamma finite and positive
+        if self.max_levels < 0:
+            raise ValueError(f"max_levels must be non-negative, "
+                             f"got {self.max_levels}")
+
 
 @dataclass
 class ProgressiveStream:
@@ -505,7 +518,7 @@ def encode(mesh: TriMesh, config: EncodeConfig | None = None):
             face_flags = tuple(bool(flags[e]) for e in _face_edges(face))
             if sum(face_flags) != 2:
                 continue
-            (p0, p1, p2), _ = _rotate_for_splits(face, face_flags)
+            p0, p1, p2 = _rotate_for_splits(face, face_flags)
             kab = edge_key(int(pi[p0]), int(pi[p1]))
             kbc = edge_key(int(pi[p1]), int(pi[p2]))
             if (kab, kbc) in trisect_bit:

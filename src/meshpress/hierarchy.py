@@ -25,13 +25,16 @@ Every matcher is split in two. The static half runs once per pass, in
 no grouping state can change (topology and distinctness, valence, the
 boundary rule, the WGC test, `has_edge`), with their registry entries
 and ranking terms. The dynamic half, `_PassState.admits`, runs on every
-call: free faces, even/odd marks, `forbidden`, parents, and registry
-compatibility. Within one `_grow` those state checks only get stricter
-(faces only fill, marks only leave unknown, the registry only gains
-entries), so `_grow` pushes each face once per commit: a second push in
-the same commit would add a heap entry with the same key and a larger
-sequence number, which can never commit anything.
-Nothing cached outlives `simplify_once`.
+call: free faces, `even`, `forbidden`, `parent` (a vertex is odd exactly
+when it has a parent edge), and registry compatibility. Within one
+`_grow` those state checks only get stricter (faces only fill, vertices
+only become even or odd, the registry only gains entries), so `_grow`
+pushes each face once per commit: a second push in the same commit would
+add a heap entry with the same key and a larger sequence number, which
+can never commit anything. A committed group stays its `_Candidate` until
+the pass ends: `_retract` replays the survivors' registry entries, and the
+`FaceGroup`s are built once, for the `LevelRecord`. Nothing cached
+outlives `simplify_once`.
 """
 
 from __future__ import annotations
@@ -50,7 +53,6 @@ __all__ = ["Pattern", "WgcConfig", "FaceGroup", "LevelRecord",
            "simplify_once", "build_hierarchy", "resubdivide",
            "subdivide_connectivity"]
 
-_UNKNOWN, _EVEN, _ODD = 0, 1, 2
 
 class Pattern(IntEnum):
     UNCHANGED = 0
@@ -68,8 +70,9 @@ class WgcConfig:
     gamma: float = 0.25
 
     def __post_init__(self):
-        if self.gamma <= 0:
-            raise ValueError("gamma must be positive")
+        if not (math.isfinite(self.gamma) and self.gamma > 0):
+            raise ValueError(f"gamma must be finite and positive, "
+                             f"got {self.gamma}")
 
 
 @dataclass(frozen=True)
@@ -95,31 +98,23 @@ class LevelRecord:
 
 
 class _Registry:
-    """Split/unsplit bookkeeping per prospective coarse edge."""
-
-    SPLIT, UNSPLIT = "s", "u"
+    """Split/unsplit bookkeeping per prospective coarse edge. An entry is
+    (edge key, midpoint vertex), the midpoint None for an unsplit edge; the
+    table maps an edge key to [midpoint, number of groups using the edge]."""
 
     def __init__(self):
         self._table: dict[tuple[int, int], list] = {}
 
     def compatible(self, entries) -> bool:
-        for key, kind, mid in entries:
+        for key, mid in entries:
             cur = self._table.get(key)
-            if cur is None:
-                continue
-            if cur[0] != kind or (kind == self.SPLIT and cur[1] != mid):
-                return False
-            if cur[2] >= 2:
+            if cur is not None and (cur[0] != mid or cur[1] >= 2):
                 return False
         return True
 
     def commit(self, entries) -> None:
-        for key, kind, mid in entries:
-            cur = self._table.get(key)
-            if cur is None:
-                self._table[key] = [kind, mid, 1]
-            else:
-                cur[2] += 1
+        for key, mid in entries:
+            self._table.setdefault(key, [mid, 0])[1] += 1
 
     def reuse_count(self, entries) -> int:
         """Number of entries that re-use an already-registered split edge
@@ -127,10 +122,9 @@ class _Registry:
         continuation of the committed tiling across that edge; unsplit
         matches carry no such information and are not counted."""
         n = 0
-        for key, kind, mid in entries:
+        for key, mid in entries:
             cur = self._table.get(key)
-            if (kind == self.SPLIT and cur is not None
-                    and cur[0] == self.SPLIT and cur[1] == mid):
+            if mid is not None and cur is not None and cur[0] == mid:
                 n += 1
         return n
 
@@ -138,21 +132,25 @@ class _Registry:
 class _Candidate(NamedTuple):
     """A group that passes every state-free check, with its ranking terms.
     entries[i] registers coarse edge i, (corners[i], corners[i + 1]); the
-    FaceGroup is only built for a candidate that commits."""
+    FaceGroup is only built for a candidate that is still committed when
+    the pass ends."""
     corners: tuple[int, int, int]
     fine_face_ids: tuple[int, ...]
     diag_bit: int
     entries: tuple
-    others: tuple[int, ...]     # the group's fine faces other than the seed
     scale: float                # mean parent-edge length
     score: float                # worst relative midpoint deviation
     rank: int                   # 0 when an irregular interior vertex is a corner
 
+    @property
+    def odds(self) -> list[int]:
+        """The midpoints of the split edges, in edge order."""
+        return [v for _, v in self.entries if v is not None]
+
     def to_group(self) -> FaceGroup:
         c = self.corners
         splits = {v: (c[i], c[(i + 1) % 3])
-                  for i, (_, kind, v) in enumerate(self.entries)
-                  if kind == _Registry.SPLIT}
+                  for i, (_, v) in enumerate(self.entries) if v is not None}
         return FaceGroup(Pattern(len(splits)), c, self.fine_face_ids, splits,
                          self.diag_bit)
 
@@ -183,7 +181,7 @@ class _PassTables:
         self._deviation: dict[tuple[int, int, int], tuple[float, float]] = {}
         self._odd_entry: dict[tuple[int, int, int], tuple | None] = {}
         self.candidates = [
-            [sorted(build(self, f), key=lambda c: sorted(c.others))
+            [sorted(build(self, f), key=lambda c: sorted(c.fine_face_ids))
              for f in range(len(self.faces))]
             for build in (_quadrisects, _trisects, _bisects)]
 
@@ -204,7 +202,7 @@ class _PassTables:
         None when a state-free rule forbids it; memoised like `deviation`."""
         key = (v, a, b) if a < b else (v, b, a)
         if key not in self._odd_entry:
-            self._odd_entry[key] = ((key[1:], _Registry.SPLIT, v)
+            self._odd_entry[key] = ((key[1:], v)
                                     if self._may_split(v, a, b) else None)
         return self._odd_entry[key]
 
@@ -225,11 +223,11 @@ class _PassTables:
         # a split coarse edge must not also exist as a fine edge
         return not self.mesh.has_edge(a, b)
 
-    def candidate(self, corners, fine_face_ids, entries, others,
+    def candidate(self, corners, fine_face_ids, entries,
                   diag_bit: int = 0) -> _Candidate:
         total, worst, splits = 0.0, 0.0, 0
-        for i, (_, kind, v) in enumerate(entries):
-            if kind != _Registry.SPLIT:
+        for i, (_, v) in enumerate(entries):
+            if v is None:
                 continue
             dev, length = self.deviation(v, corners[i], corners[(i + 1) % 3])
             # scale: parent-edge length is comparable across patterns (a
@@ -245,7 +243,7 @@ class _PassTables:
         # the globally consistent coset: such candidates are preferred seeds.
         anchored = any(self.valence[v] != 6 and v not in self.boundary_vertices
                        for v in corners)
-        return _Candidate(corners, fine_face_ids, diag_bit, entries, others,
+        return _Candidate(corners, fine_face_ids, diag_bit, entries,
                           total / splits, worst, 0 if anchored else 1)
 
 
@@ -253,41 +251,40 @@ class _PassState:
     def __init__(self, tables: _PassTables, forbidden: set[int]):
         self.tables = tables
         self.forbidden = forbidden
-        self.mark = [_UNKNOWN] * tables.mesh.vertex_count
-        self.parent: dict[int, tuple[int, int]] = {}
+        self.even = [False] * tables.mesh.vertex_count
+        self.parent: dict[int, tuple[int, int]] = {}   # odd vertex -> edge key
         self.grouped = [-1] * len(tables.faces)
-        self.groups: list[FaceGroup] = []
+        self.groups: list[_Candidate] = []
         self.registry = _Registry()
 
     def admits(self, cand: _Candidate) -> bool:
-        """The state-dependent checks: the other faces are free, no corner
-        is odd, each odd vertex is allowed and unmarked or already odd on
-        the same parent edge, and the registry agrees."""
-        grouped, mark = self.grouped, self.mark
-        for n in cand.others:
+        """The state-dependent checks: the faces are free, no corner is odd,
+        each odd vertex is allowed, not even, and new or already odd on the
+        same parent edge, and the registry agrees."""
+        grouped, parent, even = self.grouped, self.parent, self.even
+        for n in cand.fine_face_ids:
             if grouped[n] >= 0:
                 return False
         for v in cand.corners:
-            if mark[v] == _ODD:
+            if v in parent:
                 return False
-        for key, kind, v in cand.entries:
-            if kind == _Registry.SPLIT and (
-                    v in self.forbidden or mark[v] == _EVEN
-                    or (mark[v] == _ODD and self.parent[v] != key)):
+        for key, v in cand.entries:
+            if v is not None and (v in self.forbidden or even[v]
+                                  or parent.get(v, key) != key):
                 return False
         return self.registry.compatible(cand.entries)
 
-    def commit(self, group: FaceGroup, entries) -> None:
-        self.registry.commit(entries)
+    def commit(self, cand: _Candidate) -> None:
+        self.registry.commit(cand.entries)
         gid = len(self.groups)
-        self.groups.append(group)
-        for fid in group.fine_face_ids:
+        self.groups.append(cand)
+        for fid in cand.fine_face_ids:
             self.grouped[fid] = gid
-        for corner in group.coarse_face:
-            self.mark[corner] = _EVEN
-        for odd, (a, b) in group.split_edges.items():
-            self.mark[odd] = _ODD
-            self.parent[odd] = edge_key(a, b)
+        for corner in cand.corners:
+            self.even[corner] = True
+        for key, v in cand.entries:
+            if v is not None:
+                self.parent[v] = key
 
 
 # -- matchers: static candidates per pass, state checks per call -----------
@@ -307,8 +304,7 @@ def _quadrisects(t: _PassTables, f: int) -> list[_Candidate]:
                t.odd_entry(m3, c, a))
     if None in entries:
         return []
-    return [t.candidate((a, b, c), (n31, n12, n23, f), entries,
-                        (n12, n23, n31))]
+    return [t.candidate((a, b, c), (n31, n12, n23, f), entries)]
 
 
 def _trisects(t: _PassTables, f: int) -> list[_Candidate]:
@@ -340,11 +336,10 @@ def _trisects(t: _PassTables, f: int) -> list[_Candidate]:
             if len({A, B, C, ma, mb}) != 5 or not t.mesh.has_edge(C, A):
                 continue
             entries = (t.odd_entry(ma, A, B), t.odd_entry(mb, B, C),
-                       (edge_key(C, A), _Registry.UNSPLIT, None))
+                       (edge_key(C, A), None))
             if None in entries:
                 continue
-            found.append(t.candidate((A, B, C), fine_ids, entries, (n1, n3),
-                                     diag_bit))
+            found.append(t.candidate((A, B, C), fine_ids, entries, diag_bit))
     return found
 
 
@@ -363,10 +358,8 @@ def _bisects(t: _PassTables, f: int) -> list[_Candidate]:
         entry = t.odd_entry(m, a, b)
         if entry is None:
             continue
-        entries = (entry,
-                   (edge_key(b, c), _Registry.UNSPLIT, None),
-                   (edge_key(c, a), _Registry.UNSPLIT, None))
-        found.append(t.candidate((a, b, c), (f, n), entries, (n,)))
+        entries = (entry, (edge_key(b, c), None), (edge_key(c, a), None))
+        found.append(t.candidate((a, b, c), (f, n), entries))
     return found
 
 
@@ -395,9 +388,10 @@ def _grow(st: _PassState, seed_faces) -> None:
     In regular regions several incompatible groupings are locally valid
     (coset ambiguity of the refinement lattice), so the search commits
     low-deviation candidates first and gives strict priority to candidates
-    that touch already-committed groups: each committed group's marks then
-    force its neighborhood into the same consistent tiling, and conflicts
-    can only arise along seams between independently seeded regions.
+    that touch already-committed groups: each committed group's even and
+    odd vertices then force its neighborhood into the same consistent
+    tiling, and conflicts can only arise along seams between independently
+    seeded regions.
     """
     vertex_faces = st.tables.mesh.vertex_faces
     attempts = (_try_quadrisect, _try_trisect, _try_bisect)
@@ -446,10 +440,9 @@ def _grow(st: _PassState, seed_faces) -> None:
         cand = attempts[pref](st, f)  # revalidate against the current state
         if cand is None:
             continue
-        group = cand.to_group()
-        st.commit(group, cand.entries)
+        st.commit(cand)
         # each face once per commit: exact, see the module docstring
-        touched = (nf for v in (*group.coarse_face, *group.split_edges)
+        touched = (nf for v in (*cand.corners, *cand.odds)
                    for nf in vertex_faces[v])
         for nf in dict.fromkeys(touched):
             push(nf, 0, cand.scale)
@@ -458,28 +451,18 @@ def _grow(st: _PassState, seed_faces) -> None:
 def _finalize_violations(st: _PassState) -> set[int]:
     """Vertices that must be demoted for ungrouped faces to become
     UNCHANGED coarse faces."""
-    mark, grouped = st.mark, st.grouped
+    parent, grouped = st.parent, st.grouped
     return {v for f, face in enumerate(st.tables.faces) if grouped[f] < 0
-            for v in face if mark[v] == _ODD}
+            for v in face if v in parent}
 
 
 def _retract(st: _PassState, bad: set[int]) -> tuple[_PassState, list[int]]:
-    """Drop every group that marks a vertex in `bad` odd; rebuild marks and
-    registry from the survivors. Returns the new state and the freed faces."""
-    survivors = [g for g in st.groups
-                 if not any(v in bad for v in g.split_edges)]
+    """Drop every group that makes a vertex in `bad` odd and recommit the
+    survivors into a fresh state. Returns it and the freed faces."""
     fresh = _PassState(st.tables, st.forbidden)
-    for g in survivors:
-        entries = []
-        for odd, (a, b) in g.split_edges.items():
-            entries.append((edge_key(a, b), _Registry.SPLIT, odd))
-        face = g.coarse_face
-        mids = {edge_key(a, b) for (a, b) in g.split_edges.values()}
-        for i in range(3):
-            key = edge_key(face[i], face[(i + 1) % 3])
-            if key not in mids:
-                entries.append((key, _Registry.UNSPLIT, None))
-        fresh.commit(g, entries)
+    for cand in st.groups:
+        if not any(v in bad for v in cand.odds):
+            fresh.commit(cand)
     freed = [f for f, (old, new) in enumerate(zip(st.grouped, fresh.grouped))
              if old >= 0 and new < 0]
     return fresh, freed
@@ -496,11 +479,11 @@ def _dissolve_conflicts(st: _PassState) -> None:
     scale can never coexist with the finer one, and this cascade removes
     exactly that doomed region while stopping at the frontier of the
     consistently tiled finer part (whose removed vertices no stranded
-    face uses).
+    face uses). A dissolved group stays in `st.groups` but owns no face.
     """
     odd_groups: dict[int, list[int]] = {}
-    for gid, g in enumerate(st.groups):
-        for v in g.split_edges:        # a shared split edge puts its
+    for gid, cand in enumerate(st.groups):
+        for v in cand.odds:            # a shared split edge puts its
             odd_groups.setdefault(v, []).append(gid)    # odd in 2 groups
     removed: set[int] = set()
     queue = [f for f, gid in enumerate(st.grouped) if gid < 0]
@@ -511,22 +494,13 @@ def _dissolve_conflicts(st: _PassState) -> None:
                 if gid in removed:
                     continue
                 removed.add(gid)
-                group = st.groups[gid]
-                for odd in group.split_edges:
+                cand = st.groups[gid]
+                for odd in cand.odds:
                     if all(g in removed for g in odd_groups[odd]):
-                        st.mark[odd] = _UNKNOWN
                         st.parent.pop(odd, None)
-                for fid in group.fine_face_ids:
+                for fid in cand.fine_face_ids:
                     st.grouped[fid] = -1
                     queue.append(fid)
-    if removed:
-        survivors = [g for gid, g in enumerate(st.groups)
-                     if gid not in removed]
-        st.groups = survivors
-        st.grouped = [-1] * len(st.grouped)
-        for gid, g in enumerate(survivors):
-            for fid in g.fine_face_ids:
-                st.grouped[fid] = gid
 
 
 def simplify_once(mesh: TriMesh, wgc: WgcConfig | None = None) -> LevelRecord | None:
@@ -559,20 +533,13 @@ def simplify_once(mesh: TriMesh, wgc: WgcConfig | None = None) -> LevelRecord | 
     if not st.parent:
         return None
 
-    # leftover faces survive unchanged
-    for f, face in enumerate(st.tables.faces):
-        if st.grouped[f] >= 0:
-            continue
-        face = tuple(face)
-        entries = [(edge_key(face[i], face[(i + 1) % 3]), _Registry.UNSPLIT, None)
-                   for i in range(3)]
-        st.commit(FaceGroup(Pattern.UNCHANGED, face, (f,), {}), entries)
-
-    groups = sorted(st.groups, key=lambda g: min(g.fine_face_ids))
+    # leftover faces survive unchanged; a dissolved group owns no face
+    groups = [st.groups[gid].to_group() for gid in set(st.grouped) - {-1}]
+    groups += [FaceGroup(Pattern.UNCHANGED, tuple(face), (f,), {})
+               for f, face in enumerate(st.tables.faces) if st.grouped[f] < 0]
+    groups.sort(key=lambda g: min(g.fine_face_ids))
     odd = np.array(sorted(st.parent), dtype=np.int64)
-    is_odd = np.zeros(mesh.vertex_count, dtype=bool)
-    is_odd[odd] = True
-    even = np.flatnonzero(~is_odd).astype(np.int64)
+    even = np.setdiff1d(np.arange(mesh.vertex_count, dtype=np.int64), odd)
     fine_to_coarse = {int(v): i for i, v in enumerate(even)}
     coarse_faces = [[fine_to_coarse[v] for v in g.coarse_face] for g in groups]
     coarse = TriMesh(mesh.vertices[even], np.array(coarse_faces, dtype=np.int64))
@@ -608,20 +575,18 @@ def build_hierarchy(mesh: TriMesh, wgc: WgcConfig | None = None,
 # -- forward subdivision rules (shared by decoder and resubdivide) ---------
 
 def _rotate_for_splits(face, split_flags):
-    """Rotate a face so split edges occupy the leading positions.
+    """Rotate a face so its split edges occupy the leading positions.
 
-    Edge i of face (v0, v1, v2) is (v_i, v_{i+1}). Returns the rotated
-    vertex triple and rotated flags.
+    Edge i of face (v0, v1, v2) is (v_i, v_{i+1}). A face with no or three
+    split edges is returned as it is.
     """
+    n = sum(split_flags)
+    if n == 0 or n == 3:
+        return face
+    lead = (True, False, False) if n == 1 else (True, True, False)
     for rot in range(3):
-        flags = tuple(split_flags[(rot + i) % 3] for i in range(3))
-        n = sum(split_flags)
-        if n == 0 or n == 3:
-            return face, split_flags
-        if n == 1 and flags == (True, False, False):
-            return tuple(face[(rot + i) % 3] for i in range(3)), flags
-        if n == 2 and flags == (True, True, False):
-            return tuple(face[(rot + i) % 3] for i in range(3)), flags
+        if tuple(split_flags[(rot + i) % 3] for i in range(3)) == lead:
+            return tuple(face[(rot + i) % 3] for i in range(3))
     raise AssertionError("unreachable rotation")
 
 
@@ -636,7 +601,7 @@ def subdivide_face(face, midpoint_of, diag_bit: int = 0):
     n = sum(flags)
     if n == 0:
         return [tuple(face)]
-    (p0, p1, p2), _ = _rotate_for_splits(tuple(face), flags)
+    p0, p1, p2 = _rotate_for_splits(tuple(face), flags)
     if n == 1:
         m = midpoint_of(edge_key(p0, p1))
         return [(p0, m, p2), (m, p1, p2)]
@@ -679,9 +644,7 @@ def resubdivide(record: LevelRecord) -> TriMesh:
     faces = []
     for g in record.face_groups:
         mid_by_edge = {edge_key(a, b): v for v, (a, b) in g.split_edges.items()}
-        expected = {Pattern.UNCHANGED: 0, Pattern.BISECT: 1,
-                    Pattern.TRISECT: 2, Pattern.QUADRISECT: 3}[g.pattern]
-        if len(mid_by_edge) != expected:
+        if len(mid_by_edge) != int(g.pattern):
             raise ValueError(f"group pattern {g.pattern.name} has "
                              f"{len(mid_by_edge)} split edges")
         faces.extend(subdivide_face(g.coarse_face, mid_by_edge.get, g.diag_bit))

@@ -100,6 +100,20 @@ def test_encode_non_finite_mesh_exits_parse(runner, tmp_path, bad):
     assert not (tmp_path / "o.pmc").exists()
 
 
+@pytest.mark.parametrize("option, value", [
+    ("--threshold", "5000000000"), ("--gamma", "nan"), ("--gamma", "inf")])
+def test_encode_unusable_setting_exits_parse(runner, mesh_file, tmp_path,
+                                             option, value):
+    out = tmp_path / "o.pmc"
+    result = runner.invoke(main, ["encode", mesh_file, str(out), option, value])
+    assert result.exit_code == EXIT_PARSE, result.output
+    errors = [line for line in result.output.splitlines()
+              if line.startswith("error:")]
+    assert len(errors) == 1, result.output
+    assert "Traceback" not in result.output
+    assert not out.exists()
+
+
 def test_decode_truncated_exits_3_and_names_level(runner, mesh_file, tmp_path):
     out, _ = _encode(runner, mesh_file, tmp_path)
     data = open(out, "rb").read()

@@ -86,6 +86,29 @@ def test_non_finite_input_rejected_before_analysis(monkeypatch, bad):
         encode(TriMesh(verts, mesh.faces))
 
 
+@pytest.mark.parametrize("kwargs", [
+    dict(q_max=3), dict(q_max=17),
+    dict(threshold=-1), dict(threshold=2**32),
+    dict(wgc_gamma=0.0), dict(wgc_gamma=np.nan), dict(wgc_gamma=np.inf),
+    dict(wgc=False, wgc_gamma=np.nan),
+    dict(max_levels=-1),
+])
+def test_unusable_config_rejected_before_analysis(monkeypatch, kwargs):
+    def must_not_run(*args, **kw):
+        raise AssertionError("an unusable config reached the pipeline")
+
+    monkeypatch.setattr(codec, "build_hierarchy", must_not_run)
+    with pytest.raises(ValueError):
+        encode(shapes.icosphere(1), EncodeConfig(**kwargs))
+
+
+def test_config_range_limits_accepted():
+    mesh = shapes.icosphere(1)
+    stream, _ = encode(mesh, EncodeConfig(threshold=2**32 - 1, max_levels=0))
+    assert stream.threshold == 2**32 - 1 and stream.level_count == 0
+    assert_lossless(mesh, stream)
+
+
 # -- container --------------------------------------------------------------
 
 

@@ -319,6 +319,51 @@ def test_hierarchy_is_pinned():
     assert got == CONFIG_PINS
 
 
+# -- retraction --------------------------------------------------------------
+
+
+def rebuilt_registry(groups):
+    """Registry table rebuilt from FaceGroups alone: every coarse edge of
+    every group, carrying its midpoint when split, counts summed."""
+    table = {}
+    for g in groups:
+        mids = {edge_key(a, b): v for v, (a, b) in g.split_edges.items()}
+        face = g.coarse_face
+        for i in range(3):
+            key = edge_key(face[i], face[(i + 1) % 3])
+            mid = mids.get(key)
+            cur = table.setdefault(key, [mid, 0])
+            assert cur[0] == mid
+            cur[1] += 1
+    return table
+
+
+def test_retract_keeps_state_consistent(monkeypatch):
+    calls = []
+
+    def checked(st, bad, _retract=hierarchy._retract):
+        before = [c.to_group() for c in st.groups]
+        fresh, freed = _retract(st, bad)
+        kept = [c.to_group() for c in fresh.groups]
+        assert not any(v in bad for g in kept for v in g.split_edges)
+        assert kept == [g for g in before
+                        if not any(v in bad for v in g.split_edges)]
+        assert fresh.parent == {v: edge_key(a, b) for g in kept
+                                for v, (a, b) in g.split_edges.items()}
+        assert fresh.registry._table == rebuilt_registry(kept)
+        lost = {f for g in before for f in g.fine_face_ids} - \
+            {f for g in kept for f in g.fine_face_ids}
+        assert sorted(freed) == sorted(lost)
+        for gid, g in enumerate(kept):
+            assert all(fresh.grouped[f] == gid for f in g.fine_face_ids)
+        calls.append(len(bad))
+        return fresh, freed
+
+    monkeypatch.setattr(hierarchy, "_retract", checked)
+    build_hierarchy(shapes.random_convex(200))
+    assert calls            # the hull needs the demotion fixpoint
+
+
 # -- matcher work ------------------------------------------------------------
 
 MATCHERS = ("_try_quadrisect", "_try_trisect", "_try_bisect")
