@@ -55,6 +55,10 @@ FORMAT_VERSION = 2
 
 _HEADER = struct.Struct("<4sBBBBIdddddIIHI")
 _ENTRY = struct.Struct("<II")       # chunk-table entry: length, zlib.crc32
+# Ceilings on the header's counts (docs/format.md): they bound the work
+# and memory a header can make a decoder commit to.
+_MAX_VERTICES = 1 << 24     # original_vertex_count
+_MAX_BASE_FACES = 1 << 25   # base_face_count
 _FLAG_LIFTING = 1
 _FLAG_WGC = 2
 _FLAG_ADAPTIVE = 4
@@ -211,6 +215,12 @@ def _parse_container(data: bytes):
         raise StreamFormatError(f"reserved header byte is {reserved}, not 0")
     if not 4 <= q_max <= 16:
         raise StreamFormatError(f"q_max {q_max} outside [4, 16]")
+    if original_nv > _MAX_VERTICES:
+        raise StreamFormatError(f"{original_nv} vertices exceed the ceiling "
+                                f"of {_MAX_VERTICES}")
+    if base_nf > _MAX_BASE_FACES:
+        raise StreamFormatError(f"{base_nf} base faces exceed the ceiling "
+                                f"of {_MAX_BASE_FACES}")
     extent = ((1 << q_max) - 1) / scale if scale > 0 else math.nan
     if not all(map(math.isfinite, (scale, ox + extent, oy + extent,
                                    oz + extent))):
@@ -310,6 +320,20 @@ def _face_edges(face) -> list[tuple[int, int]]:
 
 # -- decoder ---------------------------------------------------------------
 
+_BLOCK = 4096       # values per decoder kernel call: bounds the list it builds
+
+
+def _decode_ints(coder: SignedIntCoder, dec: RangeDecoder,
+                 count: int) -> np.ndarray:
+    """The next `count` integers of `coder`, decoded in blocks of at most
+    _BLOCK values into one preallocated int64 array."""
+    out = np.empty(count, dtype=np.int64)
+    for s in range(0, count, _BLOCK):
+        n = min(_BLOCK, count - s)
+        out[s:s + n] = coder.decode_many(dec, n)
+    return out
+
+
 class ProgressiveDecoder:
     """Chunk-at-a-time decoder; also used internally by the encoder."""
 
@@ -348,33 +372,36 @@ class ProgressiveDecoder:
     def edge_list(self) -> list[tuple[int, int]]:
         """Current edges in canonical (sorted-key) stream order."""
         edges = set()
-        for face in self.faces:
-            edges.update(_face_edges(face))
+        for a, b, c in self.faces.tolist():
+            edges.add((a, b) if a < b else (b, a))
+            edges.add((b, c) if b < c else (c, b))
+            edges.add((c, a) if c < a else (a, c))
         return sorted(edges)
 
     # -- chunk readers -----------------------------------------------------
 
     def read_base_conn(self, data: bytes) -> None:
         dec = RangeDecoder(data)
-        prev = 0
+        nv = self.base_vertex_count
         flat = np.empty(3 * self.base_face_count, dtype=np.int64)
-        for i in range(len(flat)):
-            prev += self.models.base_conn.decode(dec)
-            if not 0 <= prev < self.base_vertex_count:
-                raise StreamFormatError(f"base face index {prev} outside "
-                                        f"[0, {self.base_vertex_count})")
-            flat[i] = prev
+        prev = 0
+        for s in range(0, len(flat), _BLOCK):
+            block = np.cumsum(self.models.base_conn.decode_many(
+                dec, min(_BLOCK, len(flat) - s)), dtype=np.int64) + prev
+            bad = (block < 0) | (block >= nv)
+            if bad.any():
+                raise StreamFormatError(
+                    f"base face index {block[bad.argmax()]} outside "
+                    f"[0, {nv})")
+            flat[s:s + len(block)] = block
+            prev = int(block[-1])
         self.faces = flat.reshape(-1, 3)
 
     def read_base_geom(self, data: bytes) -> None:
-        dec = RangeDecoder(data)
-        ints = np.empty((self.base_vertex_count, 3), dtype=np.int64)
-        prev = np.zeros(3, dtype=np.int64)
-        for i in range(self.base_vertex_count):
-            for ax in range(3):
-                prev[ax] += self.models.base_geom.decode(dec)
-            ints[i] = prev
-        self.positions = self.grid.dequantize(ints)
+        ints = _decode_ints(self.models.base_geom, RangeDecoder(data),
+                            3 * self.base_vertex_count).reshape(-1, 3)
+        self.positions = self.grid.dequantize(np.cumsum(ints, axis=0,
+                                                        out=ints))
 
     def read_level(self, conn_data: bytes, geom_data: bytes) -> None:
         self.read_level_conn(conn_data)
@@ -386,19 +413,22 @@ class ProgressiveDecoder:
         m = self.models
         nc = len(self.positions)
         dec = RangeDecoder(data)
-        split_edges = [e for e in self.edge_list()
-                       if dec.decode_symbol(m.split) == 1]
+        current = self.edge_list()
+        split_edges = list(itertools.compress(
+            current, dec.decode_symbols(m.split, len(current))))
         if nc + len(split_edges) > self.original_vertex_count:
             raise StreamFormatError(
                 f"level {self.levels_done + 1} splits {len(split_edges)} "
                 f"edges of a {nc}-vertex mesh, beyond the header's "
                 f"{self.original_vertex_count} vertices")
         split_map = {e: nc + r for r, e in enumerate(split_edges)}
-        diag_bits = {}
-        for fid, face in enumerate(self.faces):
-            n = sum(e in split_map for e in _face_edges(face))
-            if n == 2:
-                diag_bits[fid] = dec.decode_symbol(m.diag)
+        trisected = [
+            fid for fid, (a, b, c) in enumerate(self.faces.tolist())
+            if (((a, b) if a < b else (b, a)) in split_map)
+            + (((b, c) if b < c else (c, b)) in split_map)
+            + (((c, a) if c < a else (a, c)) in split_map) == 2]
+        diag_bits = dict(zip(trisected,
+                             dec.decode_symbols(m.diag, len(trisected))))
         self._next_faces = subdivide_connectivity(self.faces, split_map,
                                                   diag_bits)
         self.last_split_edges = split_edges
@@ -406,6 +436,11 @@ class ProgressiveDecoder:
             edges = np.array(split_edges, dtype=np.int64).reshape(-1, 2)
             prediction = 0.5 * (self.positions[edges[:, 0]]
                                 + self.positions[edges[:, 1]])
+            if not (np.isfinite(self.positions).all()
+                    and np.isfinite(prediction).all()):
+                raise StreamFormatError(
+                    f"level {self.levels_done + 1} predicts from positions "
+                    "that are not finite")
             self.level_q = batch_precision(prediction, self.positions,
                                            self.grid, self.threshold).tolist()
         else:
@@ -414,12 +449,8 @@ class ProgressiveDecoder:
     def read_level_geom(self, data: bytes) -> None:
         """Details of the level read by :meth:`read_level_conn`,
         dequantized with the q_i derived there, then synthesis."""
-        detail = self.models.detail
-        dec = RangeDecoder(data)
-        ints = np.empty((len(self.level_q), 3), dtype=np.int64)
-        for r in range(len(ints)):
-            for ax in range(3):
-                ints[r, ax] = detail.decode(dec)
+        ints = _decode_ints(self.models.detail, RangeDecoder(data),
+                            3 * len(self.level_q)).reshape(-1, 3)
         steps = 1 << (self.grid.q_max - np.array(self.level_q, dtype=np.int64))
         details = ints * steps[:, None] / self.grid.scale
         edges = np.array(self.last_split_edges, dtype=np.int64).reshape(-1, 2)
@@ -434,11 +465,9 @@ class ProgressiveDecoder:
             raise StreamFormatError(
                 f"decoded {len(self.positions)} vertices, the header "
                 f"claims {self.original_vertex_count}")
-        dec = RangeDecoder(data)
         ints = self.grid.quantize(self.positions)
-        for i in range(len(ints)):
-            for ax in range(3):
-                ints[i, ax] += self.models.completion.decode(dec)
+        ints += _decode_ints(self.models.completion, RangeDecoder(data),
+                             ints.size).reshape(-1, 3)
         self.final_ints = ints
         self.positions = self.grid.dequantize(ints)
         self.completed = True
@@ -451,6 +480,10 @@ def encode(mesh: TriMesh, config: EncodeConfig | None = None):
     config = config or EncodeConfig()
     if not np.isfinite(mesh.vertices).all():
         raise MeshError("vertex coordinates must be finite (found NaN or inf)")
+    if mesh.vertex_count > _MAX_VERTICES or mesh.face_count > _MAX_BASE_FACES:
+        raise MeshError(f"{mesh.vertex_count} vertices and {mesh.face_count} "
+                        f"faces exceed the format's ceilings of "
+                        f"{_MAX_VERTICES} and {_MAX_BASE_FACES}")
     problems = validate_manifold(mesh)
     if problems:
         raise NonManifoldError("; ".join(problems))

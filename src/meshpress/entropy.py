@@ -3,9 +3,22 @@
 Carry-aware 32-bit range coder with byte renormalization and order-0
 adaptive frequency models. All arithmetic is integer, so output is
 byte-identical across platforms.
+
+Decoding runs in two batch kernels, :meth:`RangeDecoder.decode_symbols`
+(one adaptive model) and :meth:`SignedIntCoder.decode_many` (magnitude
+symbol, raw escape bits and sign inlined). Each decodes a whole run of
+values with the coder state (`code`, `range`, read position, data) and
+the models' counts held in local variables, because in pure Python the
+attribute accesses and method calls of a per-symbol decoder cost more
+than the arithmetic itself. The per-value methods `decode_symbol` and
+`SignedIntCoder.decode` are wrappers over the kernels; the halving of
+the counts stays in :meth:`AdaptiveModel.rescale`. The encoder is coded
+symbol by symbol.
 """
 
 from __future__ import annotations
+
+from itertools import repeat
 
 __all__ = ["AdaptiveModel", "RangeEncoder", "RangeDecoder", "BACKEND_NAME",
            "SignedIntCoder"]
@@ -36,25 +49,21 @@ class AdaptiveModel:
     def cum_below(self, sym: int) -> int:
         return sum(self.freq[:sym])
 
-    def find(self, dv: int) -> tuple[int, int]:
-        """Symbol whose cumulative interval contains dv, with its cum."""
-        cum = 0
-        for sym, f in enumerate(self.freq):
-            if cum + f > dv:
-                return sym, cum
-            cum += f
-        return self.n - 1, cum - self.freq[-1]
-
     def update(self, sym: int) -> None:
         self.freq[sym] += _INCREMENT
         self.total += _INCREMENT
         if self.total > _RESCALE_LIMIT:
-            total = 0
-            freq = self.freq
-            for i in range(self.n):
-                freq[i] = (freq[i] + 1) >> 1
-                total += freq[i]
-            self.total = total
+            self.rescale()
+
+    def rescale(self) -> int:
+        """Halve every count in place (rounding up); returns the new
+        total. The decoder kernels hold `freq` in a local, so the list
+        object must stay the same."""
+        freq = self.freq
+        for i in range(self.n):
+            freq[i] = (freq[i] + 1) >> 1
+        self.total = sum(freq)
+        return self.total
 
 
 class RangeEncoder:
@@ -121,6 +130,10 @@ class RangeEncoder:
 
 
 class RangeDecoder:
+    """Decoder state: the chunk's bytes, the read position (reads past the
+    end return zero bytes), the range and the code value. The batch
+    kernels copy the state into locals and write it back on return."""
+
     __slots__ = ("_data", "_pos", "_range", "_code")
 
     def __init__(self, data: bytes):
@@ -136,19 +149,41 @@ class RangeDecoder:
         self._pos = p + 1
         return self._data[p] if p < len(self._data) else 0
 
+    def decode_symbols(self, model: AdaptiveModel, count: int) -> list[int]:
+        """Kernel: the next `count` symbols of one adaptive model."""
+        data, pos, rng, code = self._data, self._pos, self._range, self._code
+        end = len(data)
+        freq, total = model.freq, model.total
+        out = []
+        append = out.append
+        for _ in repeat(None, count):
+            r = rng // total
+            dv = code // r
+            if dv >= total:
+                dv = total - 1
+            sym = cum = 0
+            f = freq[0]
+            while cum + f <= dv:
+                cum += f
+                sym += 1
+                f = freq[sym]
+            code -= r * cum
+            rng = r * f
+            while rng < _TOP:
+                rng <<= 8
+                code = ((code << 8) | (data[pos] if pos < end else 0)) & _MASK32
+                pos += 1
+            freq[sym] = f + _INCREMENT
+            total += _INCREMENT
+            if total > _RESCALE_LIMIT:
+                total = model.rescale()
+            append(sym)
+        self._pos, self._range, self._code = pos, rng, code
+        model.total = total
+        return out
+
     def decode_symbol(self, model: AdaptiveModel) -> int:
-        r = self._range // model.total
-        dv = self._code // r
-        if dv >= model.total:
-            dv = model.total - 1
-        sym, cum = model.find(dv)
-        self._code -= r * cum
-        self._range = r * model.freq[sym]
-        while self._range < _TOP:
-            self._range <<= 8
-            self._code = ((self._code << 8) | self._next_byte()) & _MASK32
-        model.update(sym)
-        return sym
+        return self.decode_symbols(model, 1)[0]
 
     def decode_raw(self, nbits: int) -> int:
         value = 0
@@ -196,9 +231,81 @@ class SignedIntCoder:
         if mag:
             enc.encode_symbol(self.sign, 1 if value < 0 else 0)
 
-    def decode(self, dec) -> int:
-        sym = dec.decode_symbol(self.magnitude)
-        mag = dec.decode_raw(self.raw_bits) if sym == self.ESCAPE else sym
-        if mag == 0:
-            return 0
-        return -mag if dec.decode_symbol(self.sign) else mag
+    def decode_many(self, dec: RangeDecoder, count: int) -> list[int]:
+        """Kernel: the next `count` signed integers. The same steps as
+        :meth:`RangeDecoder.decode_symbols` and
+        :meth:`RangeDecoder.decode_raw`, inlined for the magnitude symbol,
+        the raw escape bits and the sign."""
+        data, pos, rng, code = dec._data, dec._pos, dec._range, dec._code
+        end = len(data)
+        mag_model, sign_model = self.magnitude, self.sign
+        mfreq, mtotal = mag_model.freq, mag_model.total
+        sfreq, stotal = sign_model.freq, sign_model.total
+        escape, raw_bits = self.ESCAPE, self.raw_bits
+        out = []
+        append = out.append
+        for _ in repeat(None, count):
+            r = rng // mtotal
+            dv = code // r
+            if dv >= mtotal:
+                dv = mtotal - 1
+            mag = cum = 0
+            f = mfreq[0]
+            while cum + f <= dv:
+                cum += f
+                mag += 1
+                f = mfreq[mag]
+            code -= r * cum
+            rng = r * f
+            while rng < _TOP:
+                rng <<= 8
+                code = ((code << 8) | (data[pos] if pos < end else 0)) & _MASK32
+                pos += 1
+            mfreq[mag] = f + _INCREMENT
+            mtotal += _INCREMENT
+            if mtotal > _RESCALE_LIMIT:
+                mtotal = mag_model.rescale()
+            if mag == escape:
+                mag = 0
+                for _ in repeat(None, raw_bits):
+                    r = rng >> 1
+                    if code >= r:
+                        code -= r
+                        rng -= r
+                        mag = (mag << 1) | 1
+                    else:
+                        rng = r
+                        mag <<= 1
+                    while rng < _TOP:
+                        rng <<= 8
+                        code = (((code << 8)
+                                 | (data[pos] if pos < end else 0)) & _MASK32)
+                        pos += 1
+            if not mag:
+                append(0)
+                continue
+            r = rng // stotal
+            f = sfreq[0]
+            if code // r < f:           # sign 0: cum 0, nothing to subtract
+                negative = 0
+                rng = r * f
+            else:
+                negative = 1
+                code -= r * f
+                f = sfreq[1]
+                rng = r * f
+            while rng < _TOP:
+                rng <<= 8
+                code = ((code << 8) | (data[pos] if pos < end else 0)) & _MASK32
+                pos += 1
+            sfreq[negative] = f + _INCREMENT
+            stotal += _INCREMENT
+            if stotal > _RESCALE_LIMIT:
+                stotal = sign_model.rescale()
+            append(-mag if negative else mag)
+        dec._pos, dec._range, dec._code = pos, rng, code
+        mag_model.total, sign_model.total = mtotal, stotal
+        return out
+
+    def decode(self, dec: RangeDecoder) -> int:
+        return self.decode_many(dec, 1)[0]

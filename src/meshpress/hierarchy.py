@@ -619,12 +619,18 @@ def subdivide_face(face, midpoint_of, diag_bit: int = 0):
 
 def subdivide_connectivity(faces, split: dict[tuple[int, int], int],
                            diag_bits: dict[int, int] | None = None):
-    """Apply per-edge splits to a whole face list (ascending face order)."""
+    """Apply per-edge splits to a whole face list (ascending face order).
+    A face with no split edge is copied as it is."""
     diag_bits = diag_bits or {}
     out = []
-    for fid, face in enumerate(faces):
-        face = tuple(int(v) for v in face)
-        out.extend(subdivide_face(face, split.get, diag_bits.get(fid, 0)))
+    for fid, face in enumerate(np.asarray(faces).tolist()):
+        a, b, c = face
+        if (((a, b) if a < b else (b, a)) in split
+                or ((b, c) if b < c else (c, b)) in split
+                or ((c, a) if c < a else (a, c)) in split):
+            out.extend(subdivide_face(face, split.get, diag_bits.get(fid, 0)))
+        else:
+            out.append(face)
     return np.array(out, dtype=np.int64)
 
 

@@ -12,9 +12,11 @@ split vertices of a level at once, and the codec calls it once per level.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.spatial import cKDTree
 
 from .mesh import TriMesh, bounding_box
 
@@ -63,7 +65,30 @@ def make_grid(mesh: TriMesh, q_max: int = 12) -> QuantGrid:
     return QuantGrid(origin, scale, q_max)
 
 
-_BLOCK_PAIRS = 1 << 12          # target x candidate pairs per search block
+# Relative margin on the k-d distance: the tree and the reference
+# arithmetic differ by a few ulps, so every candidate that could tie the
+# nearest in the latter lies inside this ball.
+_TIE_MARGIN = 1e-9
+
+
+def _nearest(targets: np.ndarray, candidates: np.ndarray) -> np.ndarray:
+    """Index of each target's nearest candidate under the reference
+    arithmetic `np.sum((c - t) ** 2, axis=1)`, first index winning ties.
+    A k-d tree finds the nearest distance; every candidate within it plus
+    _TIE_MARGIN is ranked again in the reference arithmetic."""
+    if not len(targets):
+        return np.empty(0, dtype=np.int64)
+    tree = cKDTree(candidates)
+    dist, _ = tree.query(targets)
+    # the absolute term keeps distances whose squares underflow
+    groups = tree.query_ball_point(targets, dist * (1 + _TIE_MARGIN) + 1e-150)
+    lens = np.fromiter(map(len, groups), dtype=np.int64, count=len(groups))
+    idx = np.fromiter(itertools.chain.from_iterable(groups), dtype=np.int64,
+                      count=int(lens.sum()))
+    owner = np.repeat(np.arange(len(targets)), lens)
+    d2 = np.sum((candidates[idx] - targets[owner]) ** 2, axis=1)
+    order = np.lexsort((idx, d2, owner))    # per target: distance, index
+    return idx[order[np.cumsum(lens) - lens]]
 
 
 def batch_precision(targets: np.ndarray, candidates: np.ndarray,
@@ -71,18 +96,12 @@ def batch_precision(targets: np.ndarray, candidates: np.ndarray,
                     ) -> np.ndarray:
     """q_i of every target: the smallest q whose scaled squared distance
     to the Euclidean nearest candidate (first index wins ties) reaches the
-    threshold, capped at q_max. The nearest-neighbour search runs in
-    blocks of about _BLOCK_PAIRS pairs to bound memory."""
+    threshold, capped at q_max."""
     targets = np.asarray(targets, dtype=np.float64).reshape(-1, 3)
     candidates = np.asarray(candidates, dtype=np.float64).reshape(-1, 3)
     if len(targets) and not len(candidates):
         raise ValueError("empty candidate set")
-    step = max(1, _BLOCK_PAIRS // max(1, len(candidates)))
-    nearest = np.empty(len(targets), dtype=np.int64)
-    for s in range(0, len(targets), step):
-        block = targets[s:s + step, None, :]
-        d2 = np.sum((candidates[None, :, :] - block) ** 2, axis=2)
-        nearest[s:s + step] = np.argmin(d2, axis=1)
+    nearest = _nearest(targets, candidates)
     shifts = grid.q_max - np.arange(MIN_PRECISION, grid.q_max + 1)[:, None]
     ci = grid.quantize(targets)[:, None, :] >> shifts       # (n, q, axis)
     cj = grid.quantize(candidates[nearest])[:, None, :] >> shifts

@@ -186,6 +186,47 @@ def test_header_base_counts_bounded(encoded):
     assert decode(tet).face_count == 4
 
 
+@pytest.mark.parametrize("changes", [
+    dict(original_nv=(1 << 24) + 1),
+    dict(base_nv=1 << 24, original_nv=1 << 24, base_nf=(1 << 25) + 1),
+], ids=["original_nv", "base_nf"])
+def test_header_count_ceilings(monkeypatch, encoded, changes):
+    """A header claiming counts above the ceilings of docs/format.md is
+    rejected before any payload is decoded."""
+    def must_not_run(*args, **kwargs):
+        raise AssertionError("a payload was decoded")
+
+    monkeypatch.setattr(codec, "RangeDecoder", must_not_run)
+    data = _with_header(encoded["icosphere"][0].to_bytes(), **changes)
+    with pytest.raises(StreamFormatError, match="ceiling"):
+        ProgressiveStream.from_bytes(data)
+    with pytest.raises(StreamFormatError, match="ceiling"):
+        decode(data)
+
+
+@pytest.mark.parametrize("ceiling", ["_MAX_VERTICES", "_MAX_BASE_FACES"])
+def test_encode_rejects_mesh_above_ceiling(monkeypatch, ceiling):
+    mesh = shapes.icosphere(1)
+    monkeypatch.setattr(codec, ceiling, min(mesh.vertex_count,
+                                            mesh.face_count) - 1)
+
+    def must_not_run(*args, **kwargs):
+        raise AssertionError("a mesh above the ceilings reached the pipeline")
+
+    monkeypatch.setattr(codec, "build_hierarchy", must_not_run)
+    with pytest.raises(MeshError, match="ceiling"):
+        encode(mesh)
+
+
+def test_non_finite_prediction_rejected(encoded):
+    """An origin near the float limit passes the header checks, but the
+    edge midpoints the precision rule searches from overflow."""
+    data = _with_header(encoded["icosphere"][0].to_bytes(), ox=-1.5e308)
+    with np.errstate(over="ignore"), \
+            pytest.raises(StreamFormatError, match="not finite"):
+        decode(data)
+
+
 def test_decoded_vertex_count_matches_header(encoded):
     stream, _ = encoded["icosphere"]
     data = stream.to_bytes()
@@ -209,6 +250,19 @@ def test_base_face_index_out_of_range_rejected(encoded):
     stream.chunks[0] = enc.finish()
     with pytest.raises(StreamFormatError, match="face index"):
         decode(stream)
+
+
+@pytest.mark.parametrize("block", [1, 7])
+def test_decoder_block_size_does_not_change_the_mesh(monkeypatch, encoded,
+                                                     block):
+    """The readers decode in blocks; blocks far smaller than any chunk
+    give the mesh that whole-chunk blocks give."""
+    stream, _ = encoded["cad"]
+    want = decode(stream)
+    monkeypatch.setattr(codec, "_BLOCK", block)
+    got = decode(stream)
+    assert np.array_equal(got.faces, want.faces)
+    assert np.array_equal(got.vertices, want.vertices)
 
 
 def _table_end(stream) -> int:

@@ -1,3 +1,4 @@
+import itertools
 import math
 import subprocess
 import sys
@@ -132,6 +133,192 @@ def test_signed_magnitude_overflow_rejected():
     coder = SignedIntCoder(raw_bits=8)
     with pytest.raises(ValueError):
         coder.encode(enc, 1 << 9)
+
+
+# -- batch decoder kernels -------------------------------------------------
+
+# every raw escape width the codec uses: 32 (base connectivity), q_max + 2
+# (base geometry, completion) and q_max + 8 (details), q_max in [4, 16]
+_RAW_WIDTHS = sorted({32} | {q + k for q in (4, 12, 16) for k in (2, 8)})
+_PAST_END = 40      # values decoded beyond the stream, from zero padding
+
+
+_MASK32 = 0xFFFFFFFF
+
+
+class _Reference:
+    """Value-at-a-time decoding through attributes and `model.update`, as
+    the decoder ran before the batch kernels: their oracle, value for
+    value and state for state."""
+
+    def __init__(self, data):
+        self.data, self._pos, self._range, self._code = data, 0, _MASK32, 0
+        for _ in range(5):
+            self._code = ((self._code << 8) | self.byte()) & _MASK32
+
+    def byte(self):
+        p = self._pos
+        self._pos = p + 1
+        return self.data[p] if p < len(self.data) else 0
+
+    def renormalize(self):
+        while self._range < 1 << 24:
+            self._range <<= 8
+            self._code = ((self._code << 8) | self.byte()) & _MASK32
+
+    def symbol(self, model):
+        r = self._range // model.total
+        dv = min(self._code // r, model.total - 1)
+        cum = 0
+        for sym, f in enumerate(model.freq):
+            if cum + f > dv:
+                break
+            cum += f
+        self._code -= r * cum
+        self._range = r * f
+        self.renormalize()
+        model.update(sym)
+        return sym
+
+    def raw(self, nbits):
+        value = 0
+        for _ in range(nbits):
+            r = self._range >> 1
+            bit = int(self._code >= r)
+            if bit:
+                self._code -= r
+                self._range -= r
+            else:
+                self._range = r
+            self.renormalize()
+            value = (value << 1) | bit
+        return value
+
+    def signed(self, coder):
+        sym = self.symbol(coder.magnitude)
+        mag = self.raw(coder.raw_bits) if sym == coder.ESCAPE else sym
+        if mag == 0:
+            return 0
+        return -mag if self.symbol(coder.sign) else mag
+
+
+def _state(dec, *models):
+    """Decoder position, range and code, then each model's counts."""
+    return (dec._pos, dec._range, dec._code,
+            [(list(m.freq), m.total) for m in models])
+
+
+def _count_rescales(monkeypatch):
+    calls = []
+    rescale = AdaptiveModel.rescale
+    monkeypatch.setattr(AdaptiveModel, "rescale",
+                        lambda m: calls.append(m.n) or rescale(m))
+    return calls
+
+
+def _signed_values(raw_bits, n, seed):
+    rng = np.random.default_rng(seed)
+    top = (1 << raw_bits) - 1
+    small = rng.integers(-15, 16, size=n)
+    large = rng.integers(16, top, size=n, endpoint=True) \
+        * rng.choice([-1, 1], size=n)
+    values = np.where(rng.random(n) < 0.3, large, small).tolist()
+    return [16, -16, top, -top, 0] + values
+
+
+@pytest.mark.parametrize("raw_bits", _RAW_WIDTHS)
+def test_decode_many_matches_reference_in_any_split(monkeypatch, raw_bits):
+    values = _signed_values(raw_bits, 3000, raw_bits)
+    enc = RangeEncoder()
+    coder = SignedIntCoder(raw_bits)
+    for v in values:
+        coder.encode(enc, v)
+    data = enc.finish()
+    rescales = _count_rescales(monkeypatch)
+    n = len(values) + _PAST_END
+    ref, coder = _Reference(data), SignedIntCoder(raw_bits)
+    want = [ref.signed(coder) for _ in range(n)]
+    assert want[:len(values)] == values
+    assert ref._pos > len(data)             # read into the zero padding
+    want_state = _state(ref, coder.magnitude, coder.sign)
+    for split in (1, 7, n):
+        dec, coder = RangeDecoder(data), SignedIntCoder(raw_bits)
+        got = []
+        while len(got) < n:
+            got += coder.decode_many(dec, min(split, n - len(got)))
+        assert got == want
+        assert _state(dec, coder.magnitude, coder.sign) == want_state
+    assert rescales.count(18) >= 4 * 3 and rescales.count(2) >= 4 * 3
+
+
+@pytest.mark.parametrize("alphabet", [2, 18, 256])
+def test_decode_symbols_matches_reference_in_any_split(monkeypatch,
+                                                        alphabet):
+    rng = np.random.default_rng(alphabet)
+    symbols = np.minimum(rng.geometric(0.3, size=4000) - 1,
+                         alphabet - 1).tolist()
+    enc = RangeEncoder()
+    model = AdaptiveModel(alphabet)
+    for sym in symbols:
+        enc.encode_symbol(model, sym)
+    data = enc.finish()
+    rescales = _count_rescales(monkeypatch)
+    n = len(symbols) + _PAST_END
+    ref, model = _Reference(data), AdaptiveModel(alphabet)
+    want = [ref.symbol(model) for _ in range(n)]
+    assert want[:len(symbols)] == symbols
+    assert ref._pos > len(data)
+    want_state = _state(ref, model)
+    for split in (1, 7, n):
+        dec, model = RangeDecoder(data), AdaptiveModel(alphabet)
+        got = []
+        while len(got) < n:
+            got += dec.decode_symbols(model, min(split, n - len(got)))
+        assert got == want
+        assert _state(dec, model) == want_state
+    assert len(rescales) >= 4 * 3
+
+
+def test_per_symbol_and_batch_calls_interleave():
+    """One stream of signed values, symbols and raw fields, read back with
+    runs of batch calls and per-value calls mixed on one decoder."""
+    rng = np.random.default_rng(5)
+    plan = []                   # (kind, value)
+    for run in range(60):
+        kind = ("signed", "symbol", "raw")[run % 3]
+        for _ in range(int(rng.integers(1, 40))):
+            if kind == "signed":
+                plan.append((kind, int(rng.integers(-300, 301))))
+            elif kind == "symbol":
+                plan.append((kind, int(rng.integers(0, 5))))
+            else:
+                plan.append((kind, int(rng.integers(0, 1 << 20))))
+    enc = RangeEncoder()
+    coder, model = SignedIntCoder(raw_bits=14), AdaptiveModel(5)
+    for kind, value in plan:
+        if kind == "signed":
+            coder.encode(enc, value)
+        elif kind == "symbol":
+            enc.encode_symbol(model, value)
+        else:
+            enc.encode_raw(value, 20)
+    dec = RangeDecoder(enc.finish())
+    coder, model = SignedIntCoder(raw_bits=14), AdaptiveModel(5)
+    got = []
+    for kind, run in itertools.groupby(plan, key=lambda step: step[0]):
+        left = len(list(run))
+        while left:
+            n = min(left, int(rng.integers(1, 5)))  # 1: per-value call
+            if kind == "raw":
+                got += [dec.decode_raw(20) for _ in range(n)]
+            elif kind == "signed":
+                got += coder.decode_many(dec, n) if n > 1 else [
+                    coder.decode(dec)]
+            else:
+                got += dec.decode_symbols(model, n) if n > 1 else [
+                    dec.decode_symbol(model)]
+            left -= n
+    assert got == [value for _, value in plan]
 
 
 # -- compression quality ----------------------------------------------------

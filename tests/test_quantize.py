@@ -115,23 +115,38 @@ def test_assign_precision_empty_candidates_rejected():
         assign_precision(np.zeros(3), np.empty((0, 3)), _grid_1d(), 200)
 
 
+def _tie_heavy_inputs(n_cand, seed):
+    """Candidates on a coarse integer grid, each also duplicated further
+    down the list; targets on candidates, at midpoints of candidate pairs
+    (equidistant from both) and at half-integer cell centres (equidistant
+    from up to eight grid points)."""
+    rng = np.random.default_rng(seed)
+    base = rng.integers(0, 8, size=(max(1, n_cand // 2), 3)).astype(float)
+    cands = np.vstack([base, base[::-1]])[:n_cand]
+    pairs = rng.integers(0, len(cands), size=(30, 2))
+    targets = np.vstack([
+        cands[rng.integers(0, len(cands), size=10)],
+        0.5 * (cands[pairs[:, 0]] + cands[pairs[:, 1]]),
+        rng.integers(0, 8, size=(20, 3)) + 0.5,
+        rng.integers(0, 64, size=(10, 3)).astype(float)])
+    return targets, cands
+
+
 @pytest.mark.parametrize("n_cand", [1, 7, 5000])
-def test_batch_precision_matches_per_target_rule(monkeypatch, n_cand):
-    """Blocks of every size, ties included, give the one-target answers."""
+def test_batch_precision_matches_per_target_rule(n_cand):
+    """The k-d search picks what a brute-force scan in the reference
+    arithmetic picks, first index winning every tie, also when a
+    non-dyadic scale makes the ties inexact."""
     grid = _grid_1d()
-    rng = np.random.default_rng(n_cand)
-    cands = rng.integers(0, 64, size=(n_cand, 3)).astype(float)
-    targets = np.vstack([rng.integers(0, 64, size=(40, 3)).astype(float),
-                         cands[:3], 0.5 * (cands[:3] + cands[-3:])])
-    want = []
-    for t in targets:
-        d2 = np.sum((cands - t) ** 2, axis=1)
-        want.append(assign_precision(t, cands[[int(np.argmin(d2))]],
-                                     grid, 200)[0])
-    for block in (1, 64, 1 << 12):
-        monkeypatch.setattr(quantize, "_BLOCK_PAIRS", block)
-        got = batch_precision(targets, cands, grid, 200)
-        assert got.tolist() == want
+    for scale in (1.0, 0.1, 3.7):
+        targets, cands = _tie_heavy_inputs(n_cand, n_cand)
+        targets, cands = scale * targets, scale * cands
+        nearest = [int(np.argmin(np.sum((cands - t) ** 2, axis=1)))
+                   for t in targets]
+        assert quantize._nearest(targets, cands).tolist() == nearest
+        want = [assign_precision(t, cands[[j]], grid, 200)[0]
+                for t, j in zip(targets, nearest)]
+        assert batch_precision(targets, cands, grid, 200).tolist() == want
 
 
 def test_batch_precision_empty_targets():
