@@ -24,6 +24,13 @@ on the positions decoded so far; the geometry half dequantizes the
 details with those q_i and synthesizes. The q_i are never transmitted:
 the encoder writes each level's geometry chunk with the q_i its decoder
 derived in between.
+
+Both sides refine connectivity with one rule, `hierarchy.split_plan`
+(each face rotated so its split edges lead, with their count) and
+`hierarchy.subdivide`: the decoder counts its diagonal bits and builds
+its next faces from the plan, and the encoder writes one diagonal bit per
+plan face with two split edges. Every chunk of plain integers is written
+by :func:`_encode_ints` and read by :func:`_decode_ints`.
 """
 
 from __future__ import annotations
@@ -37,8 +44,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .entropy import AdaptiveModel, RangeDecoder, RangeEncoder, SignedIntCoder
-from .hierarchy import (Pattern, WgcConfig, _rotate_for_splits,
-                        build_hierarchy, subdivide_connectivity)
+from .hierarchy import (Pattern, WgcConfig, build_hierarchy, split_plan,
+                        subdivide)
 from .mesh import (MeshError, NonManifoldError, TriMesh, edge_key,
                    validate_manifold)
 from .quantize import (DEFAULT_THRESHOLD, QuantGrid, batch_precision,
@@ -106,8 +113,9 @@ class EncodeConfig:
 @dataclass
 class ProgressiveStream:
     """Parsed container. `vertex_map` and `q_sequences` are encoder-side
-    debug metadata (decoder vertex index -> original vertex index; encoder
-    precision sequences per level) and are not serialized."""
+    debug metadata (decoder vertex index -> original vertex index; the q_i
+    per level, as the encoder's closed-loop decoder derived them) and are
+    not serialized."""
 
     q_max: int
     threshold: int
@@ -313,11 +321,6 @@ class _Models:
         self.completion = SignedIntCoder(raw_bits=q_max + 2)
 
 
-def _face_edges(face) -> list[tuple[int, int]]:
-    a, b, c = (int(x) for x in face)
-    return [edge_key(a, b), edge_key(b, c), edge_key(c, a)]
-
-
 # -- decoder ---------------------------------------------------------------
 
 _BLOCK = 4096       # values per decoder kernel call: bounds the list it builds
@@ -422,15 +425,9 @@ class ProgressiveDecoder:
                 f"edges of a {nc}-vertex mesh, beyond the header's "
                 f"{self.original_vertex_count} vertices")
         split_map = {e: nc + r for r, e in enumerate(split_edges)}
-        trisected = [
-            fid for fid, (a, b, c) in enumerate(self.faces.tolist())
-            if (((a, b) if a < b else (b, a)) in split_map)
-            + (((b, c) if b < c else (c, b)) in split_map)
-            + (((c, a) if c < a else (a, c)) in split_map) == 2]
-        diag_bits = dict(zip(trisected,
-                             dec.decode_symbols(m.diag, len(trisected))))
-        self._next_faces = subdivide_connectivity(self.faces, split_map,
-                                                  diag_bits)
+        plan = split_plan(self.faces, split_map)
+        bits = dec.decode_symbols(m.diag, [p[3] for p in plan].count(2))
+        self._next_faces = subdivide(plan, split_map, bits)
         self.last_split_edges = split_edges
         if self.adaptive:
             edges = np.array(split_edges, dtype=np.int64).reshape(-1, 2)
@@ -475,6 +472,15 @@ class ProgressiveDecoder:
 
 # -- encoder ---------------------------------------------------------------
 
+def _encode_ints(coder: SignedIntCoder, values: np.ndarray) -> bytes:
+    """A chunk holding `values` in C order; the mirror of
+    :func:`_decode_ints`."""
+    enc = RangeEncoder()
+    for v in np.asarray(values).ravel().tolist():
+        coder.encode(enc, v)
+    return enc.finish()
+
+
 def encode(mesh: TriMesh, config: EncodeConfig | None = None):
     """Compress a manifold mesh; returns (ProgressiveStream, RateReport)."""
     config = config or EncodeConfig()
@@ -506,29 +512,14 @@ def encode(mesh: TriMesh, config: EncodeConfig | None = None):
         base_face_count=base_mesh.face_count, level_count=len(records),
         original_vertex_count=mesh.vertex_count)
     m = _Models(config.q_max)
-    chunks: list[bytes] = []
-
-    enc = RangeEncoder()
-    prev = 0
-    for v in base_mesh.faces.ravel():
-        m.base_conn.encode(enc, int(v) - prev)
-        prev = int(v)
-    chunks.append(enc.finish())
+    chunks = [_encode_ints(m.base_conn, np.diff(base_mesh.faces.ravel(),
+                                                prepend=0))]
     sim.read_base_conn(chunks[-1])
-
-    enc = RangeEncoder()
-    base_ints = grid.quantize(base_geometry)
-    prev_row = np.zeros(3, dtype=np.int64)
-    for row in base_ints:
-        for ax in range(3):
-            m.base_geom.encode(enc, int(row[ax] - prev_row[ax]))
-        prev_row = row
-    chunks.append(enc.finish())
+    chunks.append(_encode_ints(m.base_geom, np.diff(
+        grid.quantize(base_geometry), axis=0, prepend=0)))
     sim.read_base_geom(chunks[-1])
 
     pi = np.arange(base_mesh.vertex_count, dtype=np.int64)
-    q_sequences: list[list[int]] = []
-
     for rec, cs in zip(reversed(records), reversed(coeff_sets)):
         split_of = {}                        # coarse edge key -> odd fine id
         for odd, (a, b) in rec.parent_edge.items():
@@ -541,19 +532,18 @@ def encode(mesh: TriMesh, config: EncodeConfig | None = None):
                 trisect_bit[(edge_key(ca, cb), edge_key(cb, cc))] = g.diag_bit
 
         enc = RangeEncoder()
-        flags = {}
-        for u, v in sim.edge_list():
-            bit = 1 if edge_key(int(pi[u]), int(pi[v])) in split_of else 0
-            flags[(u, v)] = bit
-            enc.encode_symbol(m.split, bit)
-        for face in sim.faces:
-            face = tuple(int(x) for x in face)
-            face_flags = tuple(bool(flags[e]) for e in _face_edges(face))
-            if sum(face_flags) != 2:
+        coarse = pi.tolist()                 # decoder id -> coarse id
+        edges = sim.edge_list()
+        odd_of = [split_of.get(edge_key(coarse[u], coarse[v]))
+                  for u, v in edges]
+        for odd in odd_of:
+            enc.encode_symbol(m.split, 0 if odd is None else 1)
+        split = {e for e, odd in zip(edges, odd_of) if odd is not None}
+        for p0, p1, p2, n in split_plan(sim.faces, split):
+            if n != 2:
                 continue
-            p0, p1, p2 = _rotate_for_splits(face, face_flags)
-            kab = edge_key(int(pi[p0]), int(pi[p1]))
-            kbc = edge_key(int(pi[p1]), int(pi[p2]))
+            kab = edge_key(coarse[p0], coarse[p1])
+            kbc = edge_key(coarse[p1], coarse[p2])
             if (kab, kbc) in trisect_bit:
                 bit = trisect_bit[(kab, kbc)]
             else:                            # opposite winding mirrors the bit
@@ -562,36 +552,21 @@ def encode(mesh: TriMesh, config: EncodeConfig | None = None):
         chunks.append(enc.finish())
         sim.read_level_conn(chunks[-1])
 
-        enc = RangeEncoder()
-        split_edges = sim.last_split_edges
-        for (u, v), q in zip(split_edges, sim.level_q):
-            odd = split_of[edge_key(int(pi[u]), int(pi[v]))]
-            step = 1 << (config.q_max - q)
-            ints = round_half_away(cs.details[odd] * grid.scale / step)
-            for ax in range(3):
-                m.detail.encode(enc, int(ints[ax]))
-        chunks.append(enc.finish())
-        q_sequences.append(sim.level_q)
+        odds = [odd for odd in odd_of if odd is not None]
+        details = np.array([cs.details[odd] for odd in odds]).reshape(-1, 3)
+        steps = 1 << (config.q_max - np.array(sim.level_q, dtype=np.int64))
+        chunks.append(_encode_ints(m.detail, round_half_away(
+            details * grid.scale / steps[:, None])))
         sim.read_level_geom(chunks[-1])
 
-        nc = len(pi)
-        new_pi = np.empty(rec.fine_mesh.vertex_count, dtype=np.int64)
-        new_pi[:nc] = rec.coarse_to_fine[pi]
-        for r, (u, v) in enumerate(split_edges):
-            new_pi[nc + r] = split_of[edge_key(int(pi[u]), int(pi[v]))]
-        pi = new_pi
+        pi = np.concatenate([rec.coarse_to_fine[pi],
+                             np.array(odds, dtype=np.int64)])
         if len(pi) != len(sim.positions):
             raise AssertionError("encoder/decoder vertex count diverged")
 
-    exact_ints = grid.quantize(mesh.vertices)
-    target = exact_ints[pi]
-    current = grid.quantize(sim.positions)
-    enc = RangeEncoder()
-    residual = target - current
-    for row in residual:
-        for ax in range(3):
-            m.completion.encode(enc, int(row[ax]))
-    chunks.append(enc.finish())
+    target = grid.quantize(mesh.vertices)[pi]
+    chunks.append(_encode_ints(m.completion,
+                               target - grid.quantize(sim.positions)))
     sim.read_completion(chunks[-1])
     if not np.array_equal(sim.final_ints, target):
         raise AssertionError("completion residuals failed to close the loop")
@@ -605,7 +580,7 @@ def encode(mesh: TriMesh, config: EncodeConfig | None = None):
         base_vertex_count=base_mesh.vertex_count,
         base_face_count=base_mesh.face_count, level_count=len(records),
         original_vertex_count=mesh.vertex_count, chunks=chunks,
-        vertex_map=pi.copy(), q_sequences=q_sequences)
+        vertex_map=pi, q_sequences=sim.q_recomputed)
     report = _build_report(stream)
     return stream, report
 
@@ -636,7 +611,22 @@ def _decoder_for(header: dict) -> ProgressiveDecoder:
         original_vertex_count=header["original_vertex_count"])
 
 
-def _decode_impl(data: bytes, up_to_level: int | None):
+def decode(source, up_to_level: int | None = None) -> TriMesh:
+    """Decode a full stream or any prefix of whole levels.
+
+    `up_to_level=None` decodes everything (all levels plus the lossless
+    completion residuals); `up_to_level=0` yields the base mesh. Decoding
+    the final level implies the completion chunk. A negative level, or one
+    beyond the stream's level count, raises ValueError.
+    """
+    return decode_debug(source, up_to_level).mesh
+
+
+def decode_debug(source, up_to_level: int | None = None) -> ProgressiveDecoder:
+    """Like :func:`decode` but returns the decoder with its debug state
+    (recomputed precision sequences, final grid integers)."""
+    data = source.to_bytes() if isinstance(source, ProgressiveStream) \
+        else bytes(source)
     if up_to_level is not None and up_to_level < 0:
         raise ValueError(f"requested level {up_to_level} is negative")
     header, table = _parse_container(data)
@@ -659,25 +649,6 @@ def _decode_impl(data: bytes, up_to_level: int | None):
         exc.mesh = dec.mesh             # the last complete level
         raise
     return dec
-
-
-def decode(source, up_to_level: int | None = None) -> TriMesh:
-    """Decode a full stream or any prefix of whole levels.
-
-    `up_to_level=None` decodes everything (all levels plus the lossless
-    completion residuals); `up_to_level=0` yields the base mesh. Decoding
-    the final level implies the completion chunk. A negative level, or one
-    beyond the stream's level count, raises ValueError.
-    """
-    return decode_debug(source, up_to_level).mesh
-
-
-def decode_debug(source, up_to_level: int | None = None) -> ProgressiveDecoder:
-    """Like :func:`decode` but returns the decoder with its debug state
-    (recomputed precision sequences, final grid integers)."""
-    data = source.to_bytes() if isinstance(source, ProgressiveStream) \
-        else bytes(source)
-    return _decode_impl(data, up_to_level)
 
 
 # -- rate-distortion harness ----------------------------------------------

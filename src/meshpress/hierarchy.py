@@ -4,7 +4,10 @@ Each simplification level recognizes groups of 1-4 fine faces as the image
 of one coarse face under midpoint subdivision (quadrisect / trisect /
 bisect / unchanged) and merges them. The master invariant is subdivision
 consistency: re-subdividing the coarse mesh according to the recorded
-groups reproduces the fine connectivity exactly.
+groups reproduces the fine connectivity exactly. Forward subdivision is
+one rule, `split_plan` and `subdivide` at the end of this module, shared
+by `resubdivide`, the codec's encoder and decoder and
+`shapes.subdivide_midpoint`.
 
 The grouping strategy is greedy over faces in ascending index order with
 an edge registry that keeps the per-coarse-edge split decision globally
@@ -51,7 +54,7 @@ from .mesh import TriMesh, edge_key
 
 __all__ = ["Pattern", "WgcConfig", "FaceGroup", "LevelRecord",
            "simplify_once", "build_hierarchy", "resubdivide",
-           "subdivide_connectivity"]
+           "split_plan", "subdivide"]
 
 
 class Pattern(IntEnum):
@@ -572,66 +575,58 @@ def build_hierarchy(mesh: TriMesh, wgc: WgcConfig | None = None,
     return records
 
 
-# -- forward subdivision rules (shared by decoder and resubdivide) ---------
+# -- forward subdivision rule (decoder, encoder, resubdivide, shapes) ------
+#
+# A face's split mask has bit i set when its edge i, (v_i, v_{i+1}), is
+# split. The mask picks the rotation that brings the split edges to the
+# front (a face with none or all three keeps its order) and the number of
+# split edges; `split_plan` applies both and `subdivide` the templates.
 
-def _rotate_for_splits(face, split_flags):
-    """Rotate a face so its split edges occupy the leading positions.
+_ROTATION = (0, 0, 1, 0, 2, 2, 1, 0)
+_SPLIT_COUNT = (0, 1, 1, 2, 1, 2, 2, 3)
 
-    Edge i of face (v0, v1, v2) is (v_i, v_{i+1}). A face with no or three
-    split edges is returned as it is.
+
+def split_plan(faces, split) -> list[tuple[int, int, int, int]]:
+    """(p0, p1, p2, n) per face in ascending order: the face rotated so its
+    n split edges lead. `split` holds the split edges' keys."""
+    plan = []
+    for a, b, c in np.asarray(faces).tolist():
+        mask = ((((a, b) if a < b else (b, a)) in split)
+                | (((b, c) if b < c else (c, b)) in split) << 1
+                | (((c, a) if c < a else (a, c)) in split) << 2)
+        r, n = _ROTATION[mask], _SPLIT_COUNT[mask]
+        plan.append((a, b, c, n) if r == 0 else (b, c, a, n) if r == 1
+                    else (c, a, b, n))
+    return plan
+
+
+def subdivide(plan, split, diag_bits) -> np.ndarray:
+    """Child faces of a split plan, each face's children in its place.
+
+    `split` maps a split edge's key to its midpoint vertex; `diag_bits`
+    yields one diagonal bit per trisected face, in plan order. Children
+    keep their parent's winding.
     """
-    n = sum(split_flags)
-    if n == 0 or n == 3:
-        return face
-    lead = (True, False, False) if n == 1 else (True, True, False)
-    for rot in range(3):
-        if tuple(split_flags[(rot + i) % 3] for i in range(3)) == lead:
-            return tuple(face[(rot + i) % 3] for i in range(3))
-    raise AssertionError("unreachable rotation")
-
-
-def subdivide_face(face, midpoint_of, diag_bit: int = 0):
-    """Fine faces produced by one coarse face given its edge midpoints.
-
-    `midpoint_of` maps an undirected edge key to the inserted vertex id,
-    returning None for unsplit edges. Winding of the input is preserved.
-    """
-    flags = tuple(midpoint_of(edge_key(face[i], face[(i + 1) % 3])) is not None
-                  for i in range(3))
-    n = sum(flags)
-    if n == 0:
-        return [tuple(face)]
-    p0, p1, p2 = _rotate_for_splits(tuple(face), flags)
-    if n == 1:
-        m = midpoint_of(edge_key(p0, p1))
-        return [(p0, m, p2), (m, p1, p2)]
-    if n == 2:
-        m01 = midpoint_of(edge_key(p0, p1))
-        m12 = midpoint_of(edge_key(p1, p2))
-        if diag_bit == 0:
-            return [(p0, m01, p2), (m01, p1, m12), (m01, m12, p2)]
-        return [(p0, m01, m12), (m01, p1, m12), (p0, m12, p2)]
-    m01 = midpoint_of(edge_key(p0, p1))
-    m12 = midpoint_of(edge_key(p1, p2))
-    m20 = midpoint_of(edge_key(p2, p0))
-    return [(p0, m01, m20), (m01, p1, m12), (m20, m12, p2), (m01, m12, m20)]
-
-
-def subdivide_connectivity(faces, split: dict[tuple[int, int], int],
-                           diag_bits: dict[int, int] | None = None):
-    """Apply per-edge splits to a whole face list (ascending face order).
-    A face with no split edge is copied as it is."""
-    diag_bits = diag_bits or {}
+    bits = iter(diag_bits)
     out = []
-    for fid, face in enumerate(np.asarray(faces).tolist()):
-        a, b, c = face
-        if (((a, b) if a < b else (b, a)) in split
-                or ((b, c) if b < c else (c, b)) in split
-                or ((c, a) if c < a else (a, c)) in split):
-            out.extend(subdivide_face(face, split.get, diag_bits.get(fid, 0)))
+    for p0, p1, p2, n in plan:
+        if n == 0:
+            out.append((p0, p1, p2))
+            continue
+        m01 = split[(p0, p1) if p0 < p1 else (p1, p0)]
+        if n == 1:
+            out += ((p0, m01, p2), (m01, p1, p2))
+            continue
+        m12 = split[(p1, p2) if p1 < p2 else (p2, p1)]
+        if n == 3:
+            m20 = split[(p2, p0) if p2 < p0 else (p0, p2)]
+            out += ((p0, m01, m20), (m01, p1, m12), (m20, m12, p2),
+                    (m01, m12, m20))
+        elif next(bits):
+            out += ((p0, m01, m12), (m01, p1, m12), (p0, m12, p2))
         else:
-            out.append(face)
-    return np.array(out, dtype=np.int64)
+            out += ((p0, m01, p2), (m01, p1, m12), (m01, m12, p2))
+    return np.array(out, dtype=np.int64).reshape(-1, 3)
 
 
 def resubdivide(record: LevelRecord) -> TriMesh:
@@ -647,11 +642,15 @@ def resubdivide(record: LevelRecord) -> TriMesh:
     for odd, (a, b) in record.parent_edge.items():
         positions[odd] = 0.5 * (positions[a] + positions[b])
 
-    faces = []
-    for g in record.face_groups:
-        mid_by_edge = {edge_key(a, b): v for v, (a, b) in g.split_edges.items()}
-        if len(mid_by_edge) != int(g.pattern):
+    groups = record.face_groups
+    split = {edge_key(a, b): v for g in groups
+             for v, (a, b) in g.split_edges.items()}
+    plan = split_plan([g.coarse_face for g in groups], split)
+    for g, (*_, n) in zip(groups, plan):
+        if not n == len(g.split_edges) == int(g.pattern):
             raise ValueError(f"group pattern {g.pattern.name} has "
-                             f"{len(mid_by_edge)} split edges")
-        faces.extend(subdivide_face(g.coarse_face, mid_by_edge.get, g.diag_bit))
-    return TriMesh(positions, np.array(faces, dtype=np.int64))
+                             f"{len(g.split_edges)} split edges, "
+                             f"{n} on its face")
+    faces = subdivide(plan, split, [g.diag_bit for g in groups
+                                    if g.pattern is Pattern.TRISECT])
+    return TriMesh(positions, faces)

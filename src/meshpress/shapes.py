@@ -7,9 +7,11 @@ seeded and all outputs are deterministic.
 
 from __future__ import annotations
 
+import itertools
+
 import numpy as np
 
-from .hierarchy import subdivide_connectivity
+from .hierarchy import split_plan, subdivide
 from .mesh import TriMesh, edge_key
 
 __all__ = ["triangle", "tetrahedron", "icosahedron", "grid_patch",
@@ -76,7 +78,7 @@ def subdivide_midpoint(mesh: TriMesh, edges=None, position=None) -> TriMesh:
         new_pts.append(position(a, b, mid) if position else mid)
     verts = np.vstack([mesh.vertices, np.array(new_pts).reshape(-1, 3)]) \
         if new_pts else mesh.vertices
-    faces = subdivide_connectivity(mesh.faces, split)
+    faces = subdivide(split_plan(mesh.faces, split), split, itertools.repeat(0))
     return TriMesh(verts, faces)
 
 
@@ -106,8 +108,6 @@ def _cad_planes() -> np.ndarray:
     (1,0,0), (1,1,0), (1,1,1) and (2,1,1), normalized, all tangent to the
     unit sphere. The (2,1,1) facets chamfer the corner regions so that no
     two adjacent facets meet at more than 45 degrees."""
-    import itertools
-
     dirs = {tuple(p * s for p, s in zip(perm, signs))
             for base in [(1, 0, 0), (1, 1, 0), (1, 1, 1), (2, 1, 1)]
             for perm in itertools.permutations(base)

@@ -1,4 +1,4 @@
-"""Golden streams and golden decodes over 6 meshes x 7 configurations.
+"""Golden streams and golden decodes over 7 meshes x 7 configurations.
 
 GOLDEN pins the SHA-256 of `encode(mesh, cfg)[0].to_bytes()`: any change
 to the hierarchy, wavelet, quantizer, coder or container that alters a
@@ -13,14 +13,34 @@ digests were recorded from format version 1, before the q_i were dropped,
 and still pass: a format change that only moves bytes keeps them, while
 one that changes geometry at any prefix does not. The two sets together
 tell the two kinds of change apart.
+
+The `mirrored_ico1` entries of both sets were recorded later, at format
+version 2. That mesh is the only one here whose encode takes the mirrored
+diagonal-bit branch (3 trisected faces per default encode).
 """
 
 import hashlib
 
+import numpy as np
 import pytest
 
 from meshpress import codec, shapes
 from meshpress.codec import EncodeConfig
+from meshpress.mesh import TriMesh
+
+
+def mirrored_icosphere() -> TriMesh:
+    """icosphere(1) with every third edge split, then about half of the
+    faces reversed. Such inconsistently oriented input passes
+    validate_manifold, and some of its trisected faces are wound against
+    their group's corners, so the encoder must mirror their diagonal bit."""
+    ico = shapes.icosphere(1)
+    mesh = shapes.subdivide_midpoint(ico, edges=sorted(ico.edge_faces)[::3])
+    flip = np.random.default_rng(7).random(mesh.face_count) < 0.5
+    faces = mesh.faces.copy()
+    faces[flip] = faces[flip][:, ::-1]
+    return TriMesh(mesh.vertices, faces)
+
 
 MESHES = {
     "triangle": shapes.triangle,
@@ -29,6 +49,7 @@ MESHES = {
     "icosphere_2": lambda: shapes.icosphere(2),
     "random_convex_200_s3": lambda: shapes.random_convex(200, seed=3),
     "cad_solid_sub2": lambda: shapes.cad_solid(subdivisions=2),
+    "mirrored_ico1": mirrored_icosphere,
 }
 
 CONFIGS = {
@@ -84,6 +105,13 @@ GOLDEN = {
     ("cad_solid_sub2", "gamma_0.15"): "64ad8b9d18b1d00eab0681d30f7357aa3ad7fb1106a1084639a020083075e3cd",
     ("cad_solid_sub2", "q_max_10"): "6b9da9e752b99fa34a59269a9664656935f807657bc36d207e59d0a819baf412",
     ("cad_solid_sub2", "max_levels_1"): "a78a9337c66fa38eccaf50009d77c14ae1b120630e09aabcf7b0bae608cc842a",
+    ("mirrored_ico1", "default"): "48f07f160f5ea72d7fb73418619211f2250d1ef92462a5112f187de081823ca4",
+    ("mirrored_ico1", "no_adaptive"): "6858e70b660cf72a3a8ddb5fb216787ce42adad9f1be2f99c99e905e4b33021e",
+    ("mirrored_ico1", "no_lifting"): "8a27f1f45cf3726ac028f7b006681f05c29e21967f3544c0d17a4484609942f8",
+    ("mirrored_ico1", "no_wgc"): "24e7dd66f7c4786d55f39f740dae2b17af771d34fc2cc623a23efacb05464924",
+    ("mirrored_ico1", "gamma_0.15"): "71d2f43b01e91672f6dc61e3a321525d5f1b84e36f510a98f79dc248852e0356",
+    ("mirrored_ico1", "q_max_10"): "53961d9ef5f5284767390195d2f32a366041351ccd791a6cf2d3939e07084efa",
+    ("mirrored_ico1", "max_levels_1"): "5d928add96de71784d572281a7a1ba0a8437a51898d788e75ef261e25821d630",
 }
 
 
@@ -133,6 +161,13 @@ DECODED = {
     ("cad_solid_sub2", "gamma_0.15"): "060104acd10ccf4c26d7f9098f7040412604c6f75066efb7afa9fe2b3dd666bb",
     ("cad_solid_sub2", "q_max_10"): "16cb54b9f3d0a9d846e6006e777d53636f767c99bfe5032347b09121d1b10603",
     ("cad_solid_sub2", "max_levels_1"): "e3fff05394b2d84518f4ffc935a55ffb19fbb394b5bf3de3446c12c2e532fab2",
+    ("mirrored_ico1", "default"): "4ca44b15a010abd8df083c1328f89ec34baaf6e48d55349e08698f50d69d79ce",
+    ("mirrored_ico1", "no_adaptive"): "cc2f2a67477dfb4b9f3cf96c5c93c0c820a455376c95f1f8730d0f63e6df4b2f",
+    ("mirrored_ico1", "no_lifting"): "ed95fc7a15bec3ef488226b94edb35317ed28ef742865663e03206307a2142d6",
+    ("mirrored_ico1", "no_wgc"): "521a83a4e47ffb129a835e9012e212a8810841158f852be71402464f4c75cfe2",
+    ("mirrored_ico1", "gamma_0.15"): "67b88d9dc68ec88fbc625578c35aab2b6fabb346af21696d33b9419c28aba5ce",
+    ("mirrored_ico1", "q_max_10"): "3728f6fb99913e773f7b12cdbde15c32196a2b1a8e3b6345c398e10305f7153d",
+    ("mirrored_ico1", "max_levels_1"): "9a9c45bcd64b6240f1ba27a52053ed89f1fa4b136a6f0b9c2f8d6efa7183dbbd",
 }
 
 

@@ -113,6 +113,70 @@ def test_mixed_subdivision_of_patch_inverts():
     assert_consistent(record)
 
 
+# -- the split-mask table against the rotation search it replaced ------------
+
+
+def reference_subdivide_face(face, midpoint_of, diag_bit=0):
+    """The per-face rule before the split-mask table: search the rotation
+    that puts the split edges first, then apply the child template."""
+    flags = [midpoint_of(edge_key(face[i], face[(i + 1) % 3])) is not None
+             for i in range(3)]
+    n = sum(flags)
+    if n == 0:
+        return [tuple(face)]
+    if n in (1, 2):
+        lead = [True, False, False] if n == 1 else [True, True, False]
+        rot = next(r for r in range(3)
+                   if [flags[(r + i) % 3] for i in range(3)] == lead)
+        face = [face[(rot + i) % 3] for i in range(3)]
+    p0, p1, p2 = face
+    m01 = midpoint_of(edge_key(p0, p1))
+    m12 = midpoint_of(edge_key(p1, p2))
+    m20 = midpoint_of(edge_key(p2, p0))
+    if n == 1:
+        return [(p0, m01, p2), (m01, p1, p2)]
+    if n == 2 and diag_bit == 0:
+        return [(p0, m01, p2), (m01, p1, m12), (m01, m12, p2)]
+    if n == 2:
+        return [(p0, m01, m12), (m01, p1, m12), (p0, m12, p2)]
+    return [(p0, m01, m20), (m01, p1, m12), (m20, m12, p2), (m01, m12, m20)]
+
+
+def test_split_table_matches_rotation_search():
+    """Every rotation of one triangle, every split mask, both diagonal
+    bits: the same child faces, in the same order and winding."""
+    for rot in range(3):
+        face = [(10, 11, 12)[(rot + i) % 3] for i in range(3)]
+        for mask in range(8):
+            split = {edge_key(face[i], face[(i + 1) % 3]): 20 + i
+                     for i in range(3) if mask >> i & 1}
+            plan = hierarchy.split_plan([face], split)
+            assert plan[0][3] == bin(mask).count("1")
+            for bit in (0, 1):
+                got = hierarchy.subdivide(plan, split, [bit])
+                want = reference_subdivide_face(face, split.get, bit)
+                assert [tuple(f) for f in got.tolist()] == want, \
+                    (face, mask, bit)
+
+
+def test_subdivide_keeps_face_order_and_diagonal_bit_order():
+    """Children replace their parent in place, and the diagonal bits go
+    to the two-split faces in ascending face order."""
+    mesh = shapes.icosphere(1)
+    keys = sorted(mesh.edge_faces)
+    split = {k: mesh.vertex_count + i for i, k in enumerate(keys[::3])}
+    plan = hierarchy.split_plan(mesh.faces, split)
+    trisected = [f for f, (*_, n) in enumerate(plan) if n == 2]
+    assert 10 < len(trisected) < mesh.face_count
+    bits = np.random.default_rng(1).integers(0, 2, len(trisected)).tolist()
+    bit_of = dict(zip(trisected, bits))
+    want = [child for f, face in enumerate(mesh.faces.tolist())
+            for child in reference_subdivide_face(face, split.get,
+                                                  bit_of.get(f, 0))]
+    got = hierarchy.subdivide(plan, split, bits)
+    assert [tuple(f) for f in got.tolist()] == want
+
+
 # -- whole-corpus structural properties -------------------------------------
 
 
