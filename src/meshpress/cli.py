@@ -204,20 +204,20 @@ def cmd_info(input_path):
         _fail(EXIT_TRUNCATED, str(exc))
     except codec.StreamFormatError as exc:
         _fail(EXIT_PARSE, str(exc))
-    origin = header["origin"]
+    origin = header.origin
     click.echo(f"format_version={codec.FORMAT_VERSION}")
-    click.echo(f"q_max={header['q_max']}")
-    click.echo(f"threshold={header['threshold']}")
-    click.echo(f"lifting={'on' if header['lifting'] else 'off'}")
-    click.echo(f"wgc={'on' if header['wgc_enabled'] else 'off'}")
-    click.echo(f"gamma={header['wgc_gamma']:.9g}")
-    click.echo(f"adaptive={'on' if header['adaptive'] else 'off'}")
+    click.echo(f"q_max={header.q_max}")
+    click.echo(f"threshold={header.threshold}")
+    click.echo(f"lifting={'on' if header.lifting else 'off'}")
+    click.echo(f"wgc={'on' if header.wgc_enabled else 'off'}")
+    click.echo(f"gamma={header.wgc_gamma:.9g}")
+    click.echo(f"adaptive={'on' if header.adaptive else 'off'}")
     click.echo(f"origin={origin[0]:.17g},{origin[1]:.17g},{origin[2]:.17g}")
-    click.echo(f"scale={header['scale']:.17g}")
-    click.echo(f"base_vertices={header['base_vertex_count']}")
-    click.echo(f"base_faces={header['base_face_count']}")
-    click.echo(f"levels={header['level_count']}")
-    click.echo(f"original_vertices={header['original_vertex_count']}")
+    click.echo(f"scale={header.scale:.17g}")
+    click.echo(f"base_vertices={header.base_vertex_count}")
+    click.echo(f"base_faces={header.base_face_count}")
+    click.echo(f"levels={header.level_count}")
+    click.echo(f"original_vertices={header.original_vertex_count}")
     bad = {i for i, _ in crc_errors}
     for i, ((name, level, _), (length, _)) in enumerate(
             zip(table.layout, table.entries)):

@@ -29,8 +29,11 @@ Both sides refine connectivity with one rule, `hierarchy.split_plan`
 (each face rotated so its split edges lead, with their count) and
 `hierarchy.subdivide`: the decoder counts its diagonal bits and builds
 its next faces from the plan, and the encoder writes one diagonal bit per
-plan face with two split edges. Every chunk of plain integers is written
-by :func:`_encode_ints` and read by :func:`_decode_ints`.
+plan face with two split edges, both looked up in the level's fine ids:
+`coarse_to_fine[pi]` maps the decoder's vertices to them once per level,
+and `parent_edge` and the groups' coarse faces give the keys. Every chunk
+of plain integers is written by :func:`_encode_ints` and read by
+:func:`_decode_ints`.
 """
 
 from __future__ import annotations
@@ -39,7 +42,7 @@ import itertools
 import math
 import struct
 import zlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -112,10 +115,10 @@ class EncodeConfig:
 
 @dataclass
 class ProgressiveStream:
-    """Parsed container. `vertex_map` and `q_sequences` are encoder-side
-    debug metadata (decoder vertex index -> original vertex index; the q_i
-    per level, as the encoder's closed-loop decoder derived them) and are
-    not serialized."""
+    """Header and chunks (none when :func:`_parse_container` returns it).
+    `vertex_map` and `q_sequences` are encoder-side debug metadata
+    (decoder vertex index -> original vertex index; the q_i per level, as
+    the encoder's closed-loop decoder derived them) and are not serialized."""
 
     q_max: int
     threshold: int
@@ -158,9 +161,9 @@ class ProgressiveStream:
 
     @classmethod
     def from_bytes(cls, data: bytes) -> "ProgressiveStream":
-        header, table = _parse_container(data)
-        chunks = [table.payload(i) for i in range(len(table.entries))]
-        return cls(chunks=chunks, **header)
+        stream, table = _parse_container(data)
+        stream.chunks = [table.payload(i) for i in range(len(table.entries))]
+        return stream
 
 
 def _chunk_layout(level_count: int) -> list[tuple[str, int, str]]:
@@ -208,7 +211,7 @@ class _ChunkTable:
 
 
 def _parse_container(data: bytes):
-    """Header fields and the chunk table from raw bytes."""
+    """The header, as a stream with no chunks, and the chunk table."""
     if len(data) < _HEADER.size:
         raise TruncatedStreamError("stream shorter than the fixed header",
                                    byte_offset=len(data))
@@ -240,14 +243,15 @@ def _parse_container(data: bytes):
     if 3 * base_nf > base_nv * (base_nv - 1):  # each edge borders <= 2 faces
         raise StreamFormatError(f"{base_nf} base faces cannot be manifold "
                                 f"over {base_nv} vertices")
-    header = dict(
+    header = ProgressiveStream(
         q_max=q_max, threshold=threshold,
         lifting=bool(flags & _FLAG_LIFTING),
         wgc_enabled=bool(flags & _FLAG_WGC), wgc_gamma=gamma,
         adaptive=bool(flags & _FLAG_ADAPTIVE),
         origin=np.array([ox, oy, oz]), scale=scale,
         base_vertex_count=base_nv, base_face_count=base_nf,
-        level_count=level_count, original_vertex_count=original_nv)
+        level_count=level_count, original_vertex_count=original_nv,
+        chunks=[])
     return header, _ChunkTable(data, level_count)
 
 
@@ -354,10 +358,8 @@ class ProgressiveDecoder:
         self.models = _Models(grid.q_max)
         self.faces: np.ndarray | None = None
         self.positions: np.ndarray | None = None
-        self.levels_done = 0
-        self.completed = False
-        self.final_ints: np.ndarray | None = None
-        # per level: the q_i the decoder derived (one precision pass each)
+        self.final_ints: np.ndarray | None = None     # set by completion
+        # per level read: the q_i the decoder derived (one precision pass)
         self.q_recomputed: list[list[int]] = []
         # state of the level whose connectivity was read last
         self.last_split_edges: list[tuple[int, int]] = []
@@ -414,15 +416,15 @@ class ProgressiveDecoder:
         """Split flags and diagonal bits of the next level, then the q_i
         of its split edges from the positions decoded so far."""
         m = self.models
-        nc = len(self.positions)
+        nc, level = len(self.positions), len(self.q_recomputed) + 1
         dec = RangeDecoder(data)
         current = self.edge_list()
         split_edges = list(itertools.compress(
             current, dec.decode_symbols(m.split, len(current))))
         if nc + len(split_edges) > self.original_vertex_count:
             raise StreamFormatError(
-                f"level {self.levels_done + 1} splits {len(split_edges)} "
-                f"edges of a {nc}-vertex mesh, beyond the header's "
+                f"level {level} splits {len(split_edges)} edges of a "
+                f"{nc}-vertex mesh, beyond the header's "
                 f"{self.original_vertex_count} vertices")
         split_map = {e: nc + r for r, e in enumerate(split_edges)}
         plan = split_plan(self.faces, split_map)
@@ -436,8 +438,8 @@ class ProgressiveDecoder:
             if not (np.isfinite(self.positions).all()
                     and np.isfinite(prediction).all()):
                 raise StreamFormatError(
-                    f"level {self.levels_done + 1} predicts from positions "
-                    "that are not finite")
+                    f"level {level} predicts from positions that are "
+                    "not finite")
             self.level_q = batch_precision(prediction, self.positions,
                                            self.grid, self.threshold).tolist()
         else:
@@ -454,7 +456,6 @@ class ProgressiveDecoder:
         self.positions = synthesize_edges(self.positions, edges, details,
                                           self.lifting)
         self.faces = self._next_faces
-        self.levels_done += 1
         self.q_recomputed.append(self.level_q)
 
     def read_completion(self, data: bytes) -> None:
@@ -467,7 +468,6 @@ class ProgressiveDecoder:
                              ints.size).reshape(-1, 3)
         self.final_ints = ints
         self.positions = self.grid.dequantize(ints)
-        self.completed = True
 
 
 # -- encoder ---------------------------------------------------------------
@@ -504,46 +504,45 @@ def encode(mesh: TriMesh, config: EncodeConfig | None = None):
         coeff_sets.append(cs)
         geometry = cs.approx_geometry
     base_mesh = records[-1].coarse_mesh if records else mesh
-    base_geometry = geometry
 
-    sim = ProgressiveDecoder(
-        grid=grid, threshold=config.threshold, lifting=config.lifting,
-        adaptive=config.adaptive, base_vertex_count=base_mesh.vertex_count,
-        base_face_count=base_mesh.face_count, level_count=len(records),
-        original_vertex_count=mesh.vertex_count)
     m = _Models(config.q_max)
     chunks = [_encode_ints(m.base_conn, np.diff(base_mesh.faces.ravel(),
                                                 prepend=0))]
+    stream = ProgressiveStream(
+        q_max=config.q_max, threshold=config.threshold,
+        lifting=config.lifting, wgc_enabled=config.wgc,
+        wgc_gamma=config.wgc_gamma, adaptive=config.adaptive,
+        origin=grid.origin, scale=grid.scale,
+        base_vertex_count=base_mesh.vertex_count,
+        base_face_count=base_mesh.face_count, level_count=len(records),
+        original_vertex_count=mesh.vertex_count, chunks=chunks)
+    sim = _decoder_for(stream)
     sim.read_base_conn(chunks[-1])
     chunks.append(_encode_ints(m.base_geom, np.diff(
-        grid.quantize(base_geometry), axis=0, prepend=0)))
+        grid.quantize(geometry), axis=0, prepend=0)))
     sim.read_base_geom(chunks[-1])
 
     pi = np.arange(base_mesh.vertex_count, dtype=np.int64)
     for rec, cs in zip(reversed(records), reversed(coeff_sets)):
-        split_of = {}                        # coarse edge key -> odd fine id
-        for odd, (a, b) in rec.parent_edge.items():
-            key = edge_key(rec.fine_to_coarse[a], rec.fine_to_coarse[b])
-            split_of[key] = odd
-        trisect_bit = {}                     # ordered coarse edge pair -> bit
+        split_of = {key: odd for odd, key in rec.parent_edge.items()}
+        trisect_bit = {}                     # ordered edge-key pair -> bit
         for g in rec.face_groups:
             if g.pattern is Pattern.TRISECT:
-                ca, cb, cc = (rec.fine_to_coarse[v] for v in g.coarse_face)
-                trisect_bit[(edge_key(ca, cb), edge_key(cb, cc))] = g.diag_bit
+                a, b, c = g.coarse_face
+                trisect_bit[(edge_key(a, b), edge_key(b, c))] = g.diag_bit
 
         enc = RangeEncoder()
-        coarse = pi.tolist()                 # decoder id -> coarse id
+        fine = rec.coarse_to_fine[pi].tolist()   # decoder id -> fine id
         edges = sim.edge_list()
-        odd_of = [split_of.get(edge_key(coarse[u], coarse[v]))
-                  for u, v in edges]
+        odd_of = [split_of.get(edge_key(fine[u], fine[v])) for u, v in edges]
         for odd in odd_of:
             enc.encode_symbol(m.split, 0 if odd is None else 1)
         split = {e for e, odd in zip(edges, odd_of) if odd is not None}
         for p0, p1, p2, n in split_plan(sim.faces, split):
             if n != 2:
                 continue
-            kab = edge_key(coarse[p0], coarse[p1])
-            kbc = edge_key(coarse[p1], coarse[p2])
+            kab = edge_key(fine[p0], fine[p1])
+            kbc = edge_key(fine[p1], fine[p2])
             if (kab, kbc) in trisect_bit:
                 bit = trisect_bit[(kab, kbc)]
             else:                            # opposite winding mirrors the bit
@@ -559,8 +558,7 @@ def encode(mesh: TriMesh, config: EncodeConfig | None = None):
             details * grid.scale / steps[:, None])))
         sim.read_level_geom(chunks[-1])
 
-        pi = np.concatenate([rec.coarse_to_fine[pi],
-                             np.array(odds, dtype=np.int64)])
+        pi = np.array(fine + odds, dtype=np.int64)
         if len(pi) != len(sim.positions):
             raise AssertionError("encoder/decoder vertex count diverged")
 
@@ -570,19 +568,8 @@ def encode(mesh: TriMesh, config: EncodeConfig | None = None):
     sim.read_completion(chunks[-1])
     if not np.array_equal(sim.final_ints, target):
         raise AssertionError("completion residuals failed to close the loop")
-
-    origin = np.asarray(grid.origin, dtype=np.float64)
-    stream = ProgressiveStream(
-        q_max=config.q_max, threshold=config.threshold,
-        lifting=config.lifting, wgc_enabled=config.wgc,
-        wgc_gamma=config.wgc_gamma, adaptive=config.adaptive,
-        origin=origin, scale=grid.scale,
-        base_vertex_count=base_mesh.vertex_count,
-        base_face_count=base_mesh.face_count, level_count=len(records),
-        original_vertex_count=mesh.vertex_count, chunks=chunks,
-        vertex_map=pi, q_sequences=sim.q_recomputed)
-    report = _build_report(stream)
-    return stream, report
+    stream.vertex_map, stream.q_sequences = pi, sim.q_recomputed
+    return stream, _build_report(stream)
 
 
 def _build_report(stream: ProgressiveStream) -> RateReport:
@@ -600,15 +587,15 @@ def _build_report(stream: ProgressiveStream) -> RateReport:
 
 # -- decoding entry points -------------------------------------------------
 
-def _decoder_for(header: dict) -> ProgressiveDecoder:
-    grid = QuantGrid(header["origin"], header["scale"], header["q_max"])
+def _decoder_for(header: ProgressiveStream) -> ProgressiveDecoder:
+    """A fresh decoder for the stream described by `header`."""
     return ProgressiveDecoder(
-        grid=grid, threshold=header["threshold"], lifting=header["lifting"],
-        adaptive=header["adaptive"],
-        base_vertex_count=header["base_vertex_count"],
-        base_face_count=header["base_face_count"],
-        level_count=header["level_count"],
-        original_vertex_count=header["original_vertex_count"])
+        grid=QuantGrid(header.origin, header.scale, header.q_max),
+        threshold=header.threshold, lifting=header.lifting,
+        adaptive=header.adaptive, base_vertex_count=header.base_vertex_count,
+        base_face_count=header.base_face_count,
+        level_count=header.level_count,
+        original_vertex_count=header.original_vertex_count)
 
 
 def decode(source, up_to_level: int | None = None) -> TriMesh:
@@ -630,7 +617,7 @@ def decode_debug(source, up_to_level: int | None = None) -> ProgressiveDecoder:
     if up_to_level is not None and up_to_level < 0:
         raise ValueError(f"requested level {up_to_level} is negative")
     header, table = _parse_container(data)
-    level_count = header["level_count"]
+    level_count = header.level_count
     if up_to_level is not None and up_to_level > level_count:
         raise ValueError(
             f"requested level {up_to_level}, stream has {level_count}")

@@ -44,7 +44,7 @@ from __future__ import annotations
 
 import heapq
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import IntEnum
 from typing import NamedTuple
 
@@ -89,15 +89,14 @@ class FaceGroup:
 
 @dataclass
 class LevelRecord:
+    # All ids are fine ids; coarse vertex i is fine vertex coarse_to_fine[i],
+    # which is ascending (np.searchsorted maps even fine ids to coarse ids).
     level_index: int
     fine_mesh: TriMesh
-    even_vertices: np.ndarray                  # sorted fine indices
-    odd_vertices: np.ndarray
-    parent_edge: dict[int, tuple[int, int]]
+    parent_edge: dict[int, tuple[int, int]]    # odd vertex -> edge key
     face_groups: list[FaceGroup]
     coarse_mesh: TriMesh
-    coarse_to_fine: np.ndarray
-    fine_to_coarse: dict[int, int] = field(default_factory=dict)
+    coarse_to_fine: np.ndarray                 # the even vertices
 
 
 class _Registry:
@@ -373,18 +372,6 @@ def _first_admitted(st: _PassState, cands) -> _Candidate | None:
     return None
 
 
-def _try_quadrisect(st: _PassState, f: int) -> _Candidate | None:
-    return _first_admitted(st, st.tables.candidates[0][f])
-
-
-def _try_trisect(st: _PassState, f: int) -> _Candidate | None:
-    return _first_admitted(st, st.tables.candidates[1][f])
-
-
-def _try_bisect(st: _PassState, f: int) -> _Candidate | None:
-    return _first_admitted(st, st.tables.candidates[2][f])
-
-
 def _grow(st: _PassState, seed_faces) -> None:
     """Best-first region growing, one pattern at a time.
 
@@ -397,7 +384,6 @@ def _grow(st: _PassState, seed_faces) -> None:
     seeded regions.
     """
     vertex_faces = st.tables.mesh.vertex_faces
-    attempts = (_try_quadrisect, _try_trisect, _try_bisect)
     seq = 0
     heap: list[tuple] = []
 
@@ -405,8 +391,8 @@ def _grow(st: _PassState, seed_faces) -> None:
         nonlocal seq
         if st.grouped[f] >= 0:
             return
-        for pref, attempt in enumerate(attempts):
-            cand = attempt(st, f)
+        for pref in range(3):
+            cand = _first_admitted(st, st.tables.candidates[pref][f])
             if cand is None:
                 continue
             reuse = st.registry.reuse_count(cand.entries)
@@ -440,7 +426,8 @@ def _grow(st: _PassState, seed_faces) -> None:
         *_, f, pref = heapq.heappop(heap)
         if st.grouped[f] >= 0:
             continue
-        cand = attempts[pref](st, f)  # revalidate against the current state
+        # revalidate against the current state
+        cand = _first_admitted(st, st.tables.candidates[pref][f])
         if cand is None:
             continue
         st.commit(cand)
@@ -541,21 +528,17 @@ def simplify_once(mesh: TriMesh, wgc: WgcConfig | None = None) -> LevelRecord | 
     groups += [FaceGroup(Pattern.UNCHANGED, tuple(face), (f,), {})
                for f, face in enumerate(st.tables.faces) if st.grouped[f] < 0]
     groups.sort(key=lambda g: min(g.fine_face_ids))
-    odd = np.array(sorted(st.parent), dtype=np.int64)
-    even = np.setdiff1d(np.arange(mesh.vertex_count, dtype=np.int64), odd)
-    fine_to_coarse = {int(v): i for i, v in enumerate(even)}
-    coarse_faces = [[fine_to_coarse[v] for v in g.coarse_face] for g in groups]
-    coarse = TriMesh(mesh.vertices[even], np.array(coarse_faces, dtype=np.int64))
+    even = np.setdiff1d(np.arange(mesh.vertex_count, dtype=np.int64),
+                        list(st.parent))
+    corners = np.array([g.coarse_face for g in groups], dtype=np.int64)
+    coarse = TriMesh(mesh.vertices[even], np.searchsorted(even, corners))
     return LevelRecord(
         level_index=0,
         fine_mesh=mesh,
-        even_vertices=even,
-        odd_vertices=odd,
         parent_edge=dict(st.parent),
         face_groups=groups,
         coarse_mesh=coarse,
         coarse_to_fine=even,
-        fine_to_coarse=fine_to_coarse,
     )
 
 

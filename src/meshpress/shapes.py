@@ -12,7 +12,7 @@ import itertools
 import numpy as np
 
 from .hierarchy import split_plan, subdivide
-from .mesh import TriMesh, edge_key
+from .mesh import TriMesh
 
 __all__ = ["triangle", "tetrahedron", "icosahedron", "grid_patch",
            "subdivide_midpoint", "icosphere", "bumpy_sphere", "cad_solid",

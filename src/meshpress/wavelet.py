@@ -41,9 +41,8 @@ def _lifting_update(edges: np.ndarray, details: np.ndarray, count: int):
 
 def _coarse_edges(record: LevelRecord) -> np.ndarray:
     """Parent edges as coarse vertex pairs, in `parent_edge` order."""
-    f2c = record.fine_to_coarse
-    return np.array([(f2c[a], f2c[b]) for a, b in record.parent_edge.values()],
-                    dtype=np.int64).reshape(-1, 2)
+    fine = np.array(list(record.parent_edge.values()), dtype=np.int64)
+    return np.searchsorted(record.coarse_to_fine, fine.reshape(-1, 2))
 
 
 def analyze(record: LevelRecord, fine_geometry: np.ndarray,

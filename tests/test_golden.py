@@ -208,3 +208,13 @@ def test_decoded_geometry_is_pinned(golden_streams, mesh_name):
            for cfg in CONFIGS}
     want = {cfg: DECODED[(mesh_name, cfg)] for cfg in CONFIGS}
     assert got == want
+
+
+@pytest.mark.parametrize("mesh_name", list(MESHES))
+def test_parsed_header_round_trips(golden_streams, mesh_name):
+    """The header `_parse_container` reads re-serializes to the same bytes."""
+    for cfg in CONFIGS:
+        data = golden_streams[mesh_name, cfg].to_bytes()
+        header, _ = codec._parse_container(data)
+        assert header.chunks == []
+        assert header.header_bytes() == data[:codec._HEADER.size]

@@ -43,7 +43,7 @@ def test_quadrisected_triangle_inverts_to_one_face():
     assert record.coarse_mesh.face_count == 1
     groups = [g for g in record.face_groups]
     assert [g.pattern for g in groups] == [Pattern.QUADRISECT]
-    assert len(record.odd_vertices) == 3
+    assert len(record.parent_edge) == 3
     assert_consistent(record)
 
 
@@ -189,19 +189,19 @@ def test_resubdivide_consistency_everywhere(hierarchies):
 def test_even_odd_partition(hierarchies):
     for records in hierarchies.values():
         for record in records:
-            even = set(int(v) for v in record.even_vertices)
-            odd = set(int(v) for v in record.odd_vertices)
+            even = set(int(v) for v in record.coarse_to_fine)
+            odd = set(record.parent_edge)
             assert even | odd == set(range(record.fine_mesh.vertex_count))
             assert not (even & odd)
-            assert odd == set(record.parent_edge)
+            assert list(record.coarse_to_fine) == sorted(even)
 
 
 def test_parents_joined_by_coarse_edge(hierarchies):
     for records in hierarchies.values():
         for record in records:
             for odd, (a, b) in record.parent_edge.items():
-                ca = record.fine_to_coarse[a]
-                cb = record.fine_to_coarse[b]
+                ca, cb = np.searchsorted(record.coarse_to_fine, (a, b))
+                assert record.coarse_to_fine[[ca, cb]].tolist() == [a, b]
                 assert record.coarse_mesh.has_edge(ca, cb)
 
 
@@ -275,7 +275,7 @@ def test_determinism(corpus):
         r2 = build_hierarchy(corpus[name])
         assert len(r1) == len(r2)
         for a, b in zip(r1, r2):
-            assert np.array_equal(a.even_vertices, b.even_vertices)
+            assert np.array_equal(a.coarse_to_fine, b.coarse_to_fine)
             assert a.parent_edge == b.parent_edge
             assert [(g.pattern, g.coarse_face, g.fine_face_ids, g.diag_bit)
                     for g in a.face_groups] == \
@@ -323,7 +323,7 @@ def hierarchy_digest(records) -> str:
     """SHA-256 over every level's even vertices, parent edges and groups."""
     h = hashlib.sha256()
     for r in records:
-        h.update(repr([int(v) for v in r.even_vertices]).encode())
+        h.update(repr([int(v) for v in r.coarse_to_fine]).encode())
         h.update(repr(sorted((int(k), (int(a), int(b)))
                              for k, (a, b) in r.parent_edge.items())).encode())
         h.update(repr([(int(g.pattern), tuple(int(v) for v in g.coarse_face),
@@ -430,12 +430,10 @@ def test_retract_keeps_state_consistent(monkeypatch):
 
 # -- matcher work ------------------------------------------------------------
 
-MATCHERS = ("_try_quadrisect", "_try_trisect", "_try_bisect")
-
-
-# calls of each matcher during one build_hierarchy; before static candidates
-# and one push per face per commit they were (4818, 4572, 4598) on the CAD
-# mesh and (12319, 12555, 13106) on the hull
+# calls of each matcher (`_first_admitted` on one pattern's candidate list)
+# during one build_hierarchy; before static candidates and one push per
+# face per commit they were (4818, 4572, 4598) on the CAD mesh and
+# (12319, 12555, 13106) on the hull
 @pytest.mark.parametrize("make, bounds", [
     (lambda: shapes.cad_solid(subdivisions=2), (3989, 3743, 3769)),
     (lambda: shapes.random_convex(200), (11049, 11285, 11816)),
@@ -443,11 +441,19 @@ MATCHERS = ("_try_quadrisect", "_try_trisect", "_try_bisect")
 def test_matcher_calls_bounded(monkeypatch, make, bounds):
     mesh = make()
     calls = Counter()
-    for name in MATCHERS:
-        def counted(st, f, _match=getattr(hierarchy, name), _name=name):
-            calls[_name] += 1
-            return _match(st, f)
-        monkeypatch.setattr(hierarchy, name, counted)
+    tables, pattern_of = None, {}   # the pass, id of its lists -> pattern
+
+    def counted(st, cands, _match=hierarchy._first_admitted):
+        nonlocal tables, pattern_of
+        if st.tables is not tables:
+            tables = st.tables      # holds its lists, so their ids, alive
+            pattern_of = {id(lst): pref
+                          for pref, per_face in enumerate(tables.candidates)
+                          for lst in per_face}
+        calls[pattern_of[id(cands)]] += 1
+        return _match(st, cands)
+
+    monkeypatch.setattr(hierarchy, "_first_admitted", counted)
     build_hierarchy(mesh)
-    got = tuple(calls[name] for name in MATCHERS)
+    got = tuple(calls[pref] for pref in range(3))
     assert all(0 < n <= bound for n, bound in zip(got, bounds)), got
