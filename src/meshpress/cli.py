@@ -37,7 +37,11 @@ def _load(path: str):
 
 
 def _default_seed() -> int:
-    return int(os.environ.get("MESHPRESS_SEED", "0"))
+    value = os.environ.get("MESHPRESS_SEED", "0")
+    try:
+        return int(value)
+    except ValueError:
+        _fail(EXIT_PARSE, f"MESHPRESS_SEED must be an integer, got {value!r}")
 
 
 def _encode_options(fn):

@@ -14,9 +14,9 @@ an edge registry that keeps the per-coarse-edge split decision globally
 consistent, followed by a demotion fixpoint: any vertex whose star cannot
 be covered by consistent groups is forced even and the pass is rerun.
 
-Each pass builds its adjacency once (`_PassTables`): faces as lists, the
-face and apex across every (face, local edge) as in the corner table of
-Rossignac et al. (SMI 2001), boundary sets and valences. Midpoint
+Each pass reads its adjacency once (`_PassTables`): faces as lists, the
+face and apex across every (face, local edge), both from the corner table
+`TriMesh.opposite`, boundary sets and valences. Midpoint
 deviations and parent-edge lengths are memoised per pass. Each is
 `sqrt(d.dot(d))` of a 3-vector, exactly as `np.linalg.norm` computes it,
 and must stay that expression: a last-ulp change flips `>` comparisons
@@ -83,7 +83,6 @@ class FaceGroup:
     pattern: Pattern
     coarse_face: tuple[int, int, int]          # even corners, fine indexing
     fine_face_ids: tuple[int, ...]
-    split_edges: dict[int, tuple[int, int]]    # odd vertex -> (corner a, corner b)
     diag_bit: int = 0                          # trisect diagonal selector
 
 
@@ -150,11 +149,8 @@ class _Candidate(NamedTuple):
         return [v for _, v in self.entries if v is not None]
 
     def to_group(self) -> FaceGroup:
-        c = self.corners
-        splits = {v: (c[i], c[(i + 1) % 3])
-                  for i, (_, v) in enumerate(self.entries) if v is not None}
-        return FaceGroup(Pattern(len(splits)), c, self.fine_face_ids, splits,
-                         self.diag_bit)
+        return FaceGroup(Pattern(len(self.odds)), self.corners,
+                         self.fine_face_ids, self.diag_bit)
 
 
 class _PassTables:
@@ -162,24 +158,25 @@ class _PassTables:
 
     Local edge i of face f runs from faces[f][i] to faces[f][(i + 1) % 3];
     opp[3 * f + i] and apex[3 * f + i] are the face and vertex across it
-    (None on a boundary). candidates[pref][f] lists the quadrisect (pref
+    (-1 on a boundary). candidates[pref][f] lists the quadrisect (pref
     0), trisect (1) and bisect (2) groups seeded at f in matcher order."""
 
     def __init__(self, mesh: TriMesh, wgc: WgcConfig = WgcConfig()):
         self.mesh = mesh
         self.wgc = wgc
         self.faces: list[list[int]] = mesh.faces.tolist()
-        self.opp: list[int | None] = []
-        self.apex: list[int | None] = []
-        for f, face in enumerate(self.faces):
-            for i in range(3):
-                u, v = face[i], face[(i + 1) % 3]
-                n = mesh.neighbor_across(f, u, v)
-                self.opp.append(n)
-                self.apex.append(None if n is None else sum(self.faces[n]) - u - v)
-        self.boundary = mesh.boundary_edges()
-        self.boundary_vertices = {v for e in self.boundary for v in e}
-        self.valence = [len(n) for n in mesh.vertex_neighbors]
+        o, vertex = mesh.opposite, mesh.faces.ravel()
+        lone = o < 0
+        self.opp: list[int] = np.where(lone, -1, o // 3).tolist()
+        # the apex across half-edge o is the corner before o in its face
+        self.apex: list[int] = np.where(
+            lone, -1, vertex[o - o % 3 + (o + 2) % 3]).tolist()
+        rim = np.stack([vertex, mesh.faces[:, [1, 2, 0]].ravel()], axis=1)
+        rim = np.sort(rim[lone], axis=1)
+        self.boundary = set(map(tuple, rim.tolist()))
+        self.boundary_vertices = set(rim.ravel().tolist())
+        self.valence = np.bincount(mesh.edges.ravel(),
+                                   minlength=mesh.vertex_count).tolist()
         self._deviation: dict[tuple[int, int, int], tuple[float, float]] = {}
         self._odd_entry: dict[tuple[int, int, int], tuple | None] = {}
         self.candidates = [
@@ -294,7 +291,7 @@ class _PassState:
 def _quadrisects(t: _PassTables, f: int) -> list[_Candidate]:
     e = 3 * f
     n12, n23, n31 = t.opp[e:e + 3]
-    if n12 is None or n23 is None or n31 is None:
+    if min(n12, n23, n31) < 0:
         return []
     if len({f, n12, n23, n31}) != 4:
         return []
@@ -317,7 +314,7 @@ def _trisects(t: _PassTables, f: int) -> list[_Candidate]:
         ma, b, mb = verts[rot], verts[(rot + 1) % 3], verts[(rot + 2) % 3]
         e = 3 * f + (rot + 2) % 3                  # edge (mb, ma)
         n3 = t.opp[e]
-        if n3 is None:
+        if n3 < 0:
             continue
         y = t.apex[e]
         # bit 0: n3 = (ma, mb, C), diagonal from ma, hinge (ma, y);
@@ -326,7 +323,7 @@ def _trisects(t: _PassTables, f: int) -> list[_Candidate]:
         for diag_bit, left_out in enumerate((mb, ma)):
             h = 3 * n3 + (t.faces[n3].index(left_out) + 1) % 3
             n1 = t.opp[h]
-            if n1 is None or n1 == f:
+            if n1 < 0 or n1 == f:
                 continue
             z = t.apex[h]
             if diag_bit == 0:
@@ -352,7 +349,7 @@ def _bisects(t: _PassTables, f: int) -> list[_Candidate]:
         a, m, c = verts[rot], verts[(rot + 1) % 3], verts[(rot + 2) % 3]
         e = 3 * f + (rot + 1) % 3                  # edge (m, c)
         n = t.opp[e]
-        if n is None:
+        if n < 0:
             continue
         b = t.apex[e]
         if len({a, b, c, m}) != 4:
@@ -525,7 +522,7 @@ def simplify_once(mesh: TriMesh, wgc: WgcConfig | None = None) -> LevelRecord | 
 
     # leftover faces survive unchanged; a dissolved group owns no face
     groups = [st.groups[gid].to_group() for gid in set(st.grouped) - {-1}]
-    groups += [FaceGroup(Pattern.UNCHANGED, tuple(face), (f,), {})
+    groups += [FaceGroup(Pattern.UNCHANGED, tuple(face), (f,))
                for f, face in enumerate(st.tables.faces) if st.grouped[f] < 0]
     groups.sort(key=lambda g: min(g.fine_face_ids))
     even = np.setdiff1d(np.arange(mesh.vertex_count, dtype=np.int64),
@@ -626,14 +623,12 @@ def resubdivide(record: LevelRecord) -> TriMesh:
         positions[odd] = 0.5 * (positions[a] + positions[b])
 
     groups = record.face_groups
-    split = {edge_key(a, b): v for g in groups
-             for v, (a, b) in g.split_edges.items()}
+    split = {key: v for v, key in record.parent_edge.items()}
     plan = split_plan([g.coarse_face for g in groups], split)
     for g, (*_, n) in zip(groups, plan):
-        if not n == len(g.split_edges) == int(g.pattern):
-            raise ValueError(f"group pattern {g.pattern.name} has "
-                             f"{len(g.split_edges)} split edges, "
-                             f"{n} on its face")
+        if n != int(g.pattern):
+            raise ValueError(f"group pattern {g.pattern.name} has {n} split "
+                             f"edges on its face")
     faces = subdivide(plan, split, [g.diag_bit for g in groups
                                     if g.pattern is Pattern.TRISECT])
     return TriMesh(positions, faces)

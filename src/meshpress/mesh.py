@@ -1,4 +1,10 @@
-"""Indexed triangle mesh with adjacency queries and validation."""
+"""Indexed triangle mesh with adjacency queries and validation.
+
+Adjacency is a corner table as in Rossignac et al. (SMI 2001). Corner
+3f + i is vertex faces[f][i]; half-edge 3f + i, local edge i of face f,
+runs from it to corner 3f + (i + 1) % 3. One stable sort of the half-edges
+by undirected key gives the edges and each half-edge's `opposite`.
+"""
 
 from __future__ import annotations
 
@@ -42,9 +48,9 @@ class TriMesh:
     """Immutable indexed triangle mesh.
 
     Vertices are float64 positions, faces are integer index triples.
-    Adjacency tables are built lazily and cached; the mesh itself is never
-    mutated after construction, so instances are safe to share across
-    threads.
+    The corner table is built by validation, or lazily without it, and
+    cached; the mesh itself is never mutated after construction, so
+    instances are safe to share across threads.
     """
 
     def __init__(self, vertices, faces, validate: bool = True):
@@ -76,63 +82,57 @@ class TriMesh:
             f = self.faces
             if np.any((f[:, 0] == f[:, 1]) | (f[:, 1] == f[:, 2]) | (f[:, 0] == f[:, 2])):
                 raise MeshError("degenerate face (repeated vertex index)")
-        for key, fids in self.edge_faces.items():
-            if len(fids) > 2:
-                raise NonManifoldError(
-                    f"edge {key} shared by {len(fids)} faces")
+        self._corner_table      # raises NonManifoldError
 
     # -- adjacency --------------------------------------------------------
 
     @cached_property
-    def edge_faces(self) -> dict[tuple[int, int], list[int]]:
-        """Undirected edge -> incident face ids (ascending)."""
-        table: dict[tuple[int, int], list[int]] = {}
-        for fid, (a, b, c) in enumerate(self.faces):
-            for u, v in ((a, b), (b, c), (c, a)):
-                table.setdefault(edge_key(int(u), int(v)), []).append(fid)
-        return table
+    def _corner_table(self) -> tuple[np.ndarray, np.ndarray]:
+        """(edges, opposite) from one stable sort of the half-edges by key.
+        Each edge is one run: a boundary edge's has one half-edge, an
+        interior edge's pairs two, and a longer one raises NonManifoldError."""
+        start = self.faces.ravel()
+        end = self.faces[:, [1, 2, 0]].ravel()
+        lo, hi = np.minimum(start, end), np.maximum(start, end)
+        order = np.lexsort((hi, lo))
+        lo, hi = lo[order], hi[order]
+        first = np.flatnonzero(np.diff(lo, prepend=-1) | np.diff(hi, prepend=-1))
+        runs = np.diff(first, append=len(order))
+        if runs.max(initial=0) > 2:
+            k = np.argmax(runs > 2)             # the smallest such key
+            raise NonManifoldError(
+                f"edge {(int(lo[first[k]]), int(hi[first[k]]))} shared by "
+                f"{runs[k]} faces")
+        pair = first[runs == 2]
+        opposite = np.full(len(order), -1, dtype=np.int64)
+        opposite[order[pair]] = order[pair + 1]
+        opposite[order[pair + 1]] = order[pair]
+        return np.stack([lo[first], hi[first]], axis=1), opposite
+
+    @property
+    def edges(self) -> np.ndarray:
+        """(E, 2) undirected edge keys, ascending."""
+        return self._corner_table[0]
+
+    @property
+    def opposite(self) -> np.ndarray:
+        """(3F,) the half-edge paired with each half-edge, -1 on a boundary."""
+        return self._corner_table[1]
 
     @cached_property
     def vertex_faces(self) -> list[list[int]]:
         """Vertex -> incident face ids (ascending)."""
-        star: list[list[int]] = [[] for _ in range(self.vertex_count)]
-        for fid, face in enumerate(self.faces):
-            for v in face:
-                star[int(v)].append(fid)
-        return star
+        corners = self.faces.ravel()
+        fids = (np.argsort(corners, kind="stable") // 3).tolist()
+        ends = np.bincount(corners, minlength=self.vertex_count).cumsum().tolist()
+        return [fids[a:b] for a, b in zip([0] + ends, ends)]
 
     @cached_property
-    def vertex_neighbors(self) -> list[list[int]]:
-        """Vertex -> adjacent vertex ids (ascending, deduplicated)."""
-        nbrs: list[set[int]] = [set() for _ in range(self.vertex_count)]
-        for u, v in self.edge_faces:
-            nbrs[u].add(v)
-            nbrs[v].add(u)
-        return [sorted(s) for s in nbrs]
+    def _edge_keys(self) -> set[tuple[int, int]]:
+        return set(map(tuple, self.edges.tolist()))
 
     def has_edge(self, u: int, v: int) -> bool:
-        return edge_key(u, v) in self.edge_faces
-
-    def neighbor_across(self, fid: int, u: int, v: int) -> int | None:
-        """Face on the other side of edge (u, v), or None on a boundary."""
-        fids = self.edge_faces.get(edge_key(u, v), ())
-        for other in fids:
-            if other != fid:
-                return other
-        return None
-
-    def face_apex(self, fid: int, u: int, v: int) -> int:
-        """The vertex of face `fid` that is neither u nor v."""
-        verts = [int(x) for x in self.faces[fid]]
-        if u not in verts or v not in verts:
-            raise MeshError(f"face {fid} does not span edge ({u}, {v})")
-        for x in verts:
-            if x != u and x != v:
-                return x
-        raise MeshError(f"face {fid} does not span edge ({u}, {v})")
-
-    def boundary_edges(self) -> set[tuple[int, int]]:
-        return {key for key, fids in self.edge_faces.items() if len(fids) == 1}
+        return edge_key(u, v) in self._edge_keys
 
     def with_vertices(self, vertices) -> "TriMesh":
         """Same connectivity, new geometry."""
@@ -150,36 +150,24 @@ def bounding_box(mesh: TriMesh) -> BBox:
 def validate_manifold(mesh: TriMesh) -> list[str]:
     """Report manifoldness violations; an empty list means clean.
 
-    Boundary edges are allowed; an edge with more than two incident faces
-    or a vertex whose star is not a single fan (or half-fan at a boundary)
-    is a violation.
+    Boundary edges are allowed; a vertex whose star is not a single fan
+    (or half-fan at a boundary) is a violation, and an edge with more than
+    two incident faces raises NonManifoldError. Each corner is linked to
+    the corner at the same vertex across both of its face's edges there;
+    min-label propagation finds the components, and a vertex is clean when
+    its corners form one.
     """
-    report: list[str] = []
-    for key, fids in mesh.edge_faces.items():
-        if len(fids) > 2:
-            report.append(f"edge {key} has {len(fids)} incident faces")
-    # Vertex fan check: faces around a vertex must form one connected
-    # strip under shared-edge adjacency.
-    for v in range(mesh.vertex_count):
-        fids = mesh.vertex_faces[v]
-        if len(fids) <= 1:
-            continue
-        adj = {fid: [] for fid in fids}
-        for fid in fids:
-            a, b, c = (int(x) for x in mesh.faces[fid])
-            wings = [(a, b), (b, c), (c, a)]
-            for u, w in wings:
-                if v in (u, w):
-                    other = mesh.neighbor_across(fid, u, w)
-                    if other is not None and other in adj:
-                        adj[fid].append(other)
-        seen = {fids[0]}
-        stack = [fids[0]]
-        while stack:
-            for nxt in adj[stack.pop()]:
-                if nxt not in seen:
-                    seen.add(nxt)
-                    stack.append(nxt)
-        if len(seen) != len(fids):
-            report.append(f"vertex {v} star is not a single fan")
-    return report
+    vertex = mesh.faces.ravel()
+    corner = np.arange(len(vertex))
+    # the half-edges out of and into each corner, and across them
+    o = mesh.opposite[np.stack([corner, corner - corner % 3 + (corner + 2) % 3])]
+    # a neighbour wound against this face runs the shared edge the same way
+    link = np.where(o < 0, corner,
+                    np.where(vertex[o] == vertex, o, o - o % 3 + (o + 1) % 3))
+    label, prev = corner, None
+    while not np.array_equal(label, prev):
+        low = np.minimum(label, label[link].min(axis=0))
+        prev, label = label, low[low]
+    fans = np.bincount(vertex[label == corner], minlength=mesh.vertex_count)
+    return [f"vertex {v} star is not a single fan"
+            for v in np.flatnonzero(fans > 1).tolist()]

@@ -30,8 +30,12 @@ def detect_format(path: str) -> str:
 def load_mesh(path: str, fmt: str | None = None) -> TriMesh:
     """Load and validate a triangle mesh from an ASCII file."""
     fmt = fmt or detect_format(path)
-    with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            text = fh.read()
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path}: not UTF-8 text ({exc.reason} at byte "
+                         f"{exc.start})") from None
     if fmt == "obj":
         verts, faces = _parse_obj(text)
     elif fmt == "off":
@@ -154,6 +158,14 @@ def _parse_off(text: str):
     return verts, faces
 
 
+def _ply_count(line: str, lineno: int) -> int:
+    """The element count of a PLY `element <name> <count>` line."""
+    parts = line.split()
+    if len(parts) != 3 or not parts[2].isascii() or not parts[2].isdigit():
+        raise ParseError(f"line {lineno}: bad element count: {line}")
+    return int(parts[2])
+
+
 def _parse_ply(text: str):
     lines = text.splitlines()
     if not lines or lines[0].strip() != "ply":
@@ -167,10 +179,10 @@ def _parse_ply(text: str):
             if "ascii" not in line:
                 raise ParseError("only ascii PLY is supported")
         elif line.startswith("element vertex"):
-            nv = int(line.split()[2])
+            nv = _ply_count(line, i + 1)
             order.append("vertex")
         elif line.startswith("element face"):
-            nf = int(line.split()[2])
+            nf = _ply_count(line, i + 1)
             order.append("face")
         elif line.startswith("element"):
             raise ParseError(f"unsupported PLY element: {line}")

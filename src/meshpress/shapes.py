@@ -69,7 +69,7 @@ def subdivide_midpoint(mesh: TriMesh, edges=None, position=None) -> TriMesh:
     to project onto a surface). Faces follow the codec's subdivision
     conventions, so the result is invertible by construction.
     """
-    keys = sorted(mesh.edge_faces) if edges is None else sorted(edges)
+    keys = sorted(map(tuple, mesh.edges.tolist() if edges is None else edges))
     nv = mesh.vertex_count
     split = {k: nv + i for i, k in enumerate(keys)}
     new_pts = []

@@ -85,6 +85,20 @@ def test_encode_malformed_mesh_exits_parse(runner, tmp_path):
     assert "error:" in result.output
 
 
+@pytest.mark.parametrize("name, data", [
+    ("count.ply", b"ply\nformat ascii 1.0\nelement vertex abc\n"),
+    ("nocount.ply", b"ply\nformat ascii 1.0\nelement vertex\n"),
+    ("latin1.off", "OFF # café\n".encode("latin-1")),
+])
+def test_encode_unreadable_header_exits_parse(runner, tmp_path, name, data):
+    src = tmp_path / name
+    src.write_bytes(data)
+    result = runner.invoke(main, ["encode", str(src), str(tmp_path / "o.pmc")])
+    assert result.exit_code == EXIT_PARSE, result.output
+    assert "error:" in result.output
+    assert not (tmp_path / "o.pmc").exists()
+
+
 @pytest.mark.parametrize("bad", ["nan", "inf"])
 def test_encode_non_finite_mesh_exits_parse(runner, tmp_path, bad):
     mesh = shapes.icosphere(2)
@@ -169,6 +183,15 @@ def test_metric_seed_env(runner, mesh_file, monkeypatch):
     s1 = int(r1.output.strip().splitlines()[1].split(",")[2])
     s2 = int(r2.output.strip().splitlines()[1].split(",")[2])
     assert s1 == s2  # same sample budget; seed changes points, not counts
+
+
+@pytest.mark.parametrize("command", ["metric", "bench"])
+def test_bad_seed_env_exits_parse(runner, mesh_file, monkeypatch, command):
+    monkeypatch.setenv("MESHPRESS_SEED", "abc")
+    args = [mesh_file, mesh_file] if command == "metric" else [mesh_file]
+    result = runner.invoke(main, [command, *args])
+    assert result.exit_code == EXIT_PARSE, result.output
+    assert "error:" in result.output and "MESHPRESS_SEED" in result.output
 
 
 def test_bench_csv_schema(runner, tmp_path):

@@ -35,7 +35,7 @@ def mirrored_icosphere() -> TriMesh:
     validate_manifold, and some of its trisected faces are wound against
     their group's corners, so the encoder must mirror their diagonal bit."""
     ico = shapes.icosphere(1)
-    mesh = shapes.subdivide_midpoint(ico, edges=sorted(ico.edge_faces)[::3])
+    mesh = shapes.subdivide_midpoint(ico, edges=ico.edges[::3].tolist())
     flip = np.random.default_rng(7).random(mesh.face_count) < 0.5
     faces = mesh.faces.copy()
     faces[flip] = faces[flip][:, ::-1]

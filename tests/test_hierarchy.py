@@ -106,8 +106,7 @@ def test_trisect_inverts():
 
 def test_mixed_subdivision_of_patch_inverts():
     base = shapes.grid_patch(3, 3)
-    keys = sorted(base.edge_faces)
-    fine = shapes.subdivide_midpoint(base, edges=keys[::2])
+    fine = shapes.subdivide_midpoint(base, edges=base.edges[::2].tolist())
     record = simplify_once(fine)
     assert record is not None
     assert_consistent(record)
@@ -163,7 +162,7 @@ def test_subdivide_keeps_face_order_and_diagonal_bit_order():
     """Children replace their parent in place, and the diagonal bits go
     to the two-split faces in ascending face order."""
     mesh = shapes.icosphere(1)
-    keys = sorted(mesh.edge_faces)
+    keys = [tuple(e) for e in mesh.edges.tolist()]
     split = {k: mesh.vertex_count + i for i, k in enumerate(keys[::3])}
     plan = hierarchy.split_plan(mesh.faces, split)
     trisected = [f for f, (*_, n) in enumerate(plan) if n == 2]
@@ -216,10 +215,13 @@ def test_group_cardinality_matches_pattern(hierarchies):
                 Pattern.TRISECT: 3, Pattern.QUADRISECT: 4}
     for records in hierarchies.values():
         for record in records:
+            split = set(record.parent_edge.values())
             seen = []
             for g in record.face_groups:
+                c = g.coarse_face
+                sides = {edge_key(c[i], c[(i + 1) % 3]) for i in range(3)}
                 assert len(g.fine_face_ids) == expected[g.pattern]
-                assert len(g.split_edges) == expected[g.pattern] - 1
+                assert len(sides & split) == expected[g.pattern] - 1
                 seen.extend(g.fine_face_ids)
             assert sorted(seen) == list(range(record.fine_mesh.face_count))
 
@@ -258,10 +260,17 @@ def test_wgc_gamma_validation():
         WgcConfig(gamma=-1.0)
 
 
+def boundary_edges(mesh):
+    """Edge keys used by exactly one face, by scanning the faces."""
+    uses = Counter(edge_key(face[i], face[(i + 1) % 3])
+                   for face in mesh.faces.tolist() for i in range(3))
+    return {key for key, n in uses.items() if n == 1}
+
+
 def test_boundary_vertex_collapses_only_along_boundary(hierarchies):
     for name, records in hierarchies.items():
         for record in records:
-            boundary = record.fine_mesh.boundary_edges()
+            boundary = boundary_edges(record.fine_mesh)
             rim = {v for e in boundary for v in e}
             for odd, (a, b) in record.parent_edge.items():
                 if odd in rim:
@@ -299,21 +308,28 @@ def test_full_subdivision_chains_invert_exactly(corpus):
 def test_pass_tables_match_mesh_adjacency(corpus):
     for name, mesh in corpus.items():
         tables = _PassTables(mesh)
-        boundary = mesh.boundary_edges()
-        assert tables.faces == mesh.faces.tolist(), name
-        for f, face in enumerate(tables.faces):
+        faces = mesh.faces.tolist()
+        incident = {}                   # edge key -> its faces, by scanning
+        for f, face in enumerate(faces):
+            for i in range(3):
+                incident.setdefault(edge_key(face[i], face[(i + 1) % 3]),
+                                    []).append(f)
+        assert tables.faces == faces, name
+        for f, face in enumerate(faces):
             for i in range(3):
                 u, v = face[i], face[(i + 1) % 3]
-                other = mesh.neighbor_across(f, u, v)
-                assert tables.opp[3 * f + i] == other, (name, f, i)
-                if edge_key(u, v) in boundary:
-                    assert other is None
-                    assert tables.apex[3 * f + i] is None, (name, f, i)
-                else:
-                    assert tables.apex[3 * f + i] == mesh.face_apex(other, u, v)
-        expected = {v for e in boundary for v in e}
-        assert tables.boundary_vertices == expected, name
-        assert tables.valence == [len(n) for n in mesh.vertex_neighbors]
+                other = [n for n in incident[edge_key(u, v)] if n != f]
+                assert tables.opp[3 * f + i] == (other or [-1])[0], (name, f, i)
+                apex = [w for n in other for w in faces[n] if w not in (u, v)]
+                assert tables.apex[3 * f + i] == (apex or [-1])[0], (name, f, i)
+        boundary = {key for key, fs in incident.items() if len(fs) == 1}
+        assert tables.boundary == boundary, name
+        assert tables.boundary_vertices == {v for e in boundary for v in e}
+        neighbours = [set() for _ in range(mesh.vertex_count)]
+        for u, v in incident:
+            neighbours[u].add(v)
+            neighbours[v].add(u)
+        assert tables.valence == [len(n) for n in neighbours], name
     assert _PassTables(corpus["grid"]).boundary_vertices   # open patch
 
 
@@ -386,16 +402,15 @@ def test_hierarchy_is_pinned():
 # -- retraction --------------------------------------------------------------
 
 
-def rebuilt_registry(groups):
-    """Registry table rebuilt from FaceGroups alone: every coarse edge of
-    every group, carrying its midpoint when split, counts summed."""
+def rebuilt_registry(cands):
+    """Registry table rebuilt from the committed candidates alone: every
+    coarse edge of every group, keyed by its corners, carrying its
+    midpoint when split, counts summed."""
     table = {}
-    for g in groups:
-        mids = {edge_key(a, b): v for v, (a, b) in g.split_edges.items()}
-        face = g.coarse_face
-        for i in range(3):
-            key = edge_key(face[i], face[(i + 1) % 3])
-            mid = mids.get(key)
+    for c in cands:
+        face = c.corners
+        for i, (key, mid) in enumerate(c.entries):
+            assert key == edge_key(face[i], face[(i + 1) % 3])
             cur = table.setdefault(key, [mid, 0])
             assert cur[0] == mid
             cur[1] += 1
@@ -406,20 +421,21 @@ def test_retract_keeps_state_consistent(monkeypatch):
     calls = []
 
     def checked(st, bad, _retract=hierarchy._retract):
-        before = [c.to_group() for c in st.groups]
+        before = list(st.groups)
         fresh, freed = _retract(st, bad)
-        kept = [c.to_group() for c in fresh.groups]
-        assert not any(v in bad for g in kept for v in g.split_edges)
-        assert kept == [g for g in before
-                        if not any(v in bad for v in g.split_edges)]
-        assert fresh.parent == {v: edge_key(a, b) for g in kept
-                                for v, (a, b) in g.split_edges.items()}
+        kept = fresh.groups
+        assert not any(v in bad for c in kept for v in c.odds)
+        assert kept == [c for c in before if not any(v in bad for v in c.odds)]
+        assert fresh.parent == {v: edge_key(c.corners[i], c.corners[(i + 1) % 3])
+                                for c in kept
+                                for i, (_, v) in enumerate(c.entries)
+                                if v is not None}
         assert fresh.registry._table == rebuilt_registry(kept)
-        lost = {f for g in before for f in g.fine_face_ids} - \
-            {f for g in kept for f in g.fine_face_ids}
+        lost = {f for c in before for f in c.fine_face_ids} - \
+            {f for c in kept for f in c.fine_face_ids}
         assert sorted(freed) == sorted(lost)
-        for gid, g in enumerate(kept):
-            assert all(fresh.grouped[f] == gid for f in g.fine_face_ids)
+        for gid, c in enumerate(kept):
+            assert all(fresh.grouped[f] == gid for f in c.fine_face_ids)
         calls.append(len(bad))
         return fresh, freed
 

@@ -1,9 +1,13 @@
-"""Every name a meshpress module imports is used in that module.
+"""Every name a meshpress module imports is used in that module, and
+every private helper is used somewhere in the package.
 
 Each module under src/meshpress except the package's __init__.py is parsed
 with `ast`; a name bound by an import statement must appear somewhere in
 the module as a name or in its `__all__`. A leftover import fails here and
-the test id names its module.
+the test id names its module. A module-level function or class whose name
+starts with `_` must be referenced (as a name, an attribute or an imported
+name) by some code of src/meshpress outside its own definition, so a helper
+orphaned by a refactor fails here too.
 """
 
 import ast
@@ -47,3 +51,48 @@ def test_checker_finds_unused_names():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+def unused_private(sources: dict[str, str]) -> list[str]:
+    """"module: name" for each module-level `_`-prefixed function or class
+    of `sources` (file name -> text), dunders aside, that no code outside
+    its own definition references."""
+    defined, used = [], set()
+    for module, text in sources.items():
+        for stmt in ast.parse(text).body:
+            names = set()
+            for node in ast.walk(stmt):
+                if isinstance(node, ast.Name):
+                    names.add(node.id)
+                elif isinstance(node, ast.Attribute):
+                    names.add(node.attr)
+                elif isinstance(node, ast.ImportFrom):
+                    names |= {a.name for a in node.names}
+            if (isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                  ast.ClassDef))
+                    and stmt.name.startswith("_")
+                    and not stmt.name.endswith("__")):
+                defined.append((module, stmt.name))
+                names.discard(stmt.name)
+            used |= names
+    return [f"{module}: {name}" for module, name in defined
+            if name not in used]
+
+
+def test_checker_finds_unused_private_names():
+    sources = {
+        "a.py": ("def _called():\n    pass\n"
+                 "def _recursive(n):\n    return _recursive(n - 1)\n"
+                 "class _Described:\n    \"\"\"Only text names _Described.\"\"\"\n"
+                 "def _imported():\n    pass\n"
+                 "def _via_attribute():\n    pass\n"
+                 "def public():\n    return _called()\n"),
+        "b.py": ("from . import a\nfrom .a import _imported\n"
+                 "def __getattr__(name):\n    return a._via_attribute\n"),
+    }
+    assert unused_private(sources) == ["a.py: _recursive", "a.py: _Described"]
+
+
+def test_no_unused_private_names():
+    sources = {p.name: p.read_text() for p in sorted(SRC.glob("*.py"))}
+    assert unused_private(sources) == []

@@ -32,46 +32,49 @@ def test_degenerate_face_rejected():
 def test_non_manifold_edge_rejected():
     verts = [[0, 0, 0], [1, 0, 0], [0, 1, 0], [0, 0, 1], [1, 1, 1]]
     faces = [[0, 1, 2], [0, 1, 3], [0, 1, 4]]  # edge (0,1) in three faces
-    with pytest.raises(NonManifoldError):
+    with pytest.raises(NonManifoldError, match=r"edge \(0, 1\) shared by 3"):
         TriMesh(verts, faces)
 
 
-def test_adjacency_tables_agree_with_faces():
-    m = shapes.icosphere(1)
-    # rebuild edge->faces and vertex->faces by brute force and compare
-    edges = {}
-    stars = [[] for _ in range(m.vertex_count)]
-    for fid, (a, b, c) in enumerate(m.faces):
-        for u, v in ((a, b), (b, c), (c, a)):
-            edges.setdefault(edge_key(int(u), int(v)), []).append(fid)
-        for v in (a, b, c):
-            stars[int(v)].append(fid)
-    assert m.edge_faces == edges
-    assert m.vertex_faces == stars
-    for v, nbrs in enumerate(m.vertex_neighbors):
-        expected = sorted({u for e in edges for u in e if v in e} - {v})
-        assert nbrs == expected
+def brute_force_adjacency(mesh):
+    """Edge key -> its half-edges (3f + i, ascending) and vertex -> its
+    faces (ascending), by scanning the faces."""
+    halves, stars = {}, [[] for _ in range(mesh.vertex_count)]
+    for f, face in enumerate(mesh.faces.tolist()):
+        for i in range(3):
+            halves.setdefault(edge_key(face[i], face[(i + 1) % 3]),
+                              []).append(3 * f + i)
+            stars[face[i]].append(f)
+    return halves, stars
 
 
-def test_neighbor_across_and_apex():
-    m = shapes.tetrahedron()
-    a, b, c = (int(x) for x in m.faces[0])
-    other = m.neighbor_across(0, a, b)
-    assert other is not None and other != 0
-    apex = m.face_apex(0, a, b)
-    assert apex == c
-    with pytest.raises(MeshError):
-        m.face_apex(0, 99, 98)
+def mirrored(mesh, seed=7):
+    """`mesh` with about half of its faces reversed."""
+    faces = mesh.faces.copy()
+    flip = np.random.default_rng(seed).random(len(faces)) < 0.5
+    faces[flip] = faces[flip][:, ::-1]
+    return TriMesh(mesh.vertices, faces)
 
 
-def test_boundary_edges_on_open_patch():
-    m = shapes.grid_patch(3, 3)
-    boundary = m.boundary_edges()
-    assert boundary  # an open patch has a rim
-    for key in boundary:
-        assert len(m.edge_faces[key]) == 1
-    closed = shapes.icosahedron()
-    assert closed.boundary_edges() == set()
+def test_corner_table_matches_brute_force(corpus):
+    meshes = {**corpus, "open": shapes.grid_patch(5, 3),
+              "mirrored": mirrored(shapes.icosphere(1)),
+              "faceless": TriMesh(np.ones((4, 3)), np.empty((0, 3), dtype=int))}
+    for name, m in meshes.items():
+        halves, stars = brute_force_adjacency(m)
+        assert m.edges.tolist() == sorted(map(list, halves)), name
+        want = [-1] * (3 * m.face_count)
+        for pair in halves.values():
+            if len(pair) == 2:
+                want[pair[0]], want[pair[1]] = pair[1], pair[0]
+        assert m.opposite.tolist() == want, name
+        rim = [key for key, run in halves.items() if len(run) == 1]
+        assert int((m.opposite < 0).sum()) == len(rim), name
+        assert m.vertex_faces == stars, name
+        assert all(m.has_edge(v, u) for u, v in halves), name
+    assert not meshes["faceless"].has_edge(0, 1)
+    assert (meshes["open"].opposite < 0).any()
+    assert (meshes["icosphere"].opposite >= 0).all()
 
 
 def test_bbox_unit_cube_diagonal():
@@ -116,6 +119,54 @@ def test_validate_manifold_flags_bowtie_vertex():
     faces = [[0, 1, 2], [0, 3, 4]]
     report = validate_manifold(TriMesh(verts, faces))
     assert any("vertex 0" in line for line in report)
+
+
+def test_validate_manifold_flags_pinched_tetrahedra():
+    # two closed tetrahedra sharing vertex 0: no boundary edge anywhere,
+    # but the star of vertex 0 is two closed fans
+    tet = shapes.tetrahedron()
+    verts = np.vstack([tet.vertices, tet.vertices[1:] + 3.0])
+    second = np.where(tet.faces == 0, 0, tet.faces + 3)
+    mesh = TriMesh(verts, np.vstack([tet.faces, second]))
+    assert (mesh.opposite >= 0).all()
+    assert validate_manifold(mesh) == ["vertex 0 star is not a single fan"]
+
+
+def fan_oracle(mesh):
+    """Vertices whose faces are not connected across the edges at them."""
+    halves, stars = brute_force_adjacency(mesh)
+    bad = []
+    for v, star in enumerate(stars):
+        seen, todo = set(star[:1]), star[:1]
+        while todo:
+            for u in mesh.faces[todo.pop()].tolist():
+                for h in halves[edge_key(u, v)] if u != v else ():
+                    if h // 3 not in seen:
+                        seen.add(h // 3)
+                        todo.append(h // 3)
+        if len(seen) != len(star):
+            bad.append(v)
+    return bad
+
+
+def test_validate_manifold_matches_fan_oracle():
+    bowtie = TriMesh([[0, 0, 0], [1, 0, 0], [1, 1, 0], [-1, 0, 0], [-1, -1, 0]],
+                     [[0, 1, 2], [0, 3, 4]])
+    # two open patches glued at a rim vertex (two half-fans) and at an
+    # interior vertex (two closed fans)
+    grid = shapes.grid_patch(5, 5)
+    other = grid.faces + 25
+    other[other == 25] = 4
+    other[other == 37] = 12
+    glued = TriMesh(np.vstack([grid.vertices, grid.vertices + 2.0]),
+                    np.vstack([grid.faces, other]))
+    for mesh in (bowtie, grid, glued, mirrored(shapes.icosphere(1)),
+                 mirrored(shapes.subdivide_midpoint(shapes.grid_patch(4, 4)))):
+        want = [f"vertex {v} star is not a single fan" for v in fan_oracle(mesh)]
+        assert validate_manifold(mesh) == want
+    assert validate_manifold(bowtie) == ["vertex 0 star is not a single fan"]
+    assert validate_manifold(glued) == [f"vertex {v} star is not a single fan"
+                                        for v in (4, 12)]
 
 
 def test_vertices_are_immutable():

@@ -99,6 +99,23 @@ def test_ply_truncated_body(tmp_path):
         load_mesh(_write(tmp_path, "t.ply", text))
 
 
+@pytest.mark.parametrize("count", ["abc", "", "-3", "3 4"])
+def test_ply_bad_element_count(tmp_path, count):
+    text = (f"ply\nformat ascii 1.0\nelement vertex {count}\n"
+            "element face 1\nproperty list uchar int vertex_indices\n"
+            "end_header\n0 0 0\n1 0 0\n0 1 0\n3 0 1 2\n")
+    with pytest.raises(ParseError, match="line 3: bad element count"):
+        load_mesh(_write(tmp_path, "t.ply", text))
+
+
+@pytest.mark.parametrize("ext", ["obj", "off", "ply"])
+def test_non_utf8_file_rejected(tmp_path, ext):
+    path = tmp_path / f"latin1.{ext}"
+    path.write_bytes("# café\n".encode("latin-1"))
+    with pytest.raises(ParseError, match="not UTF-8"):
+        load_mesh(str(path))
+
+
 @pytest.mark.parametrize("ext", ["obj", "off", "ply"])
 def test_save_load_round_trip(tmp_path, ext):
     mesh = shapes.icosphere(1)
