@@ -77,6 +77,58 @@ def test_corner_table_matches_brute_force(corpus):
     assert (meshes["icosphere"].opposite >= 0).all()
 
 
+def test_adjacency_tables_agree_with_faces():
+    m = shapes.icosphere(1)
+    # rebuild edge -> faces and vertex -> faces by brute force and compare
+    edges = {}
+    stars = [[] for _ in range(m.vertex_count)]
+    for fid, (a, b, c) in enumerate(m.faces.tolist()):
+        for u, v in ((a, b), (b, c), (c, a)):
+            edges.setdefault(edge_key(u, v), []).append(fid)
+        for v in (a, b, c):
+            stars[v].append(fid)
+    assert m.edges.tolist() == sorted(map(list, edges))
+    across = {}
+    for h, o in enumerate(m.opposite.tolist()):
+        a, b = m.faces.ravel()[[h, h - h % 3 + (h + 1) % 3]].tolist()
+        across.setdefault(edge_key(a, b), []).append(h // 3)
+        assert o >= 0 and m.opposite[o] == h
+    assert {k: sorted(v) for k, v in across.items()} == edges
+    assert m.vertex_faces == stars
+    for v in range(m.vertex_count):
+        nbrs = sorted(int(u) for e in m.edges for u in e if v in e and u != v)
+        assert nbrs == sorted({u for e in edges for u in e if v in e} - {v})
+
+
+def test_neighbor_across_and_apex():
+    m = shapes.tetrahedron()
+    corners = m.faces.ravel()
+    a, b, c = corners[:3].tolist()          # half-edge 0 runs a -> b, apex c
+    o = int(m.opposite[0])
+    assert o >= 0 and o // 3 != 0
+    assert sorted(corners[[o, o - o % 3 + (o + 1) % 3]].tolist()) == sorted([a, b])
+    other_apex = int(corners[o - o % 3 + (o + 2) % 3])
+    assert other_apex not in (a, b, c)
+    assert not m.has_edge(99, 98)
+
+
+def test_boundary_edges_on_open_patch():
+    m = shapes.grid_patch(3, 3)
+    rim = np.flatnonzero(m.opposite < 0)
+    assert rim.size  # an open patch has a rim
+    counts = {}
+    for face in m.faces.tolist():
+        for i in range(3):
+            key = edge_key(face[i], face[(i + 1) % 3])
+            counts[key] = counts.get(key, 0) + 1
+    keys = {edge_key(*m.faces.ravel()[[h, h - h % 3 + (h + 1) % 3]].tolist())
+            for h in rim.tolist()}
+    assert len(keys) == rim.size
+    assert keys == {k for k, n in counts.items() if n == 1}
+    closed = shapes.icosahedron()
+    assert (closed.opposite >= 0).all()
+
+
 def test_bbox_unit_cube_diagonal():
     corners = [[x, y, z] for x in (0, 1) for y in (0, 1) for z in (0, 1)]
     box = bounding_box(TriMesh(corners, np.empty((0, 3), dtype=np.int64)))
