@@ -1,7 +1,7 @@
 """meshpress: progressive triangle-mesh compression.
 
 Pipeline: inverse irregular subdivision builds a multiresolution
-hierarchy; a lifted lazy wavelet turns each level into a coarse
+hierarchy; an interpolating lazy wavelet turns each level into a coarse
 approximation plus detail vectors; per-vertex adaptive precision and an
 adaptive range coder produce a progressive stream whose every prefix
 decodes to a valid intermediate mesh, and whose full decode is lossless

@@ -1,10 +1,10 @@
 """Command-line front end: encode, decode, metric, bench, info.
 
 Exit codes: 0 success, 2 parse/validation error, 3 truncated stream.
-Defaults (q_max=12, threshold=200, WGC on with gamma 0.25, lifting on)
-reproduce the reference configuration; `info` prints everything needed to
-re-run an identical encode, then the chunk table with each chunk's CRC32
-status. `MESHPRESS_SEED` overrides the sampling seed.
+Defaults (q_max=12, threshold=200, WGC on with gamma 0.25) reproduce the
+reference configuration; `info` prints everything needed to re-run an
+identical encode, then the chunk table with each chunk's CRC32 status.
+`MESHPRESS_SEED` overrides the sampling seed.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ import click
 
 from . import codec, metrics
 from .mesh import MeshError
-from .meshio import ParseError, load_mesh, save_mesh
+from .meshio import load_mesh, save_mesh
 
 EXIT_PARSE = 2
 EXIT_TRUNCATED = 3
@@ -32,8 +32,10 @@ def _fail(code: int, message: str):
 def _load(path: str):
     try:
         return load_mesh(path)
-    except (ParseError, MeshError, OSError) as exc:
+    except MeshError as exc:
         _fail(EXIT_PARSE, f"{path}: {exc}")
+    except OSError as exc:                  # its message names the path
+        _fail(EXIT_PARSE, str(exc))
 
 
 def _default_seed() -> int:
@@ -55,8 +57,6 @@ def _encode_options(fn):
                       help="Geometric criterion on odd-vertex selection.")(fn)
     fn = click.option("--gamma", type=float, default=0.25, show_default=True,
                       help="Geometric criterion tolerance.")(fn)
-    fn = click.option("--lifting/--no-lifting", default=True,
-                      show_default=True, help="Wavelet lifting step.")(fn)
     fn = click.option("--adaptive/--no-adaptive", default=True,
                       show_default=True,
                       help="Per-vertex precision (off pins q_i to qmax).")(fn)
@@ -66,10 +66,13 @@ def _encode_options(fn):
     return fn
 
 
-def _config(q_max, threshold, wgc, gamma, lifting, adaptive, max_levels):
-    return codec.EncodeConfig(q_max=q_max, threshold=threshold, wgc=wgc,
-                              wgc_gamma=gamma, lifting=lifting,
-                              adaptive=adaptive, max_levels=max_levels)
+def _config(q_max, threshold, wgc, gamma, adaptive, max_levels):
+    try:
+        return codec.EncodeConfig(q_max=q_max, threshold=threshold, wgc=wgc,
+                                  wgc_gamma=gamma, adaptive=adaptive,
+                                  max_levels=max_levels)
+    except ValueError as exc:
+        _fail(EXIT_PARSE, str(exc))
 
 
 @click.group()
@@ -85,12 +88,12 @@ def main():
 @_encode_options
 def cmd_encode(input_path, output_path, dump_levels, **opts):
     """Compress a mesh into a progressive .pmc stream."""
+    config = _config(**opts)
     mesh = _load(input_path)
     try:
-        config = _config(**opts)
         stream, report = codec.encode(mesh, config)
-    except (MeshError, ValueError) as exc:
-        _fail(EXIT_PARSE, str(exc))
+    except ValueError as exc:               # the input mesh is unusable
+        _fail(EXIT_PARSE, f"{input_path}: {exc}")
     with open(output_path, "wb") as fh:
         fh.write(stream.to_bytes())
     if dump_levels is not None:
@@ -122,11 +125,11 @@ def cmd_decode(input_path, output_path, level):
         mesh = codec.decode(data, up_to_level=level)
     except codec.TruncatedStreamError as exc:
         if exc.last_complete_level is not None:
-            _fail(EXIT_TRUNCATED,
-                  f"{exc} (last complete level: {exc.last_complete_level})")
-        _fail(EXIT_TRUNCATED, str(exc))
+            _fail(EXIT_TRUNCATED, f"{input_path}: {exc} (last complete "
+                                  f"level: {exc.last_complete_level})")
+        _fail(EXIT_TRUNCATED, f"{input_path}: {exc}")
     except (codec.StreamFormatError, ValueError) as exc:
-        _fail(EXIT_PARSE, str(exc))
+        _fail(EXIT_PARSE, f"{input_path}: {exc}")
     save_mesh(mesh, output_path)
     click.echo(f"vertices={mesh.vertex_count} faces={mesh.face_count}")
 
@@ -167,13 +170,14 @@ def cmd_metric(reference, other, spua, seed, as_csv):
 @_encode_options
 def cmd_bench(input_path, output, spua, seed, **opts):
     """Rate-distortion curve: one CSV row per decodable prefix."""
+    config = _config(**opts)
     mesh = _load(input_path)
     seed = _default_seed() if seed is None else seed
     try:
-        rows = codec.bench_rows(mesh, _config(**opts), seed=seed,
+        rows = codec.bench_rows(mesh, config, seed=seed,
                                 samples_per_unit_area=spua)
-    except (MeshError, ValueError) as exc:
-        _fail(EXIT_PARSE, str(exc))
+    except ValueError as exc:               # the input mesh is unusable
+        _fail(EXIT_PARSE, f"{input_path}: {exc}")
     lines = [CSV_HEADER]
     lines += [f"{r.level},{r.nbytes},{r.bpv:.6f},{r.rms_norm:.9g},"
               f"{r.max_norm:.9g}" for r in rows]
@@ -205,14 +209,13 @@ def cmd_info(input_path):
             except codec.StreamFormatError as exc:
                 crc_errors.append((i, exc))
     except codec.TruncatedStreamError as exc:
-        _fail(EXIT_TRUNCATED, str(exc))
+        _fail(EXIT_TRUNCATED, f"{input_path}: {exc}")
     except codec.StreamFormatError as exc:
-        _fail(EXIT_PARSE, str(exc))
+        _fail(EXIT_PARSE, f"{input_path}: {exc}")
     origin = header.origin
     click.echo(f"format_version={codec.FORMAT_VERSION}")
     click.echo(f"q_max={header.q_max}")
     click.echo(f"threshold={header.threshold}")
-    click.echo(f"lifting={'on' if header.lifting else 'off'}")
     click.echo(f"wgc={'on' if header.wgc_enabled else 'off'}")
     click.echo(f"gamma={header.wgc_gamma:.9g}")
     click.echo(f"adaptive={'on' if header.adaptive else 'off'}")
@@ -228,7 +231,7 @@ def cmd_info(input_path):
         click.echo(f"chunk={i} name={name} level={level if level > 0 else '-'} "
                    f"bytes={length} crc={'bad' if i in bad else 'ok'}")
     if crc_errors:
-        _fail(EXIT_PARSE, str(crc_errors[0][1]))
+        _fail(EXIT_PARSE, f"{input_path}: {crc_errors[0][1]}")
 
 
 if __name__ == "__main__":

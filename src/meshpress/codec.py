@@ -69,7 +69,6 @@ _ENTRY = struct.Struct("<II")       # chunk-table entry: length, zlib.crc32
 # and memory a header can make a decoder commit to.
 _MAX_VERTICES = 1 << 24     # original_vertex_count
 _MAX_BASE_FACES = 1 << 25   # base_face_count
-_FLAG_LIFTING = 1
 _FLAG_WGC = 2
 _FLAG_ADAPTIVE = 4
 
@@ -95,7 +94,6 @@ class EncodeConfig:
     threshold: int = DEFAULT_THRESHOLD
     wgc: bool = True
     wgc_gamma: float = 0.25
-    lifting: bool = True
     adaptive: bool = True
     max_levels: int = 32
 
@@ -122,7 +120,6 @@ class ProgressiveStream:
 
     q_max: int
     threshold: int
-    lifting: bool
     wgc_enabled: bool
     wgc_gamma: float
     adaptive: bool
@@ -135,14 +132,14 @@ class ProgressiveStream:
     chunks: list[bytes]
     vertex_map: np.ndarray | None = None
     q_sequences: list[list[int]] | None = None
+    lifting = False     # read by perfbench/run.py; not a field
 
     @property
     def chunk_count(self) -> int:
         return 3 + 2 * self.level_count
 
     def header_bytes(self) -> bytes:
-        flags = ((_FLAG_LIFTING if self.lifting else 0)
-                 | (_FLAG_WGC if self.wgc_enabled else 0)
+        flags = ((_FLAG_WGC if self.wgc_enabled else 0)
                  | (_FLAG_ADAPTIVE if self.adaptive else 0))
         return _HEADER.pack(
             MAGIC, FORMAT_VERSION, flags, self.q_max, 0, self.threshold,
@@ -224,6 +221,9 @@ def _parse_container(data: bytes):
         raise StreamFormatError(f"unsupported format version {version}")
     if reserved:
         raise StreamFormatError(f"reserved header byte is {reserved}, not 0")
+    if flags & 1:
+        raise StreamFormatError("flag bit 0 is set: streams written with the "
+                                "lifting step are not read")
     if not 4 <= q_max <= 16:
         raise StreamFormatError(f"q_max {q_max} outside [4, 16]")
     if original_nv > _MAX_VERTICES:
@@ -245,7 +245,6 @@ def _parse_container(data: bytes):
                                 f"over {base_nv} vertices")
     header = ProgressiveStream(
         q_max=q_max, threshold=threshold,
-        lifting=bool(flags & _FLAG_LIFTING),
         wgc_enabled=bool(flags & _FLAG_WGC), wgc_gamma=gamma,
         adaptive=bool(flags & _FLAG_ADAPTIVE),
         origin=np.array([ox, oy, oz]), scale=scale,
@@ -344,16 +343,16 @@ def _decode_ints(coder: SignedIntCoder, dec: RangeDecoder,
 class ProgressiveDecoder:
     """Chunk-at-a-time decoder; also used internally by the encoder."""
 
-    def __init__(self, grid: QuantGrid, threshold: int, lifting: bool,
-                 adaptive: bool, base_vertex_count: int, base_face_count: int,
-                 level_count: int, original_vertex_count: int):
+    # perfbench/run.py passes `lifting` and `level_count`; both are ignored.
+    def __init__(self, grid: QuantGrid, threshold: int, adaptive: bool,
+                 base_vertex_count: int, base_face_count: int,
+                 original_vertex_count: int, lifting: bool = False,
+                 level_count: int | None = None):
         self.grid = grid
         self.threshold = threshold
-        self.lifting = lifting
         self.adaptive = adaptive
         self.base_vertex_count = base_vertex_count
         self.base_face_count = base_face_count
-        self.level_count = level_count
         self.original_vertex_count = original_vertex_count
         self.models = _Models(grid.q_max)
         self.faces: np.ndarray | None = None
@@ -453,8 +452,7 @@ class ProgressiveDecoder:
         steps = 1 << (self.grid.q_max - np.array(self.level_q, dtype=np.int64))
         details = ints * steps[:, None] / self.grid.scale
         edges = np.array(self.last_split_edges, dtype=np.int64).reshape(-1, 2)
-        self.positions = synthesize_edges(self.positions, edges, details,
-                                          self.lifting)
+        self.positions = synthesize_edges(self.positions, edges, details)
         self.faces = self._next_faces
         self.q_recomputed.append(self.level_q)
 
@@ -496,13 +494,6 @@ def encode(mesh: TriMesh, config: EncodeConfig | None = None):
     grid = make_grid(mesh, config.q_max)
     wgc = WgcConfig(enabled=config.wgc, gamma=config.wgc_gamma)
     records = build_hierarchy(mesh, wgc, config.max_levels)
-
-    geometry = mesh.vertices
-    coeff_sets = []
-    for rec in records:                      # finest-first analysis chain
-        cs = analyze(rec, geometry, config.lifting)
-        coeff_sets.append(cs)
-        geometry = cs.approx_geometry
     base_mesh = records[-1].coarse_mesh if records else mesh
 
     m = _Models(config.q_max)
@@ -510,20 +501,20 @@ def encode(mesh: TriMesh, config: EncodeConfig | None = None):
                                                 prepend=0))]
     stream = ProgressiveStream(
         q_max=config.q_max, threshold=config.threshold,
-        lifting=config.lifting, wgc_enabled=config.wgc,
-        wgc_gamma=config.wgc_gamma, adaptive=config.adaptive,
-        origin=grid.origin, scale=grid.scale,
+        wgc_enabled=config.wgc, wgc_gamma=config.wgc_gamma,
+        adaptive=config.adaptive, origin=grid.origin, scale=grid.scale,
         base_vertex_count=base_mesh.vertex_count,
         base_face_count=base_mesh.face_count, level_count=len(records),
         original_vertex_count=mesh.vertex_count, chunks=chunks)
     sim = _decoder_for(stream)
     sim.read_base_conn(chunks[-1])
     chunks.append(_encode_ints(m.base_geom, np.diff(
-        grid.quantize(geometry), axis=0, prepend=0)))
+        grid.quantize(base_mesh.vertices), axis=0, prepend=0)))
     sim.read_base_geom(chunks[-1])
 
     pi = np.arange(base_mesh.vertex_count, dtype=np.int64)
-    for rec, cs in zip(reversed(records), reversed(coeff_sets)):
+    for rec in reversed(records):
+        cs = analyze(rec, rec.fine_mesh.vertices)
         split_of = {key: odd for odd, key in rec.parent_edge.items()}
         trisect_bit = {}                     # ordered edge-key pair -> bit
         for g in rec.face_groups:
@@ -591,10 +582,9 @@ def _decoder_for(header: ProgressiveStream) -> ProgressiveDecoder:
     """A fresh decoder for the stream described by `header`."""
     return ProgressiveDecoder(
         grid=QuantGrid(header.origin, header.scale, header.q_max),
-        threshold=header.threshold, lifting=header.lifting,
-        adaptive=header.adaptive, base_vertex_count=header.base_vertex_count,
+        threshold=header.threshold, adaptive=header.adaptive,
+        base_vertex_count=header.base_vertex_count,
         base_face_count=header.base_face_count,
-        level_count=header.level_count,
         original_vertex_count=header.original_vertex_count)
 
 

@@ -55,7 +55,10 @@ class TriMesh:
 
     def __init__(self, vertices, faces, validate: bool = True):
         self.vertices = np.ascontiguousarray(vertices, dtype=np.float64).reshape(-1, 3)
-        self.faces = np.ascontiguousarray(faces, dtype=np.int64).reshape(-1, 3)
+        try:
+            self.faces = np.ascontiguousarray(faces, dtype=np.int64).reshape(-1, 3)
+        except OverflowError:
+            raise MeshError("face index outside the int64 range") from None
         self.vertices.setflags(write=False)
         self.faces.setflags(write=False)
         if validate:

@@ -28,13 +28,14 @@ def detect_format(path: str) -> str:
 
 
 def load_mesh(path: str, fmt: str | None = None) -> TriMesh:
-    """Load and validate a triangle mesh from an ASCII file."""
+    """Load and validate a triangle mesh from an ASCII file. Errors do not
+    name `path`; the caller that knows how to present it adds it."""
     fmt = fmt or detect_format(path)
     try:
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
     except UnicodeDecodeError as exc:
-        raise ParseError(f"{path}: not UTF-8 text ({exc.reason} at byte "
+        raise ParseError(f"not UTF-8 text ({exc.reason} at byte "
                          f"{exc.start})") from None
     if fmt == "obj":
         verts, faces = _parse_obj(text)
@@ -46,13 +47,11 @@ def load_mesh(path: str, fmt: str | None = None) -> TriMesh:
         raise ParseError(f"unsupported format {fmt!r}")
     try:
         return TriMesh(verts, faces)
-    except ParseError:
-        raise
     except MeshError as exc:
         if type(exc) is MeshError:
             # invalid file content (e.g. out-of-range index)
-            raise ParseError(f"{path}: {exc}") from exc
-        raise type(exc)(f"{path}: {exc}") from exc
+            raise ParseError(str(exc)) from exc
+        raise
 
 
 def save_mesh(mesh: TriMesh, path: str, fmt: str | None = None) -> None:
@@ -193,13 +192,20 @@ def _parse_ply(text: str):
         raise ParseError("incomplete PLY header")
     if order != ["vertex", "face"]:
         raise ParseError("PLY elements must be vertex then face")
-    body = [ln.split() for ln in lines[body_at:] if ln.strip()]
+    body = [(lineno, ln.split())
+            for lineno, ln in enumerate(lines[body_at:], body_at + 1)
+            if ln.strip()]
     if len(body) < nv + nf:
         raise ParseError("truncated PLY body")
     try:
-        verts = [[float(x) for x in row[:3]] for row in body[:nv]]
+        verts = []
+        for lineno, row in body[:nv]:
+            if len(row) < 3:
+                raise ParseError(f"line {lineno}: vertex row with "
+                                 f"{len(row)} values")
+            verts.append([float(x) for x in row[:3]])
         faces = []
-        for lineno, row in enumerate(body[nv:nv + nf], body_at + nv + 1):
+        for lineno, row in body[nv:nv + nf]:
             n = int(row[0])
             faces.append(_parse_face_indices(row[1:1 + n], lineno))
     except ParseError:

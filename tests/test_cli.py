@@ -99,6 +99,30 @@ def test_encode_unreadable_header_exits_parse(runner, tmp_path, name, data):
     assert not (tmp_path / "o.pmc").exists()
 
 
+BAD_MESH_FILES = {
+    "bad.off": "OFF\n0 1 0\n3 0 1 2\n",
+    "cut.off": "OFF\n3 1 0\n0 0 0\n1 0 0\n",
+    "short.ply": ("ply\nformat ascii 1.0\nelement vertex 3\n"
+                  "element face 1\nproperty list uchar int vertex_indices\n"
+                  "end_header\n0 0\n1 0 0\n0 1 0\n3 0 1 2\n"),
+    "big.obj": "v 0 0 0\nv 1 0 0\nv 0 1 0\nf 1 2 99999999999999999999999\n",
+}
+
+
+@pytest.mark.parametrize("name", list(BAD_MESH_FILES))
+def test_encode_bad_mesh_file_names_path_once(runner, tmp_path, name):
+    src = tmp_path / name
+    src.write_text(BAD_MESH_FILES[name])
+    result = runner.invoke(main, ["encode", str(src), str(tmp_path / "o.pmc")])
+    assert result.exit_code == EXIT_PARSE, result.output
+    errors = [line for line in result.output.splitlines()
+              if line.startswith("error:")]
+    assert len(errors) == 1, result.output
+    assert errors[0].count(str(src)) == 1, errors[0]
+    assert "Traceback" not in result.output
+    assert not (tmp_path / "o.pmc").exists()
+
+
 @pytest.mark.parametrize("bad", ["nan", "inf"])
 def test_encode_non_finite_mesh_exits_parse(runner, tmp_path, bad):
     mesh = shapes.icosphere(2)
@@ -213,13 +237,12 @@ def test_bench_csv_schema(runner, tmp_path):
 
 def test_info_round_trips_configuration(runner, mesh_file, tmp_path):
     out, _ = _encode(runner, mesh_file, tmp_path,
-                     "--qmax", "10", "--threshold", "600", "--no-lifting")
+                     "--qmax", "10", "--threshold", "600")
     result = runner.invoke(main, ["info", out])
     assert result.exit_code == 0, result.output
     fields = dict(line.split("=", 1) for line in result.output.strip().splitlines())
     assert fields["q_max"] == "10"
     assert fields["threshold"] == "600"
-    assert fields["lifting"] == "off"
     assert fields["wgc"] == "on"
     assert fields["adaptive"] == "on"
     assert int(fields["levels"]) >= 1

@@ -51,7 +51,6 @@ def test_round_trip_across_precisions(q_max):
 
 
 @pytest.mark.parametrize("kwargs", [
-    dict(lifting=False),
     dict(adaptive=False),
     dict(wgc=False),
     dict(threshold=0),
@@ -117,7 +116,6 @@ def test_container_parse_round_trip(encoded):
     back = ProgressiveStream.from_bytes(stream.to_bytes())
     assert back.q_max == stream.q_max
     assert back.threshold == stream.threshold
-    assert back.lifting == stream.lifting
     assert back.adaptive == stream.adaptive
     assert back.level_count == stream.level_count
     assert np.array_equal(back.origin, stream.origin)
@@ -503,12 +501,12 @@ def test_one_precision_pass_per_level(monkeypatch, adaptive):
 
 
 def test_level_details_within_quantizer_bound():
-    """Without lifting, each new vertex of a level, before completion, is
-    off its input vertex by at most half its own quantizer step plus half
-    a q_max grid unit (the rounding of the coarse vertices it is predicted
-    from), per axis."""
+    """Each new vertex of a level, before completion, is off its input
+    vertex by at most half its own quantizer step plus half a q_max grid
+    unit (the rounding of the coarse vertices it is predicted from), per
+    axis."""
     mesh = shapes.icosphere(2)
-    stream, _ = encode(mesh, EncodeConfig(lifting=False, max_levels=1))
+    stream, _ = encode(mesh, EncodeConfig(max_levels=1))
     assert stream.level_count == 1
     header, _ = codec._parse_container(stream.to_bytes())
     dec = codec._decoder_for(header)

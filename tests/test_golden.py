@@ -1,21 +1,23 @@
-"""Golden streams and golden decodes over 7 meshes x 7 configurations.
+"""Golden streams and golden decodes over 7 meshes x 6 configurations.
 
 GOLDEN pins the SHA-256 of `encode(mesh, cfg)[0].to_bytes()`: any change
 to the hierarchy, wavelet, quantizer, coder or container that alters a
 single stream byte fails here, so a pure-performance change must leave
-these hashes untouched. They were last re-recorded for format version 2,
-which dropped the transmitted q_i and added a CRC32 to every chunk-table
-entry.
+these hashes untouched.
 
 DECODED pins what the decoder rebuilds from those streams: the vertices
-and faces of every `up_to_level` prefix and of the full decode. These
-digests were recorded from format version 1, before the q_i were dropped,
-and still pass: a format change that only moves bytes keeps them, while
-one that changes geometry at any prefix does not. The two sets together
-tell the two kinds of change apart.
+and faces of every `up_to_level` prefix and of the full decode. A format
+change that only moves bytes keeps these digests, while one that changes
+geometry at any prefix does not. The two sets together tell the two
+kinds of change apart.
 
-The `mirrored_ico1` entries of both sets were recorded later, at format
-version 2. That mesh is the only one here whose encode takes the mirrored
+Both sets were re-recorded when the wavelet lost its lifting step: each
+entry is what the encoder before that change wrote, and decoded, for the
+same configuration with lifting switched off. The `default` entries are
+that encoder's `no_lifting` entries, unchanged. The streams are format
+version 2 throughout.
+
+`mirrored_ico1` is the only mesh here whose encode takes the mirrored
 diagonal-bit branch (3 trisected faces per default encode).
 """
 
@@ -23,8 +25,10 @@ import hashlib
 
 import numpy as np
 import pytest
+from click.testing import CliRunner
 
 from meshpress import codec, shapes
+from meshpress.cli import EXIT_PARSE, main
 from meshpress.codec import EncodeConfig
 from meshpress.mesh import TriMesh
 
@@ -55,7 +59,6 @@ MESHES = {
 CONFIGS = {
     "default": {},
     "no_adaptive": {"adaptive": False},
-    "no_lifting": {"lifting": False},
     "no_wgc": {"wgc": False},
     "gamma_0.15": {"wgc_gamma": 0.15},
     "q_max_10": {"q_max": 10},
@@ -63,55 +66,48 @@ CONFIGS = {
 }
 
 GOLDEN = {
-    ("triangle", "default"): "8c7551562876ce644ed02a6411765e8e60fcf8b77dd59d8349584bd2caf557b3",
-    ("triangle", "no_adaptive"): "fd7ed0766ae937ce96b666a8f452649589a89ce1c9db8e7c8cfe60f3e8fad136",
-    ("triangle", "no_lifting"): "6580b2709a93cab15afdc71be977f5c7689c09f9403d76939a6a36df069b04bf",
-    ("triangle", "no_wgc"): "ae00b262c7d3c50d84baebb9de72642af46d2878a28454ab63dac2ec2f063238",
-    ("triangle", "gamma_0.15"): "f873c370f5e4a7f3ac3da23153ae09639747563bc73e45656f4972579e05dc33",
-    ("triangle", "q_max_10"): "097b8f022efcf5f604034b3d6d7f7c1eb5a729f745c3112c460a9c5a13bd2c6b",
-    ("triangle", "max_levels_1"): "8c7551562876ce644ed02a6411765e8e60fcf8b77dd59d8349584bd2caf557b3",
-    ("tetrahedron", "default"): "047607b050e9b4bcaa596d0c03e646eddb2552015408e8292c491980708199af",
-    ("tetrahedron", "no_adaptive"): "8226a0a4b2f3f47a0ac64ab6c04086eeaf23db059246ed39380a6ab3434ee556",
-    ("tetrahedron", "no_lifting"): "978feba38e3154afcde78968da80cf3a24270ed8cb47357a2a8ab9d1e7566280",
-    ("tetrahedron", "no_wgc"): "21a94cf6ec1ea210975b4378d9ff75c9d9f10b93b1fa790432a97dc73edc4f78",
-    ("tetrahedron", "gamma_0.15"): "e59728b3935054af4705ad255aa49eb38529b5ef210ce0043ba76f1f2be7ded5",
-    ("tetrahedron", "q_max_10"): "19e52291113fb285a259c9bf4cc1f5adc021bfa0d3224e26d4f1daef024ebfb0",
-    ("tetrahedron", "max_levels_1"): "047607b050e9b4bcaa596d0c03e646eddb2552015408e8292c491980708199af",
-    ("grid_patch_9x9", "default"): "60e230aaabf9eeaf5161912ac78dfa79803dabdbba06334df3b0a47743ad3c61",
-    ("grid_patch_9x9", "no_adaptive"): "7384169b258b4cadbd692cc69361c78cc671046302f98d81c9f97ebc27ba6fbe",
-    ("grid_patch_9x9", "no_lifting"): "8b66e3467fc1218dd6a012b2957ae00df70cf3f45bc51ef55f3137fe03e38222",
-    ("grid_patch_9x9", "no_wgc"): "50e5760c975ecac08a3e30cb4fa87c71bb5afc57096feb87d85d12f8d326f26c",
-    ("grid_patch_9x9", "gamma_0.15"): "2f7368c5553535480240ddee6714952c5307a91b39695aeae50721400694f0b6",
-    ("grid_patch_9x9", "q_max_10"): "3a838072781f71be8df2c0e5481207d6d62fb8eb847318a2255afb4c04caac0d",
-    ("grid_patch_9x9", "max_levels_1"): "24fa80fdbcf9ced039a774670ade8a3c518d21773d6fa443567f26246c43a571",
-    ("icosphere_2", "default"): "dd299d1ce3f2efc17437853fadf6a873e0e34e4d8daf71949984bf785b46456b",
-    ("icosphere_2", "no_adaptive"): "2952bdbb64fa0f0bb3a51ea03c71ab8afde469703600da82172c0ca8bcfb6633",
-    ("icosphere_2", "no_lifting"): "3c8dc0ae854a495ac3d70b45997849b0c868e71e93abc3ec79a690e8aa69a48a",
-    ("icosphere_2", "no_wgc"): "69d159307462036cbf52f907990117f2bd6d1b18653f792a32bc2c16910836a3",
-    ("icosphere_2", "gamma_0.15"): "a3a9f6fc668afdd7a8dfd0c4a52ca9aa969b9475f12e65c2d42163250d693e53",
-    ("icosphere_2", "q_max_10"): "66711c90740693e943309c31814f4cf2702b591d2285fd175694857447eeb0d2",
-    ("icosphere_2", "max_levels_1"): "3a2469d7264d3968efbd759234ca7b7f60a65b58b825495635bf326debb4647f",
-    ("random_convex_200_s3", "default"): "4d82ef2887d2f3d143c81048f33d33f515e794bed3b175a083df90537df3d825",
-    ("random_convex_200_s3", "no_adaptive"): "c2157bdd57bf8f8aff8d1da864aed88e1867f8cfb0fc9480d6f02bfbff8687b8",
-    ("random_convex_200_s3", "no_lifting"): "993f77cf5fad7289119f97287b8b4da96950399acec1ceabd0ec2015b3bcf6ac",
-    ("random_convex_200_s3", "no_wgc"): "ea0e92796f7d5a370256b48794f37462a02053f3e8b76320841c10bc6da36c21",
-    ("random_convex_200_s3", "gamma_0.15"): "97951335390d0ad0ef4c4e0cadd644941b37cd3e9e3f704820fb3329c7b04dfc",
-    ("random_convex_200_s3", "q_max_10"): "718d18866ac10258d9d1fcdefd2b9e0eea6f394b0cc8f8c37350eff8711f834d",
-    ("random_convex_200_s3", "max_levels_1"): "119b5d8fed8764f7795bd8017ddd8a6f991392273db7fc4a31c049ea3470e5ca",
-    ("cad_solid_sub2", "default"): "c33ddf3d714afc433b7cbfef19eaed2fa78a6fc8bfae3ca362536b112836cf8d",
-    ("cad_solid_sub2", "no_adaptive"): "95330f83fadd065540a08fe4b1a367be8ecb3da506a29c23b081a684897c7a6d",
-    ("cad_solid_sub2", "no_lifting"): "cb71f85f62889d4e3d6594568aac8f8f838d641d7565f813b1c3ad1c92913520",
-    ("cad_solid_sub2", "no_wgc"): "2f44ee2330ace3753adfc967e08007dc2e60a1c22def438ff4bef25477d06004",
-    ("cad_solid_sub2", "gamma_0.15"): "64ad8b9d18b1d00eab0681d30f7357aa3ad7fb1106a1084639a020083075e3cd",
-    ("cad_solid_sub2", "q_max_10"): "6b9da9e752b99fa34a59269a9664656935f807657bc36d207e59d0a819baf412",
-    ("cad_solid_sub2", "max_levels_1"): "a78a9337c66fa38eccaf50009d77c14ae1b120630e09aabcf7b0bae608cc842a",
-    ("mirrored_ico1", "default"): "48f07f160f5ea72d7fb73418619211f2250d1ef92462a5112f187de081823ca4",
-    ("mirrored_ico1", "no_adaptive"): "6858e70b660cf72a3a8ddb5fb216787ce42adad9f1be2f99c99e905e4b33021e",
-    ("mirrored_ico1", "no_lifting"): "8a27f1f45cf3726ac028f7b006681f05c29e21967f3544c0d17a4484609942f8",
-    ("mirrored_ico1", "no_wgc"): "24e7dd66f7c4786d55f39f740dae2b17af771d34fc2cc623a23efacb05464924",
-    ("mirrored_ico1", "gamma_0.15"): "71d2f43b01e91672f6dc61e3a321525d5f1b84e36f510a98f79dc248852e0356",
-    ("mirrored_ico1", "q_max_10"): "53961d9ef5f5284767390195d2f32a366041351ccd791a6cf2d3939e07084efa",
-    ("mirrored_ico1", "max_levels_1"): "5d928add96de71784d572281a7a1ba0a8437a51898d788e75ef261e25821d630",
+    ("triangle", "default"): "6580b2709a93cab15afdc71be977f5c7689c09f9403d76939a6a36df069b04bf",
+    ("triangle", "no_adaptive"): "98e9e53be9707e40f0781e313779949aa2b5ed27c3b3bf08a2778f0c7ca8e3f8",
+    ("triangle", "no_wgc"): "04f05ea12910562ea8b38ba93a7db010f3f92175ab44e6e2daa90162661ec9da",
+    ("triangle", "gamma_0.15"): "1bef3c72fb525f181cabab144c57eb49d0ba727f49003cd3a33ff9a74496b42a",
+    ("triangle", "q_max_10"): "0e586223dc8bbeaf90b02a4366bf182b9a917f3ccdd1ee2d8bdd4cd9f255037e",
+    ("triangle", "max_levels_1"): "6580b2709a93cab15afdc71be977f5c7689c09f9403d76939a6a36df069b04bf",
+    ("tetrahedron", "default"): "978feba38e3154afcde78968da80cf3a24270ed8cb47357a2a8ab9d1e7566280",
+    ("tetrahedron", "no_adaptive"): "845e5a7029029718a49ba8beec64d6251d8d17f83ac1aa4d5beb9e71a0938cbb",
+    ("tetrahedron", "no_wgc"): "826c882ec339d279abb88a8be370ed1a6daa043c801c320b810ab00280500a7a",
+    ("tetrahedron", "gamma_0.15"): "f37e28bc4df8505fb5726dcb80ce602cdeebafc0f73915b3333d7c9dbce58c2d",
+    ("tetrahedron", "q_max_10"): "3b0e96b76f805b7b8c832974a2736091e29cd09cadb0122b5053906de089ae45",
+    ("tetrahedron", "max_levels_1"): "978feba38e3154afcde78968da80cf3a24270ed8cb47357a2a8ab9d1e7566280",
+    ("grid_patch_9x9", "default"): "8b66e3467fc1218dd6a012b2957ae00df70cf3f45bc51ef55f3137fe03e38222",
+    ("grid_patch_9x9", "no_adaptive"): "9a80f69637ed446aaa5cc5c27b8cfd4e2d7a68a7db92239778899de9bb181774",
+    ("grid_patch_9x9", "no_wgc"): "b8e17b96f63b90b7620e523d022e3a2bdd6c817689907074c2f431421cd9a6ea",
+    ("grid_patch_9x9", "gamma_0.15"): "f34d7e14d6eb6ce71980f8be08a8f8e40d26c65eef2ccd144bfdd057f22f166c",
+    ("grid_patch_9x9", "q_max_10"): "f4418eaad64d57eabe14131dffb3debe0b6bbca3adf510cd924e9a8b11fd9fc1",
+    ("grid_patch_9x9", "max_levels_1"): "a78fc06599d89474d690f4a254021eb8d80f25a89c81ba80f1ff008eb702426c",
+    ("icosphere_2", "default"): "3c8dc0ae854a495ac3d70b45997849b0c868e71e93abc3ec79a690e8aa69a48a",
+    ("icosphere_2", "no_adaptive"): "a84515b35940a798977773a77d480219a45b6e7537f94e4fcdfe4bedb292b908",
+    ("icosphere_2", "no_wgc"): "ef9612b24d1581f1891b3bdfe612efec2c059890be3d67ce4c24dc3b895d4b85",
+    ("icosphere_2", "gamma_0.15"): "b3eb879577cd0c54cc5a49fba635483d7b45c869371b98b3281c770c8f0a651e",
+    ("icosphere_2", "q_max_10"): "a94f74b4b1161aac53908177e44223f7ce49202ff1d9cc4375c78d8e7190e1dd",
+    ("icosphere_2", "max_levels_1"): "4b25265690b24c57cb0707120a805486cd4e7aad848ee4e6dede77403f35d981",
+    ("random_convex_200_s3", "default"): "993f77cf5fad7289119f97287b8b4da96950399acec1ceabd0ec2015b3bcf6ac",
+    ("random_convex_200_s3", "no_adaptive"): "ba54c639c4fbd6f8e331d95382bb9d4e7fe14df86335344c29915d44423af1ed",
+    ("random_convex_200_s3", "no_wgc"): "c41f902884911379e734f67aa69880480001ec86ad87504b53686f19af389e20",
+    ("random_convex_200_s3", "gamma_0.15"): "3f08e20d79860c10932bcdde28753d404ae41db35bb77e0b43c2550939f16200",
+    ("random_convex_200_s3", "q_max_10"): "2b8984a4c302ba4b6cf7b40f6c15437e1fad659832f1f817aed9882a5658c000",
+    ("random_convex_200_s3", "max_levels_1"): "6c6af9bfb59a40b4fedf190f0bfeadfb5fd1e0c8edb24167f35b66e3a6458b33",
+    ("cad_solid_sub2", "default"): "cb71f85f62889d4e3d6594568aac8f8f838d641d7565f813b1c3ad1c92913520",
+    ("cad_solid_sub2", "no_adaptive"): "f8fe44a9350b0f3a5f37cb660363234d0b53e0bb21efc2de3c93b11c2e07e683",
+    ("cad_solid_sub2", "no_wgc"): "97b76ef828cb554c7682b454c8b569f52f25bfdaec6f2fb3338170f91c0af3c5",
+    ("cad_solid_sub2", "gamma_0.15"): "567d65fbc4e875ff6e7d480b35a7884beb001fb5b3c7581e1d8e5cd8743e7789",
+    ("cad_solid_sub2", "q_max_10"): "0d318b87859854a19fc93514ac9abfbfc3b44d54f659073b1878e7c9a5b225a4",
+    ("cad_solid_sub2", "max_levels_1"): "70b439a484bb3061f8191d929f41ec40b675f8e7eba782eb2590af2a18d13852",
+    ("mirrored_ico1", "default"): "8a27f1f45cf3726ac028f7b006681f05c29e21967f3544c0d17a4484609942f8",
+    ("mirrored_ico1", "no_adaptive"): "362a6e768837a02c4eb2a8d470438497bbbd2cfc50b8cdb60d64482e2becb610",
+    ("mirrored_ico1", "no_wgc"): "9bd2f57c7f141bd7dba3e263a2f75d22b77755f36657c25e8af2344a76d674a5",
+    ("mirrored_ico1", "gamma_0.15"): "b299bda4b60337338dbc838ec058a21354e02cea8d44b9f28b9c52b30dd56a72",
+    ("mirrored_ico1", "q_max_10"): "28bb50591651dae747a05258bb92b879141b0b27147ab96ad4f897a631c3202c",
+    ("mirrored_ico1", "max_levels_1"): "7f41d3e821781c4bd405c96308c87e1993e544ce36f73029c48586cc58829635",
 }
 
 
@@ -121,53 +117,46 @@ GOLDEN = {
 DECODED = {
     ("triangle", "default"): "e25bb1d43f6fb19d3225ff031f09d6d7843eeace13896974b2c38ba6f5bb04c0",
     ("triangle", "no_adaptive"): "e25bb1d43f6fb19d3225ff031f09d6d7843eeace13896974b2c38ba6f5bb04c0",
-    ("triangle", "no_lifting"): "e25bb1d43f6fb19d3225ff031f09d6d7843eeace13896974b2c38ba6f5bb04c0",
     ("triangle", "no_wgc"): "e25bb1d43f6fb19d3225ff031f09d6d7843eeace13896974b2c38ba6f5bb04c0",
     ("triangle", "gamma_0.15"): "e25bb1d43f6fb19d3225ff031f09d6d7843eeace13896974b2c38ba6f5bb04c0",
     ("triangle", "q_max_10"): "e25bb1d43f6fb19d3225ff031f09d6d7843eeace13896974b2c38ba6f5bb04c0",
     ("triangle", "max_levels_1"): "e25bb1d43f6fb19d3225ff031f09d6d7843eeace13896974b2c38ba6f5bb04c0",
     ("tetrahedron", "default"): "6f74051e9577caf0279bc8c4e3e27b18315374d561aef632fd19756bda47893e",
     ("tetrahedron", "no_adaptive"): "6f74051e9577caf0279bc8c4e3e27b18315374d561aef632fd19756bda47893e",
-    ("tetrahedron", "no_lifting"): "6f74051e9577caf0279bc8c4e3e27b18315374d561aef632fd19756bda47893e",
     ("tetrahedron", "no_wgc"): "6f74051e9577caf0279bc8c4e3e27b18315374d561aef632fd19756bda47893e",
     ("tetrahedron", "gamma_0.15"): "6f74051e9577caf0279bc8c4e3e27b18315374d561aef632fd19756bda47893e",
     ("tetrahedron", "q_max_10"): "6f74051e9577caf0279bc8c4e3e27b18315374d561aef632fd19756bda47893e",
     ("tetrahedron", "max_levels_1"): "6f74051e9577caf0279bc8c4e3e27b18315374d561aef632fd19756bda47893e",
     ("grid_patch_9x9", "default"): "656e39062e121bbafcf1abec71fb839ea06e11739693fb567739c482fbbd5961",
     ("grid_patch_9x9", "no_adaptive"): "656e39062e121bbafcf1abec71fb839ea06e11739693fb567739c482fbbd5961",
-    ("grid_patch_9x9", "no_lifting"): "656e39062e121bbafcf1abec71fb839ea06e11739693fb567739c482fbbd5961",
-    ("grid_patch_9x9", "no_wgc"): "07f40c9dfdac63971979cd9ed65711fe06058b4c76dc52612cb232e5fb590aa3",
+    ("grid_patch_9x9", "no_wgc"): "c61f16b375b6f11c07f18939de2cca2c9e04c05c01d2b733efa7ddb9e8c54e08",
     ("grid_patch_9x9", "gamma_0.15"): "656e39062e121bbafcf1abec71fb839ea06e11739693fb567739c482fbbd5961",
     ("grid_patch_9x9", "q_max_10"): "5cfa9faf99cfe8de71f9e157156a80bb83511e9fa4a42255633afad0bf4cc9eb",
     ("grid_patch_9x9", "max_levels_1"): "7e4d208b70541658e807b3e695d5c84f9a8f55a8540b236b52053a940853d3cf",
-    ("icosphere_2", "default"): "6ab5ad8e5e75a902f7037cc44ca05fd167ac58135a4e159ae232e3dddcd54683",
-    ("icosphere_2", "no_adaptive"): "7a057f19bdaabaa61122a0a0dc5eb575115ef3606d442642541a1e879e2151fb",
-    ("icosphere_2", "no_lifting"): "c963f3170a7b71044e17a37a614de469821b3050acbac36205a4e6d2d15aabd9",
-    ("icosphere_2", "no_wgc"): "2f7864be4fcb1190771f1715cab6dc9a65bdbfcc57f43aedb76947fc65985e12",
-    ("icosphere_2", "gamma_0.15"): "6ab5ad8e5e75a902f7037cc44ca05fd167ac58135a4e159ae232e3dddcd54683",
-    ("icosphere_2", "q_max_10"): "c7c3b390c61e2573a0985e4e99c7f188b3e3e51e9b12c172905e89f4753bb0d3",
-    ("icosphere_2", "max_levels_1"): "9ee829b646610f5dc9b4f0a268cdc6d19101587d14033643e4ee996081a112ee",
-    ("random_convex_200_s3", "default"): "ba93dc57e18ae91526df0c5bad0898c4bd11e85c3592feb3bb6736439bf5dbd2",
-    ("random_convex_200_s3", "no_adaptive"): "21be7da7778777347135b927e0f7d58f33fe07e48a88a674365a8e02d6a62c23",
-    ("random_convex_200_s3", "no_lifting"): "6046d8956224366496034092c3fdc094c88c3e8ea79ede3fbe273d3e0476d3a2",
-    ("random_convex_200_s3", "no_wgc"): "1fca99697aee68c73bd32de54be96d2dea25c6a55cf6bbab96cfeb9279f257f0",
-    ("random_convex_200_s3", "gamma_0.15"): "4188d8f6c73a388a0947fa459aa1b8760009b4a886fad649d7aafbd4a2c9c833",
-    ("random_convex_200_s3", "q_max_10"): "4094c749a1e13320e98406e3057e07bd557e0f081a762938ed7bc9d68666f5e7",
-    ("random_convex_200_s3", "max_levels_1"): "c89cb65efb9aeb00d9c8fa94e62c258a67badfa87af9ffbbe140fbc7884ed7d5",
-    ("cad_solid_sub2", "default"): "910b60577bd0c15f7ed07ffae705e67a85ff4711adccc8de20b4e764e7825f3d",
-    ("cad_solid_sub2", "no_adaptive"): "02eee226117b46867639245e56f6d8c76109035b7d226c66b5a49c7cba82b95f",
-    ("cad_solid_sub2", "no_lifting"): "c89857805c8aa2a44df5ab92be501a543e25294864a3c85907e6313c2476964a",
-    ("cad_solid_sub2", "no_wgc"): "6e166a8ee34a4e9658b532822ab8571292eb184b62c5ad0762100b4968b0bd5f",
+    ("icosphere_2", "default"): "c963f3170a7b71044e17a37a614de469821b3050acbac36205a4e6d2d15aabd9",
+    ("icosphere_2", "no_adaptive"): "502e13718a7d3d9e133d8c6f21c05b3975504d32825a32863af231727a13d501",
+    ("icosphere_2", "no_wgc"): "472adeab3d3ff85d51bfd01ff71c334f3abafc458fca932fd9a2c39655c943c6",
+    ("icosphere_2", "gamma_0.15"): "c963f3170a7b71044e17a37a614de469821b3050acbac36205a4e6d2d15aabd9",
+    ("icosphere_2", "q_max_10"): "ac8a692528d6c55321f8afb13211a7273be473ff4e54e05dad069e233107eecc",
+    ("icosphere_2", "max_levels_1"): "6d40fd48ba16213be8497c64afabb54cf46b858729b3b0af6793bddc2c470450",
+    ("random_convex_200_s3", "default"): "6046d8956224366496034092c3fdc094c88c3e8ea79ede3fbe273d3e0476d3a2",
+    ("random_convex_200_s3", "no_adaptive"): "f4143810d424cdf54bb19a93149d37a8fed79530d6863ffc7c47fcfd1ae5e1ab",
+    ("random_convex_200_s3", "no_wgc"): "b9f319439f9585883322374fc82258d61e57c94f8076f65e94e23346b77489cd",
+    ("random_convex_200_s3", "gamma_0.15"): "fd3d92fe4c9e2d49cc71ad0bc6d5f25ca87d3509afe48a238e88fe090602e6ed",
+    ("random_convex_200_s3", "q_max_10"): "f048334e36fcb017aec91f72ed59c34b7ca389eb6e1352299e6c0810297ada1b",
+    ("random_convex_200_s3", "max_levels_1"): "d9a39f1c6aea4f0151b8ea2b4fbee708adf9de6764690741ed0aaf209f5c0748",
+    ("cad_solid_sub2", "default"): "c89857805c8aa2a44df5ab92be501a543e25294864a3c85907e6313c2476964a",
+    ("cad_solid_sub2", "no_adaptive"): "1346c7711172defc6014e14be327169d9edd8a190ce6942f998eba2d9c7985f6",
+    ("cad_solid_sub2", "no_wgc"): "0be3908d6f7e0431971481d4a0fd02ba1610a545cb820df4584d1057bb6e6a76",
     ("cad_solid_sub2", "gamma_0.15"): "060104acd10ccf4c26d7f9098f7040412604c6f75066efb7afa9fe2b3dd666bb",
-    ("cad_solid_sub2", "q_max_10"): "16cb54b9f3d0a9d846e6006e777d53636f767c99bfe5032347b09121d1b10603",
-    ("cad_solid_sub2", "max_levels_1"): "e3fff05394b2d84518f4ffc935a55ffb19fbb394b5bf3de3446c12c2e532fab2",
-    ("mirrored_ico1", "default"): "4ca44b15a010abd8df083c1328f89ec34baaf6e48d55349e08698f50d69d79ce",
-    ("mirrored_ico1", "no_adaptive"): "cc2f2a67477dfb4b9f3cf96c5c93c0c820a455376c95f1f8730d0f63e6df4b2f",
-    ("mirrored_ico1", "no_lifting"): "ed95fc7a15bec3ef488226b94edb35317ed28ef742865663e03206307a2142d6",
-    ("mirrored_ico1", "no_wgc"): "521a83a4e47ffb129a835e9012e212a8810841158f852be71402464f4c75cfe2",
-    ("mirrored_ico1", "gamma_0.15"): "67b88d9dc68ec88fbc625578c35aab2b6fabb346af21696d33b9419c28aba5ce",
-    ("mirrored_ico1", "q_max_10"): "3728f6fb99913e773f7b12cdbde15c32196a2b1a8e3b6345c398e10305f7153d",
-    ("mirrored_ico1", "max_levels_1"): "9a9c45bcd64b6240f1ba27a52053ed89f1fa4b136a6f0b9c2f8d6efa7183dbbd",
+    ("cad_solid_sub2", "q_max_10"): "37be8ac631a6e3ce12af4a2aec96a5035a3dbd5c82af5f5440ba04f002580b2d",
+    ("cad_solid_sub2", "max_levels_1"): "83e73c1bd35f5492657fb260773252e508c0f15bcb5e058e9f221a473c32fda2",
+    ("mirrored_ico1", "default"): "ed95fc7a15bec3ef488226b94edb35317ed28ef742865663e03206307a2142d6",
+    ("mirrored_ico1", "no_adaptive"): "6674deb30d1170e10d9b5f2533f99066127f540d589612359a4f066417278e65",
+    ("mirrored_ico1", "no_wgc"): "2539c39ae9eed7f5ba464625582c371045f8dab19860a515b2e372fbad18682c",
+    ("mirrored_ico1", "gamma_0.15"): "e2f5519fe67d8a15e13ce3cf8736d0c2e327e4d4e2ec421917cdd87663f3a160",
+    ("mirrored_ico1", "q_max_10"): "39f61f76d377e0daf5bfe1f787d2868f431b0de50757dd576a740ff32e7768e0",
+    ("mirrored_ico1", "max_levels_1"): "eb13ed55ca7f2e45b0d8753f725956c973d96ec52cbf87563149566a65a8dc4a",
 }
 
 
@@ -218,3 +207,23 @@ def test_parsed_header_round_trips(golden_streams, mesh_name):
         header, _ = codec._parse_container(data)
         assert header.chunks == []
         assert header.header_bytes() == data[:codec._HEADER.size]
+
+
+@pytest.mark.parametrize("mesh_name", list(MESHES))
+def test_lifting_flag_is_rejected(golden_streams, mesh_name, tmp_path):
+    """Flag bit 0 marked a stream written with the wavelet's lifting step,
+    which the decoder no longer has: such a stream is refused, not decoded
+    as though the bit were clear."""
+    runner = CliRunner()
+    for cfg in CONFIGS:
+        data = bytearray(golden_streams[mesh_name, cfg].to_bytes())
+        data[5] |= 1                          # header byte 5 holds the flags
+        with pytest.raises(codec.StreamFormatError, match="lifting"):
+            codec.decode(bytes(data))
+        path = tmp_path / "lifted.pmc"
+        path.write_bytes(data)
+        for args in (["decode", str(path), str(tmp_path / "out.off")],
+                     ["info", str(path)]):
+            result = runner.invoke(main, args)
+            assert result.exit_code == EXIT_PARSE, (cfg, result.output)
+            assert "lifting" in result.output

@@ -108,6 +108,28 @@ def test_ply_bad_element_count(tmp_path, count):
         load_mesh(_write(tmp_path, "t.ply", text))
 
 
+def test_ply_short_vertex_row(tmp_path):
+    text = ("ply\nformat ascii 1.0\nelement vertex 3\n"
+            "element face 1\nproperty list uchar int vertex_indices\n"
+            "end_header\n0 0 0\n\n0 0\n0 1 0\n3 0 1 2\n")
+    with pytest.raises(ParseError, match="line 9: vertex row with 2 values"):
+        load_mesh(_write(tmp_path, "t.ply", text))
+
+
+@pytest.mark.parametrize("name, face", [
+    ("big.obj", "f 1 2 99999999999999999999999"),
+    ("neg.obj", "f 1 2 -9223372036854775808"),      # -2^63, minus 1 for OBJ
+    ("big.off", "3 0 1 99999999999999999999"),
+])
+def test_face_index_beyond_int64(tmp_path, name, face):
+    if name.endswith(".obj"):
+        text = f"v 0 0 0\nv 1 0 0\nv 0 1 0\n{face}\n"
+    else:
+        text = f"OFF\n3 1 0\n0 0 0\n1 0 0\n0 1 0\n{face}\n"
+    with pytest.raises(ParseError, match="int64"):
+        load_mesh(_write(tmp_path, name, text))
+
+
 @pytest.mark.parametrize("ext", ["obj", "off", "ply"])
 def test_non_utf8_file_rejected(tmp_path, ext):
     path = tmp_path / f"latin1.{ext}"

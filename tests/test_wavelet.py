@@ -16,7 +16,7 @@ def quad_level():
 
 def test_midpoint_odd_gives_zero_detail(quad_level):
     record = quad_level
-    coeffs = analyze(record, record.fine_mesh.vertices, lifting=False)
+    coeffs = analyze(record, record.fine_mesh.vertices)
     for detail in coeffs.details.values():
         assert np.allclose(detail, 0.0, atol=1e-15)
 
@@ -30,9 +30,9 @@ def test_detail_is_offset_from_parent_midpoint():
     odd_on_01 = next(v for v, (a, b) in record.parent_edge.items()
                      if {a, b} == {0, 1})
     geometry[odd_on_01] = [1.0, 1.0, 0.0]
-    coeffs = analyze(record, geometry, lifting=False)
+    coeffs = analyze(record, geometry)
     assert np.allclose(coeffs.details[odd_on_01], [0.0, 1.0, 0.0])
-    # without lifting, even positions pass through unchanged
+    # even positions pass through unchanged
     assert np.allclose(coeffs.approx_geometry,
                        geometry[record.coarse_to_fine])
     # and synthesis recovers the moved vertex exactly
@@ -42,7 +42,7 @@ def test_detail_is_offset_from_parent_midpoint():
 
 def test_zero_details_place_odds_at_midpoints(quad_level):
     record = quad_level
-    coeffs = analyze(record, record.fine_mesh.vertices, lifting=False)
+    coeffs = analyze(record, record.fine_mesh.vertices)
     for odd in coeffs.details:
         coeffs.details[odd] = np.zeros(3)
     fine = synthesize(record, coeffs)
@@ -50,45 +50,29 @@ def test_zero_details_place_odds_at_midpoints(quad_level):
         assert np.allclose(fine[odd], 0.5 * (fine[a] + fine[b]))
 
 
-@pytest.mark.parametrize("lifting", [False, True])
-def test_perfect_reconstruction_on_corpus(hierarchies, corpus, lifting):
+def test_perfect_reconstruction_on_corpus(hierarchies, corpus):
     for name, records in hierarchies.items():
         geometry = corpus[name].vertices
         for record in records:
-            coeffs = analyze(record, geometry, lifting)
+            coeffs = analyze(record, geometry)
             back = synthesize(record, coeffs)
             scale = max(1.0, float(np.abs(geometry).max()))
             assert np.abs(back - geometry).max() <= 1e-12 * scale, name
             geometry = coeffs.approx_geometry
 
 
-def test_lifting_changes_even_geometry_but_not_details():
-    fine = shapes.bumpy_sphere(2)
-    record = simplify_once(fine)
-    plain = analyze(record, fine.vertices, lifting=False)
-    lifted = analyze(record, fine.vertices, lifting=True)
-    for odd in plain.details:
-        assert np.array_equal(plain.details[odd], lifted.details[odd])
-    assert not np.allclose(plain.approx_geometry, lifted.approx_geometry)
-    assert plain.lifted is False and lifted.lifted is True
-
-
 def test_locality_of_single_odd_perturbation():
     fine = shapes.icosphere(2)
     record = simplify_once(fine)
     odd = min(record.parent_edge)
-    a, b = record.parent_edge[odd]
-    base = analyze(record, fine.vertices, lifting=True)
+    base = analyze(record, fine.vertices)
     moved = fine.vertices.copy()
     moved[odd] += [0.01, -0.02, 0.03]
-    bumped = analyze(record, moved, lifting=True)
+    bumped = analyze(record, moved)
     for v in record.parent_edge:
         same = np.array_equal(base.details[v], bumped.details[v])
         assert same == (v != odd)
-    changed = ~np.all(np.isclose(base.approx_geometry,
-                                 bumped.approx_geometry), axis=1)
-    allowed = set(np.searchsorted(record.coarse_to_fine, (a, b)).tolist())
-    assert set(np.flatnonzero(changed)) <= allowed
+    assert np.array_equal(base.approx_geometry, bumped.approx_geometry)
 
 
 def test_size_mismatch_rejected(quad_level):
@@ -108,34 +92,22 @@ def test_synthesize_validates_inputs(quad_level):
         synthesize(quad_level, bad)
 
 
-def _synthesize_per_edge(coarse, edges, details, lifted):
-    """Reference: the per-edge lifting and placement loops."""
+def _synthesize_per_edge(coarse, edges, details):
+    """Reference: the per-edge placement loop."""
     nc = len(coarse)
     fine = np.empty((nc + len(edges), 3))
     fine[:nc] = coarse
-    if lifted and len(edges):
-        acc = np.zeros((nc, 3))
-        cnt = np.zeros(nc, dtype=np.int64)
-        for r, (u, v) in enumerate(edges):
-            acc[u] += details[r]
-            acc[v] += details[r]
-            cnt[u] += 1
-            cnt[v] += 1
-        touched = cnt > 0
-        fine[:nc][touched] += acc[touched] / (4.0 * cnt[touched, None])
     for r, (u, v) in enumerate(edges):
         fine[nc + r] = 0.5 * (fine[u] + fine[v]) + details[r]
     return fine
 
 
-@pytest.mark.parametrize("lifted", [False, True])
 @pytest.mark.parametrize("n_edges", [0, 1, 80])
-def test_synthesize_edges_matches_per_edge_loops(lifted, n_edges):
+def test_synthesize_edges_matches_per_edge_loops(n_edges):
     rng = np.random.default_rng(n_edges)
     coarse = rng.normal(size=(25, 3))
     u = rng.integers(0, 25, size=n_edges)
     edges = np.stack([u, (u + rng.integers(1, 25, size=n_edges)) % 25], axis=1)
     details = rng.normal(size=(n_edges, 3)) * 1e-3
-    got = synthesize_edges(coarse, edges, details, lifted)
-    assert np.array_equal(got, _synthesize_per_edge(coarse, edges, details,
-                                                     lifted))
+    got = synthesize_edges(coarse, edges, details)
+    assert np.array_equal(got, _synthesize_per_edge(coarse, edges, details))
