@@ -145,6 +145,11 @@ def cmd_metric(reference, other, spua, seed, as_csv):
     """Sampled symmetric distance between two meshes."""
     a = _load(reference)
     b = _load(other)
+    for path, mesh in ((reference, a), (other, b)):
+        try:
+            metrics.check_samplable(mesh)
+        except ValueError as exc:
+            _fail(EXIT_PARSE, f"{path}: {exc}")
     seed = _default_seed() if seed is None else seed
     try:
         result = metrics.sampled_distance(a, b, spua, seed=seed)

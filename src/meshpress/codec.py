@@ -224,6 +224,10 @@ def _parse_container(data: bytes):
     if flags & 1:
         raise StreamFormatError("flag bit 0 is set: streams written with the "
                                 "lifting step are not read")
+    for bit in range(3, 8):
+        if flags >> bit & 1:
+            raise StreamFormatError(f"flag bit {bit} is set; bits 3-7 are "
+                                    "undefined and must be 0")
     if not 4 <= q_max <= 16:
         raise StreamFormatError(f"q_max {q_max} outside [4, 16]")
     if original_nv > _MAX_VERTICES:

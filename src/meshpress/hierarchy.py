@@ -16,28 +16,30 @@ be covered by consistent groups is forced even and the pass is rerun.
 
 Each pass reads its adjacency once (`_PassTables`): faces as lists, the
 face and apex across every (face, local edge), both from the corner table
-`TriMesh.opposite`, boundary sets and valences. Midpoint
-deviations and parent-edge lengths are memoised per pass. Each is
-`sqrt(d.dot(d))` of a 3-vector, exactly as `np.linalg.norm` computes it,
-and must stay that expression: a last-ulp change flips `>` comparisons
-and with them the stream.
+`TriMesh.opposite`, boundary edges and vertices, and valences, as arrays.
 
-Every matcher is split in two. The static half runs once per pass, in
-`_PassTables`: per face and pattern it lists, in the original
-(rotation, diagonal) order, the candidate groups that pass every check
-no grouping state can change (topology and distinctness, valence, the
-boundary rule, the WGC test, `has_edge`), with their registry entries
-and ranking terms. The dynamic half, `_PassState.admits`, runs on every
-call: free faces, `even`, `forbidden`, `parent` (a vertex is odd exactly
-when it has a parent edge), and registry compatibility. Within one
-`_grow` those state checks only get stricter (faces only fill, vertices
-only become even or odd, the registry only gains entries), so `_grow`
-pushes each face once per commit: a second push in the same commit would
-add a heap entry with the same key and a larger sequence number, which
-can never commit anything. A committed group stays its `_Candidate` until
-the pass ends: `_retract` replays the survivors' registry entries, and the
-`FaceGroup`s are built once, for the `LevelRecord`. Nothing cached
-outlives `simplify_once`.
+Every matcher is split in two. The static half is one array build per
+pass, in `_PassTables`: it gathers every quadrisect, trisect (rotation
+and diagonal bit) and bisect reading of every face from the corner table
+and keeps, as masks, the ones that pass every check no grouping state
+can change (topology and distinctness, valence, the boundary rule, the
+WGC test, fine edges looked up by code), with their ranking terms. The
+midpoint deviations and parent-edge lengths are computed at once by
+`_deviations`, and each must equal `sqrt(d.dot(d))` of its 3-vector bit
+for bit: a last-ulp change flips `>` comparisons and with them the
+stream. The survivors are ordered per face by their sorted fine face ids
+with ties in matcher order and become one `_Candidate` list per face.
+The dynamic half,
+`_PassState.admits`, runs on every call: free faces, `even`,
+`forbidden`, `parent` (a vertex is odd exactly when it has a parent
+edge), and registry compatibility. Within one `_grow` those state checks
+only get stricter (faces only fill, vertices only become even or odd,
+the registry only gains entries), so `_grow` pushes each face once per
+commit: a second push in the same commit would add a heap entry with the
+same key and a larger sequence number, which can never commit anything.
+A committed group stays its `_Candidate` until the pass ends: `_retract`
+replays the survivors' registry entries, and the `FaceGroup`s are built
+once, for the `LevelRecord`. Nothing cached outlives `simplify_once`.
 """
 
 from __future__ import annotations
@@ -50,7 +52,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .mesh import TriMesh, edge_key
+from .mesh import TriMesh
 
 __all__ = ["Pattern", "WgcConfig", "FaceGroup", "LevelRecord",
            "simplify_once", "build_hierarchy", "resubdivide",
@@ -153,13 +155,53 @@ class _Candidate(NamedTuple):
                          self.fine_face_ids, self.diag_bit)
 
 
+def _deviations(pos: np.ndarray, v, a, b) -> tuple[np.ndarray, np.ndarray]:
+    """(|p_v - midpoint(a, b)|, |p_a - p_b|) per triple, bitwise symmetric
+    in a, b.
+
+    Each norm must equal `math.sqrt(d.dot(d))` of its 3-vector d bit for
+    bit: a last-ulp change flips `>` comparisons and with them the stream.
+    `np.vecdot` reduces each row with the dot kernel `ndarray.dot` uses,
+    while `(d * d).sum(1)` and `einsum` round differently on a fifth to a
+    quarter of vectors. test_vecdot_matches_scalar_norm checks the
+    equality on the corpus; if it fails on some BLAS, the fix is a
+    per-triple `d.dot(d)` here, never a changed stream."""
+    dev = pos[v] - 0.5 * (pos[a] + pos[b])
+    edge = pos[a] - pos[b]
+    return np.sqrt(np.vecdot(dev, dev)), np.sqrt(np.vecdot(edge, edge))
+
+
+def _isin(table: np.ndarray, keys: np.ndarray) -> np.ndarray:
+    """Which keys the ascending array `table` holds."""
+    i = np.searchsorted(table, keys)
+    hit = i < len(table)
+    hit[hit] = table[i[hit]] == keys[hit]
+    return hit
+
+
+def _distinct(*cols) -> np.ndarray:
+    """Rows whose entries in `cols` are pairwise different."""
+    ok = np.ones(len(cols[0]), dtype=bool)
+    for i, u in enumerate(cols):
+        for w in cols[i + 1:]:
+            ok &= u != w
+    return ok
+
+
 class _PassTables:
     """Adjacency, geometry and static candidates of one pass's input mesh.
 
     Local edge i of face f runs from faces[f][i] to faces[f][(i + 1) % 3];
     opp[3 * f + i] and apex[3 * f + i] are the face and vertex across it
-    (-1 on a boundary). candidates[pref][f] lists the quadrisect (pref
-    0), trisect (1) and bisect (2) groups seeded at f in matcher order."""
+    (-1 on a boundary). Edges are coded u * nv + w with u < w; `boundary`
+    holds the boundary edges' codes, ascending. candidates[pref][f] lists
+    the quadrisect (pref 0), trisect (1) and bisect (2) groups seeded at f
+    in matcher order.
+
+    Each matcher reads every face at once, one (rotation, diagonal bit) at
+    a time, keeps the readings that pass its topology and distinctness
+    checks, and hands each such block to `_admissible` for the odd-vertex
+    rules; `_collect` ranks and orders the survivors into those lists."""
 
     def __init__(self, mesh: TriMesh, wgc: WgcConfig = WgcConfig()):
         self.mesh = mesh
@@ -167,83 +209,153 @@ class _PassTables:
         self.faces: list[list[int]] = mesh.faces.tolist()
         o, vertex = mesh.opposite, mesh.faces.ravel()
         lone = o < 0
-        self.opp: list[int] = np.where(lone, -1, o // 3).tolist()
+        self.opp = np.where(lone, -1, o // 3)
         # the apex across half-edge o is the corner before o in its face
-        self.apex: list[int] = np.where(
-            lone, -1, vertex[o - o % 3 + (o + 2) % 3]).tolist()
-        rim = np.stack([vertex, mesh.faces[:, [1, 2, 0]].ravel()], axis=1)
-        rim = np.sort(rim[lone], axis=1)
-        self.boundary = set(map(tuple, rim.tolist()))
-        self.boundary_vertices = set(rim.ravel().tolist())
+        self.apex = np.where(lone, -1, vertex[o - o % 3 + (o + 2) % 3])
+        rim = np.stack([vertex, mesh.faces[:, [1, 2, 0]].ravel()])[:, lone]
+        self.boundary = np.sort(self._code(*rim))
+        self.on_boundary = np.zeros(mesh.vertex_count, dtype=bool)
+        self.on_boundary[rim.ravel()] = True
         self.valence = np.bincount(mesh.edges.ravel(),
-                                   minlength=mesh.vertex_count).tolist()
-        self._deviation: dict[tuple[int, int, int], tuple[float, float]] = {}
-        self._odd_entry: dict[tuple[int, int, int], tuple | None] = {}
-        self.candidates = [
-            [sorted(build(self, f), key=lambda c: sorted(c.fine_face_ids))
-             for f in range(len(self.faces))]
-            for build in (_quadrisects, _trisects, _bisects)]
+                                   minlength=mesh.vertex_count)
+        self._edges = self._code(*mesh.edges.T)
+        self._kept = max(mesh.vertex_count, mesh.face_count)
+        ids = np.array([*range(self._kept), None], dtype=object)
+        self.candidates = [self._collect(blocks, ids) for blocks in (
+            self._quadrisects(), self._trisects(), self._bisects())]
 
-    def deviation(self, v: int, a: int, b: int) -> tuple[float, float]:
-        """(|p_v - midpoint(a, b)|, |p_a - p_b|), bitwise symmetric in a, b."""
-        key = (v, a, b) if a < b else (v, b, a)
-        hit = self._deviation.get(key)
-        if hit is None:
-            pos = self.mesh.vertices
-            mid = 0.5 * (pos[a] + pos[b])
-            dev, edge = pos[v] - mid, pos[a] - pos[b]
-            hit = (math.sqrt(dev.dot(dev)), math.sqrt(edge.dot(edge)))
-            self._deviation[key] = hit
-        return hit
+    def _code(self, u, w):
+        return np.minimum(u, w) * self.mesh.vertex_count + np.maximum(u, w)
 
-    def odd_entry(self, v: int, a: int, b: int):
-        """Registry entry making `v` the midpoint of coarse edge (a, b), or
-        None when a state-free rule forbids it; memoised like `deviation`."""
-        key = (v, a, b) if a < b else (v, b, a)
-        if key not in self._odd_entry:
-            self._odd_entry[key] = ((key[1:], v)
-                                    if self._may_split(v, a, b) else None)
-        return self._odd_entry[key]
+    def _quadrisects(self) -> list[tuple]:
+        f = np.arange(self.mesh.face_count)
+        opp = self.opp.reshape(-1, 3)
+        n12, n23, n31 = opp.T
+        b, c, a = self.apex.reshape(-1, 3).T
+        m1, m2, m3 = self.mesh.faces.T
+        ok = ((opp >= 0).all(axis=1) & _distinct(f, n12, n23, n31)
+              & _distinct(a, b, c, m1, m2, m3))
+        return [self._admissible(f[ok], np.stack([a, b, c], 1)[ok],
+                                 self.mesh.faces[ok], 0,
+                                 np.stack([n31, n12, n23, f], 1)[ok])]
 
-    def _may_split(self, v: int, a: int, b: int) -> bool:
-        if v in self.boundary_vertices:
-            # a boundary vertex may only collapse along the boundary
-            if (edge_key(a, v) not in self.boundary
-                    or edge_key(v, b) not in self.boundary):
-                return False
-        elif self.valence[v] > 6:
-            # an interior midpoint vertex has at most 6 star faces (<= 3
-            # per side of its parent edge), so higher valence rules odd out
-            return False
+    def _trisects(self) -> list[tuple]:
+        """Each face as the middle face of a trisected coarse triangle."""
+        faces, f = self.mesh.faces, np.arange(self.mesh.face_count)
+        blocks = []
+        for rot in range(3):
+            e = 3 * f + (rot + 2) % 3              # edge (mb, ma)
+            has = self.opp[e] >= 0
+            g, e = f[has], e[has]
+            ma, b, mb = (faces[g, (rot + i) % 3] for i in range(3))
+            n3, y = self.opp[e], self.apex[e]
+            # bit 0: n3 = (ma, mb, C), diagonal from ma, hinge (ma, y);
+            # bit 1: n3 = (A, ma, mb), hinge (mb, y). A hinge is the edge
+            # of n3 that follows the vertex it leaves out.
+            for diag_bit, left_out in enumerate((mb, ma)):
+                at = np.argmax(faces[n3] == left_out[:, None], axis=1)
+                h = 3 * n3 + (at + 1) % 3
+                n1, z = self.opp[h], self.apex[h]
+                if diag_bit == 0:
+                    A, C, fine = z, y, (n1, g, n3)
+                else:
+                    A, C, fine = y, z, (n3, g, n1)
+                ok = ((n1 >= 0) & (n1 != g) & _distinct(A, b, C, ma, mb)
+                      & _isin(self._edges, self._code(C, A)))
+                kept = np.full(ok.sum(), self._kept)
+                blocks.append(self._admissible(
+                    g[ok], np.stack([A, b, C], 1)[ok],
+                    np.stack([ma[ok], mb[ok], kept], 1), diag_bit,
+                    np.stack(fine, 1)[ok]))
+        return blocks
+
+    def _bisects(self) -> list[tuple]:
+        faces, f = self.mesh.faces, np.arange(self.mesh.face_count)
+        blocks = []
+        for rot in range(3):
+            a, m, c = (faces[:, (rot + i) % 3] for i in range(3))
+            e = 3 * f + (rot + 1) % 3              # edge (m, c)
+            n, b = self.opp[e], self.apex[e]
+            ok = (n >= 0) & _distinct(a, b, c, m)
+            kept = np.full(ok.sum(), self._kept)
+            blocks.append(self._admissible(
+                f[ok], np.stack([a, b, c], 1)[ok],
+                np.stack([m[ok], kept, kept], 1), 0, np.stack([f, n], 1)[ok]))
+        return blocks
+
+    def _admissible(self, face, corners, odd, diag_bit: int, fine) -> tuple:
+        """The readings whose odd vertices may all split their coarse
+        edges, as (face, corners, odd, diag_bit, fine, scale, score). The
+        split edges lead: 3, 2 or 1 of them for a quadrisect, trisect or
+        bisect."""
+        splits = fine.shape[1] - 1
+        v = odd[:, :splits]
+        a, b = corners[:, :splits], corners[:, [1, 2, 0][:splits]]
+        # a boundary vertex may only collapse along the boundary; an
+        # interior midpoint vertex has at most 6 star faces (<= 3 per side
+        # of its parent edge), so higher valence rules odd out; a split
+        # coarse edge must not also exist as a fine edge
+        along = (_isin(self.boundary, self._code(a, v))
+                 & _isin(self.boundary, self._code(v, b)))
+        ok = (np.where(self.on_boundary[v], along, self.valence[v] <= 6)
+              & ~_isin(self._edges, self._code(a, b))).all(axis=1)
+        face, corners, odd, fine, v, a, b = (
+            x[ok] for x in (face, corners, odd, fine, v, a, b))
+        dev, length = (x.reshape(-1, splits) for x in _deviations(
+            self.mesh.vertices, v.ravel(), a.ravel(), b.ravel()))
         if self.wgc.enabled:
-            dev, length = self.deviation(v, a, b)
-            if dev > self.wgc.gamma * length:
-                return False
-        # a split coarse edge must not also exist as a fine edge
-        return not self.mesh.has_edge(a, b)
+            ok = ~(dev > self.wgc.gamma * length).any(axis=1)
+            face, corners, odd, fine, dev, length = (
+                x[ok] for x in (face, corners, odd, fine, dev, length))
+        # scale: mean parent-edge length, comparable across patterns (a
+        # coarse-face perimeter would make bisects look finer than
+        # quadrisects); score: worst deviation relative to the parent edge
+        # length, so true subdivision structure scores low. Both run over
+        # the split edges in order, as a scalar sum and max would.
+        total, worst = 0.0, np.zeros(len(face))
+        with np.errstate(divide="ignore", invalid="ignore"):
+            ratio = dev / length
+        for j in range(splits):
+            total = total + length[:, j]
+            worst = np.where(length[:, j] > 0.0,
+                             np.where(ratio[:, j] > worst, ratio[:, j], worst),
+                             np.inf)
+        return (face, corners, odd, np.full(len(face), diag_bit), fine,
+                total / splits, worst)
 
-    def candidate(self, corners, fine_face_ids, entries,
-                  diag_bit: int = 0) -> _Candidate:
-        total, worst, splits = 0.0, 0.0, 0
-        for i, (_, v) in enumerate(entries):
-            if v is None:
-                continue
-            dev, length = self.deviation(v, corners[i], corners[(i + 1) % 3])
-            # scale: parent-edge length is comparable across patterns (a
-            # coarse-face perimeter would make bisects look finer than
-            # quadrisects)
-            total += length
-            splits += 1
-            # score: worst deviation relative to the parent edge length;
-            # true subdivision structure scores low
-            worst = max(worst, dev / length) if length > 0.0 else np.inf
+    def _collect(self, blocks, ids: np.ndarray) -> list[list[_Candidate]]:
+        """One pattern's admissible readings, `blocks` in matcher order,
+        ranked and ordered per face, as one `_Candidate` list per face.
+
+        Column j of `cols` holds a, b, c, o0, o1, o2, diag_bit, rank and the
+        fine face ids in turn: oi is the midpoint of coarse edge i,
+        (corners[i], corners[i + 1]), or the pass's `kept` marker where
+        that edge is kept. The ints come from `ids`, shared by the whole
+        pass (`ids[kept]` is None), so that a vertex or face id is one
+        object however many candidates hold it."""
+        face, corners, odd, diag_bit, fine, scale, score = (
+            np.concatenate(x) for x in zip(*blocks))
         # Irregular interior vertices must survive every valid tiling, so
         # a candidate keeping one as an even corner is almost certainly in
         # the globally consistent coset: such candidates are preferred seeds.
-        anchored = any(self.valence[v] != 6 and v not in self.boundary_vertices
-                       for v in corners)
-        return _Candidate(corners, fine_face_ids, diag_bit, entries,
-                          total / splits, worst, 0 if anchored else 1)
+        irregular = (self.valence != 6) & ~self.on_boundary
+        rank = np.where(irregular[corners].any(axis=1), 0, 1)
+        # per face, a stable sort by sorted fine face ids keeps ties in
+        # matcher order
+        order = np.lexsort((*np.sort(fine, axis=1).T[::-1], face))
+        cols = ids[np.column_stack(
+            [corners, odd, diag_bit, rank, fine])[order].T].tolist()
+        built = [
+            _Candidate((a, b, c), fine, bit,
+                       (((a, b) if a < b else (b, a), o0),
+                        ((b, c) if b < c else (c, b), o1),
+                        ((c, a) if c < a else (a, c), o2)), s, w, r)
+            for a, b, c, o0, o1, o2, bit, r, fine, s, w in zip(
+                *cols[:8], zip(*cols[8:]),
+                scale[order].tolist(), score[order].tolist())]
+        start = np.searchsorted(face[order],
+                                np.arange(self.mesh.face_count + 1)).tolist()
+        return [built[i:j] for i, j in zip(start, start[1:])]
 
 
 class _PassState:
@@ -284,82 +396,6 @@ class _PassState:
         for key, v in cand.entries:
             if v is not None:
                 self.parent[v] = key
-
-
-# -- matchers: static candidates per pass, state checks per call -----------
-
-def _quadrisects(t: _PassTables, f: int) -> list[_Candidate]:
-    e = 3 * f
-    n12, n23, n31 = t.opp[e:e + 3]
-    if min(n12, n23, n31) < 0:
-        return []
-    if len({f, n12, n23, n31}) != 4:
-        return []
-    m1, m2, m3 = t.faces[f]
-    b, c, a = t.apex[e:e + 3]
-    if len({a, b, c, m1, m2, m3}) != 6:
-        return []
-    entries = (t.odd_entry(m1, a, b), t.odd_entry(m2, b, c),
-               t.odd_entry(m3, c, a))
-    if None in entries:
-        return []
-    return [t.candidate((a, b, c), (n31, n12, n23, f), entries)]
-
-
-def _trisects(t: _PassTables, f: int) -> list[_Candidate]:
-    """Match `f` as the middle face of a trisected coarse triangle."""
-    verts = t.faces[f]
-    found = []
-    for rot in range(3):
-        ma, b, mb = verts[rot], verts[(rot + 1) % 3], verts[(rot + 2) % 3]
-        e = 3 * f + (rot + 2) % 3                  # edge (mb, ma)
-        n3 = t.opp[e]
-        if n3 < 0:
-            continue
-        y = t.apex[e]
-        # bit 0: n3 = (ma, mb, C), diagonal from ma, hinge (ma, y);
-        # bit 1: n3 = (A, ma, mb), hinge (mb, y). A hinge is the edge of
-        # n3 that follows the vertex it leaves out.
-        for diag_bit, left_out in enumerate((mb, ma)):
-            h = 3 * n3 + (t.faces[n3].index(left_out) + 1) % 3
-            n1 = t.opp[h]
-            if n1 < 0 or n1 == f:
-                continue
-            z = t.apex[h]
-            if diag_bit == 0:
-                A, B, C = z, b, y
-                fine_ids = (n1, f, n3)
-            else:
-                A, B, C = y, b, z
-                fine_ids = (n3, f, n1)
-            if len({A, B, C, ma, mb}) != 5 or not t.mesh.has_edge(C, A):
-                continue
-            entries = (t.odd_entry(ma, A, B), t.odd_entry(mb, B, C),
-                       (edge_key(C, A), None))
-            if None in entries:
-                continue
-            found.append(t.candidate((A, B, C), fine_ids, entries, diag_bit))
-    return found
-
-
-def _bisects(t: _PassTables, f: int) -> list[_Candidate]:
-    verts = t.faces[f]
-    found = []
-    for rot in range(3):
-        a, m, c = verts[rot], verts[(rot + 1) % 3], verts[(rot + 2) % 3]
-        e = 3 * f + (rot + 1) % 3                  # edge (m, c)
-        n = t.opp[e]
-        if n < 0:
-            continue
-        b = t.apex[e]
-        if len({a, b, c, m}) != 4:
-            continue
-        entry = t.odd_entry(m, a, b)
-        if entry is None:
-            continue
-        entries = (entry, (edge_key(b, c), None), (edge_key(c, a), None))
-        found.append(t.candidate((a, b, c), (f, n), entries))
-    return found
 
 
 def _first_admitted(st: _PassState, cands) -> _Candidate | None:

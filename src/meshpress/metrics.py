@@ -22,7 +22,7 @@ from scipy.spatial import cKDTree
 from .mesh import TriMesh, bounding_box
 
 __all__ = ["DistortionResult", "point_to_triangle", "sampled_distance",
-           "sample_surface", "triangle_areas",
+           "sample_surface", "check_samplable", "triangle_areas",
            "DEFAULT_MIN_SAMPLES_PER_TRIANGLE", "MAX_TOTAL_SAMPLES"]
 
 DEFAULT_MIN_SAMPLES_PER_TRIANGLE = 10
@@ -136,15 +136,22 @@ def _sample_counts(areas: np.ndarray,
     return counts
 
 
-def sample_surface(mesh: TriMesh,
-                   samples_per_unit_area: float | None = None,
-                   seed: int = 0) -> np.ndarray:
-    """Area-stratified random points on the surface, deterministic in seed."""
+def check_samplable(mesh: TriMesh) -> np.ndarray:
+    """The triangle areas; ValueError unless the mesh has a surface to
+    sample."""
     if mesh.face_count == 0:
         raise ValueError("cannot sample an empty mesh")
     areas = triangle_areas(mesh)
     if areas.sum() <= 0:
         raise ValueError("cannot sample a zero-area mesh")
+    return areas
+
+
+def sample_surface(mesh: TriMesh,
+                   samples_per_unit_area: float | None = None,
+                   seed: int = 0) -> np.ndarray:
+    """Area-stratified random points on the surface, deterministic in seed."""
+    areas = check_samplable(mesh)
     counts = _sample_counts(areas, samples_per_unit_area)
     tri = np.repeat(np.arange(mesh.face_count), counts)
     rng = np.random.default_rng(seed)

@@ -5,6 +5,7 @@ from click.testing import CliRunner
 from meshpress import shapes
 from meshpress.cli import CSV_HEADER, EXIT_PARSE, EXIT_TRUNCATED, main
 from meshpress.codec import ProgressiveStream
+from meshpress.mesh import TriMesh
 from meshpress.meshio import load_mesh, save_mesh
 
 
@@ -207,6 +208,23 @@ def test_metric_seed_env(runner, mesh_file, monkeypatch):
     s1 = int(r1.output.strip().splitlines()[1].split(",")[2])
     s2 = int(r2.output.strip().splitlines()[1].split(",")[2])
     assert s1 == s2  # same sample budget; seed changes points, not counts
+
+
+@pytest.mark.parametrize("flat_arg", [0, 1], ids=["reference", "other"])
+def test_metric_zero_area_input_names_its_path(runner, mesh_file, tmp_path,
+                                               flat_arg):
+    """Three collinear vertices make a mesh `encode` accepts but the metric
+    cannot sample; the error names that input's path, once."""
+    flat = str(tmp_path / "flat.off")
+    save_mesh(TriMesh([[0, 0, 0], [1, 0, 0], [2, 0, 0]], [[0, 1, 2]]), flat)
+    args = [mesh_file, mesh_file]
+    args[flat_arg] = flat
+    result = runner.invoke(main, ["metric", *args])
+    assert result.exit_code == EXIT_PARSE, result.output
+    errors = [line for line in result.output.splitlines()
+              if line.startswith("error:")]
+    assert errors == [f"error: {flat}: cannot sample a zero-area mesh"], \
+        result.output
 
 
 @pytest.mark.parametrize("command", ["metric", "bench"])

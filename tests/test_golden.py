@@ -227,3 +227,25 @@ def test_lifting_flag_is_rejected(golden_streams, mesh_name, tmp_path):
             result = runner.invoke(main, args)
             assert result.exit_code == EXIT_PARSE, (cfg, result.output)
             assert "lifting" in result.output
+
+
+@pytest.mark.parametrize("mesh_name", list(MESHES))
+def test_undefined_flag_bits_are_rejected(golden_streams, mesh_name, tmp_path):
+    """Flag bits 3-7 mean nothing in this format and no writer sets them:
+    a header with one set is refused with an error naming the bit, not
+    decoded as though it were clear."""
+    runner = CliRunner()
+    path = tmp_path / "flagged.pmc"
+    for cfg in CONFIGS:
+        for bit in range(3, 8):
+            data = bytearray(golden_streams[mesh_name, cfg].to_bytes())
+            data[5] |= 1 << bit               # header byte 5 holds the flags
+            with pytest.raises(codec.StreamFormatError,
+                               match=f"flag bit {bit} "):
+                codec.decode(bytes(data))
+            path.write_bytes(data)
+            for args in (["decode", str(path), str(tmp_path / "out.off")],
+                         ["info", str(path)]):
+                result = runner.invoke(main, args)
+                assert result.exit_code == EXIT_PARSE, (cfg, result.output)
+                assert f"flag bit {bit} " in result.output

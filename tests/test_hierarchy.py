@@ -1,4 +1,5 @@
 import hashlib
+import math
 from collections import Counter
 
 import numpy as np
@@ -323,14 +324,17 @@ def test_pass_tables_match_mesh_adjacency(corpus):
                 apex = [w for n in other for w in faces[n] if w not in (u, v)]
                 assert tables.apex[3 * f + i] == (apex or [-1])[0], (name, f, i)
         boundary = {key for key, fs in incident.items() if len(fs) == 1}
-        assert tables.boundary == boundary, name
-        assert tables.boundary_vertices == {v for e in boundary for v in e}
-        neighbours = [set() for _ in range(mesh.vertex_count)]
+        nv = mesh.vertex_count
+        assert tables.boundary.tolist() == sorted(u * nv + v
+                                                  for u, v in boundary), name
+        assert set(np.flatnonzero(tables.on_boundary).tolist()) == \
+            {v for e in boundary for v in e}, name
+        neighbours = [set() for _ in range(nv)]
         for u, v in incident:
             neighbours[u].add(v)
             neighbours[v].add(u)
-        assert tables.valence == [len(n) for n in neighbours], name
-    assert _PassTables(corpus["grid"]).boundary_vertices   # open patch
+        assert tables.valence.tolist() == [len(n) for n in neighbours], name
+    assert _PassTables(corpus["grid"]).on_boundary.any()   # open patch
 
 
 # -- pinned hierarchies -----------------------------------------------------
@@ -397,6 +401,88 @@ def test_hierarchy_is_pinned():
     got = {(name, wgc): hierarchy_digest(build_hierarchy(meshes[name], wgc))
            for name, wgc in CONFIG_PINS}
     assert got == CONFIG_PINS
+
+
+def pass_meshes(mesh):
+    """The input mesh of every pass build_hierarchy runs, the last one
+    (which finds nothing to remove) included."""
+    records = build_hierarchy(mesh)
+    return [r.fine_mesh for r in records] + \
+        [records[-1].coarse_mesh if records else mesh]
+
+
+def static_candidates_digest(mesh) -> str:
+    """SHA-256 over every pass's static candidates: per pattern and face,
+    the ordered (corners, fine face ids, diagonal bit, registry entries,
+    scale, score, rank), the floats as hex."""
+    h = hashlib.sha256()
+    for fine in pass_meshes(mesh):
+        tables = _PassTables(fine)
+        h.update(repr([[(c.corners, c.fine_face_ids, c.diag_bit, c.entries,
+                         c.scale.hex(), c.score.hex(), c.rank)
+                        for c in per_face[f]]
+                       for per_face in tables.candidates
+                       for f in range(fine.face_count)]).encode())
+    return h.hexdigest()
+
+
+# The meshes of the two candidate-level pins below, each under one name.
+PIN_MESHES = {
+    **{f"cad{s}": (lambda s=s: shapes.cad_solid(subdivisions=2, seed=s))
+       for s in range(3)},
+    **{f"convex{s}": (lambda s=s: shapes.random_convex(200, seed=s))
+       for s in range(3)},
+}
+
+# Recorded from the per-face scalar matchers before the array build
+# replaced them. Stricter than CAD_PINS and CONVEX_PINS, which only see
+# the candidates that commit: a reordered or dropped candidate that never
+# commits on these meshes shows here.
+STATIC_CANDIDATE_PINS = {
+    "cad0": "d5a8b12ac466f211672d682e38702732a237d3f612fe1210d78f53c0fab093cf",
+    "cad1": "e460b85a949827c53c3439aafbc6b2bdbdc50c9a528c5991dd95c262d91dbbf8",
+    "cad2": "d3143a0cc0cefe39f00b8a644b77f9861264969247d3889430ef671db5d0e071",
+    "convex0": "3a33762326007d344aa7e4b8648d55bbf27f66bc61d1a0ef60e8761da0908b82",
+    "convex1": "84d0c65acb4e6e8540020a21bfb10af0252e554f294c1637440c83862d34a67b",
+    "convex2": "06dcd24b29620909a3ba2088ff95a8e08362fcf133697dc2c62c0892d699d518",
+}
+
+
+def test_static_candidates_are_pinned():
+    got = {name: static_candidates_digest(make())
+           for name, make in PIN_MESHES.items()}
+    assert got == STATIC_CANDIDATE_PINS
+
+
+def test_vecdot_matches_scalar_norm(monkeypatch):
+    """Every deviation and parent-edge length the array build reads equals
+    `math.sqrt(d.dot(d))` of its 3-vector bit for bit, the expression the
+    pinned streams were written with. If this fails on some BLAS, the fix
+    is a per-triple `d.dot(d)` in `hierarchy._deviations`, not a changed
+    stream."""
+    reads = []
+
+    def recorded(pos, v, a, b, _deviations=hierarchy._deviations):
+        dev, length = _deviations(pos, v, a, b)
+        reads.append((pos, v.tolist(), a.tolist(), b.tolist(),
+                      dev.tolist(), length.tolist()))
+        return dev, length
+
+    monkeypatch.setattr(hierarchy, "_deviations", recorded)
+    for make in PIN_MESHES.values():
+        build_hierarchy(make())
+    wrong, count = [], 0
+    for pos, vs, as_, bs, devs, lengths in reads:
+        for v, a, b, dev, length in zip(vs, as_, bs, devs, lengths):
+            a, b = min(a, b), max(a, b)
+            d, e = pos[v] - 0.5 * (pos[a] + pos[b]), pos[a] - pos[b]
+            want = (math.sqrt(d.dot(d)), math.sqrt(e.dot(e)))
+            count += 1
+            if (dev, length) != want:
+                wrong.append(f"({v}, {a}, {b}): {dev.hex()} {length.hex()} "
+                             f"!= {want[0].hex()} {want[1].hex()}")
+    assert count > 10000
+    assert not wrong, f"{len(wrong)} of {count}: " + "; ".join(wrong[:5])
 
 
 # -- retraction --------------------------------------------------------------
