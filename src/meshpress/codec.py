@@ -25,15 +25,15 @@ details with those q_i and synthesizes. The q_i are never transmitted:
 the encoder writes each level's geometry chunk with the q_i its decoder
 derived in between.
 
-Both sides refine connectivity with one rule, `hierarchy.split_plan`
-(each face rotated so its split edges lead, with their count) and
-`hierarchy.subdivide`: the decoder counts its diagonal bits and builds
-its next faces from the plan, and the encoder writes one diagonal bit per
-plan face with two split edges, both looked up in the level's fine ids:
+Both sides number a level's edges by the edge table of the decoder's
+faces (`TriMesh.edges`) and refine connectivity with one rule,
+`hierarchy.split_plan` (each face rotated so its split edges lead, with
+their midpoints and count) and `hierarchy.subdivide`. The encoder finds
+its split flags and diagonal bits in the level's fine ids:
 `coarse_to_fine[pi]` maps the decoder's vertices to them once per level,
-and `parent_edge` and the groups' coarse faces give the keys. Every chunk
-of plain integers is written by :func:`_encode_ints` and read by
-:func:`_decode_ints`.
+and `parent_edge` and the groups' coarse faces give the fine edge keys.
+Every chunk of plain integers is written by :func:`_encode_ints` and
+read by :func:`_decode_ints`.
 """
 
 from __future__ import annotations
@@ -359,32 +359,24 @@ class ProgressiveDecoder:
         self.base_face_count = base_face_count
         self.original_vertex_count = original_vertex_count
         self.models = _Models(grid.q_max)
-        self.faces: np.ndarray | None = None
+        # the current faces, with their edge table (its vertices unused)
+        self.conn: TriMesh | None = None
         self.positions: np.ndarray | None = None
         self.final_ints: np.ndarray | None = None     # set by completion
         # per level read: the q_i the decoder derived (one precision pass)
         self.q_recomputed: list[list[int]] = []
         # state of the level whose connectivity was read last
-        self.last_split_edges: list[tuple[int, int]] = []
+        self.last_split_edges = np.empty((0, 2), dtype=np.int64)
         self.level_q: list[int] = []
-        self._next_faces: np.ndarray | None = None
+        self._next_conn: TriMesh | None = None
 
     # -- state views ------------------------------------------------------
 
     @property
     def mesh(self) -> TriMesh:
-        if self.positions is None or self.faces is None:
+        if self.positions is None or self.conn is None:
             raise StreamFormatError("no base mesh decoded yet")
-        return TriMesh(self.positions, self.faces, validate=False)
-
-    def edge_list(self) -> list[tuple[int, int]]:
-        """Current edges in canonical (sorted-key) stream order."""
-        edges = set()
-        for a, b, c in self.faces.tolist():
-            edges.add((a, b) if a < b else (b, a))
-            edges.add((b, c) if b < c else (c, b))
-            edges.add((c, a) if c < a else (a, c))
-        return sorted(edges)
+        return self.conn.with_vertices(self.positions)
 
     # -- chunk readers -----------------------------------------------------
 
@@ -403,7 +395,12 @@ class ProgressiveDecoder:
                     f"[0, {nv})")
             flat[s:s + len(block)] = block
             prev = int(block[-1])
-        self.faces = flat.reshape(-1, 3)
+        # subdivision keeps distinct corners and at most two faces per
+        # edge, so the levels need no check of their own
+        try:
+            self.conn = TriMesh(np.zeros((nv, 3)), flat.reshape(-1, 3))
+        except MeshError as exc:
+            raise StreamFormatError(f"base mesh: {exc}") from None
 
     def read_base_geom(self, data: bytes) -> None:
         ints = _decode_ints(self.models.base_geom, RangeDecoder(data),
@@ -421,23 +418,22 @@ class ProgressiveDecoder:
         m = self.models
         nc, level = len(self.positions), len(self.q_recomputed) + 1
         dec = RangeDecoder(data)
-        current = self.edge_list()
-        split_edges = list(itertools.compress(
-            current, dec.decode_symbols(m.split, len(current))))
+        edges = self.conn.edges
+        flags = np.array(dec.decode_symbols(m.split, len(edges)), dtype=bool)
+        split_edges = edges[flags]
         if nc + len(split_edges) > self.original_vertex_count:
             raise StreamFormatError(
                 f"level {level} splits {len(split_edges)} edges of a "
                 f"{nc}-vertex mesh, beyond the header's "
                 f"{self.original_vertex_count} vertices")
-        split_map = {e: nc + r for r, e in enumerate(split_edges)}
-        plan = split_plan(self.faces, split_map)
-        bits = dec.decode_symbols(m.diag, [p[3] for p in plan].count(2))
-        self._next_faces = subdivide(plan, split_map, bits)
+        mid = np.where(flags, nc - 1 + flags.cumsum(), -1)   # r-th: nc + r
+        plan = split_plan(self.conn, mid)
+        bits = dec.decode_symbols(m.diag, [p[6] for p in plan].count(2))
+        self._next_conn = TriMesh((), subdivide(plan, bits), validate=False)
         self.last_split_edges = split_edges
         if self.adaptive:
-            edges = np.array(split_edges, dtype=np.int64).reshape(-1, 2)
-            prediction = 0.5 * (self.positions[edges[:, 0]]
-                                + self.positions[edges[:, 1]])
+            prediction = 0.5 * (self.positions[split_edges[:, 0]]
+                                + self.positions[split_edges[:, 1]])
             if not (np.isfinite(self.positions).all()
                     and np.isfinite(prediction).all()):
                 raise StreamFormatError(
@@ -455,9 +451,9 @@ class ProgressiveDecoder:
                             3 * len(self.level_q)).reshape(-1, 3)
         steps = 1 << (self.grid.q_max - np.array(self.level_q, dtype=np.int64))
         details = ints * steps[:, None] / self.grid.scale
-        edges = np.array(self.last_split_edges, dtype=np.int64).reshape(-1, 2)
-        self.positions = synthesize_edges(self.positions, edges, details)
-        self.faces = self._next_faces
+        self.positions = synthesize_edges(self.positions,
+                                          self.last_split_edges, details)
+        self.conn = self._next_conn
         self.q_recomputed.append(self.level_q)
 
     def read_completion(self, data: bytes) -> None:
@@ -528,12 +524,13 @@ def encode(mesh: TriMesh, config: EncodeConfig | None = None):
 
         enc = RangeEncoder()
         fine = rec.coarse_to_fine[pi].tolist()   # decoder id -> fine id
-        edges = sim.edge_list()
-        odd_of = [split_of.get(edge_key(fine[u], fine[v])) for u, v in edges]
+        odd_of = [split_of.get(edge_key(fine[u], fine[v]))
+                  for u, v in sim.conn.edges.tolist()]
         for odd in odd_of:
             enc.encode_symbol(m.split, 0 if odd is None else 1)
-        split = {e for e, odd in zip(edges, odd_of) if odd is not None}
-        for p0, p1, p2, n in split_plan(sim.faces, split):
+        # fine ids as midpoints: only which edges split matters here
+        for p0, p1, p2, *_, n in split_plan(
+                sim.conn, [-1 if odd is None else odd for odd in odd_of]):
             if n != 2:
                 continue
             kab = edge_key(fine[p0], fine[p1])

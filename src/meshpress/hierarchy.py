@@ -7,7 +7,8 @@ consistency: re-subdividing the coarse mesh according to the recorded
 groups reproduces the fine connectivity exactly. Forward subdivision is
 one rule, `split_plan` and `subdivide` at the end of this module, shared
 by `resubdivide`, the codec's encoder and decoder and
-`shapes.subdivide_midpoint`.
+`shapes.subdivide_midpoint`. It takes a midpoint (-1: none) per edge of
+`TriMesh.edges` and gathers each face's through `TriMesh.edge_of`.
 
 The grouping strategy is greedy over faces in ascending index order with
 an edge registry that keeps the per-coarse-edge split decision globally
@@ -15,8 +16,9 @@ consistent, followed by a demotion fixpoint: any vertex whose star cannot
 be covered by consistent groups is forced even and the pass is rerun.
 
 Each pass reads its adjacency once (`_PassTables`): faces as lists, the
-face and apex across every (face, local edge), both from the corner table
-`TriMesh.opposite`, boundary edges and vertices, and valences, as arrays.
+face and apex across every (face, local edge), both from
+`TriMesh.opposite`, which the mesh derives from its edge table, boundary
+edges and vertices, and valences, as arrays.
 
 Every matcher is split in two. The static half is one array build per
 pass, in `_PassTables`: it gathers every quadrisect, trisect (rotation
@@ -212,8 +214,8 @@ class _PassTables:
         self.opp = np.where(lone, -1, o // 3)
         # the apex across half-edge o is the corner before o in its face
         self.apex = np.where(lone, -1, vertex[o - o % 3 + (o + 2) % 3])
-        rim = np.stack([vertex, mesh.faces[:, [1, 2, 0]].ravel()])[:, lone]
-        self.boundary = np.sort(self._code(*rim))
+        rim = mesh.edges[np.bincount(mesh.edge_of) == 1]
+        self.boundary = self._code(*rim.T)
         self.on_boundary = np.zeros(mesh.vertex_count, dtype=bool)
         self.on_boundary[rim.ravel()] = True
         self.valence = np.bincount(mesh.edges.ravel(),
@@ -598,44 +600,37 @@ def build_hierarchy(mesh: TriMesh, wgc: WgcConfig | None = None,
 # front (a face with none or all three keeps its order) and the number of
 # split edges; `split_plan` applies both and `subdivide` the templates.
 
-_ROTATION = (0, 0, 1, 0, 2, 2, 1, 0)
-_SPLIT_COUNT = (0, 1, 1, 2, 1, 2, 2, 3)
+_ROTATION = np.array([0, 0, 1, 0, 2, 2, 1, 0])
+_SPLIT_COUNT = np.array([0, 1, 1, 2, 1, 2, 2, 3])
+_CORNERS = (_ROTATION[:, None] + [0, 1, 2]) % 3     # rotated corner order
 
 
-def split_plan(faces, split) -> list[tuple[int, int, int, int]]:
-    """(p0, p1, p2, n) per face in ascending order: the face rotated so its
-    n split edges lead. `split` holds the split edges' keys."""
-    plan = []
-    for a, b, c in np.asarray(faces).tolist():
-        mask = ((((a, b) if a < b else (b, a)) in split)
-                | (((b, c) if b < c else (c, b)) in split) << 1
-                | (((c, a) if c < a else (a, c)) in split) << 2)
-        r, n = _ROTATION[mask], _SPLIT_COUNT[mask]
-        plan.append((a, b, c, n) if r == 0 else (b, c, a, n) if r == 1
-                    else (c, a, b, n))
-    return plan
+def split_plan(mesh: TriMesh, mid) -> list[list[int]]:
+    """[p0, p1, p2, m01, m12, m20, n] per face in ascending order: the face
+    rotated so its n split edges lead, and the midpoints of its edges
+    (p0, p1), (p1, p2), (p2, p0). `mid` holds each edge's midpoint vertex
+    in the order of `mesh.edges`, -1 for an edge that is not split."""
+    m = np.asarray(mid, dtype=np.int64)[mesh.edge_of].reshape(-1, 3)
+    mask = (m >= 0) @ [1, 2, 4]
+    rows, cols = np.arange(len(m))[:, None], _CORNERS[mask]
+    return np.column_stack([mesh.faces[rows, cols], m[rows, cols],
+                            _SPLIT_COUNT[mask]]).tolist()
 
 
-def subdivide(plan, split, diag_bits) -> np.ndarray:
+def subdivide(plan, diag_bits) -> np.ndarray:
     """Child faces of a split plan, each face's children in its place.
 
-    `split` maps a split edge's key to its midpoint vertex; `diag_bits`
-    yields one diagonal bit per trisected face, in plan order. Children
-    keep their parent's winding.
+    `diag_bits` yields one diagonal bit per trisected face, in plan order.
+    Children keep their parent's winding.
     """
     bits = iter(diag_bits)
     out = []
-    for p0, p1, p2, n in plan:
+    for p0, p1, p2, m01, m12, m20, n in plan:
         if n == 0:
             out.append((p0, p1, p2))
-            continue
-        m01 = split[(p0, p1) if p0 < p1 else (p1, p0)]
-        if n == 1:
+        elif n == 1:
             out += ((p0, m01, p2), (m01, p1, p2))
-            continue
-        m12 = split[(p1, p2) if p1 < p2 else (p2, p1)]
-        if n == 3:
-            m20 = split[(p2, p0) if p2 < p0 else (p0, p2)]
+        elif n == 3:
             out += ((p0, m01, m20), (m01, p1, m12), (m20, m12, p2),
                     (m01, m12, m20))
         elif next(bits):
@@ -659,12 +654,15 @@ def resubdivide(record: LevelRecord) -> TriMesh:
         positions[odd] = 0.5 * (positions[a] + positions[b])
 
     groups = record.face_groups
+    coarse = TriMesh(positions, [g.coarse_face for g in groups],
+                     validate=False)
     split = {key: v for v, key in record.parent_edge.items()}
-    plan = split_plan([g.coarse_face for g in groups], split)
+    plan = split_plan(coarse, [split.get(key, -1) for key
+                               in map(tuple, coarse.edges.tolist())])
     for g, (*_, n) in zip(groups, plan):
         if n != int(g.pattern):
             raise ValueError(f"group pattern {g.pattern.name} has {n} split "
                              f"edges on its face")
-    faces = subdivide(plan, split, [g.diag_bit for g in groups
-                                    if g.pattern is Pattern.TRISECT])
+    faces = subdivide(plan, [g.diag_bit for g in groups
+                             if g.pattern is Pattern.TRISECT])
     return TriMesh(positions, faces)

@@ -2,8 +2,10 @@
 
 Adjacency is a corner table as in Rossignac et al. (SMI 2001). Corner
 3f + i is vertex faces[f][i]; half-edge 3f + i, local edge i of face f,
-runs from it to corner 3f + (i + 1) % 3. One stable sort of the half-edges
-by undirected key gives the edges and each half-edge's `opposite`.
+runs from it to corner 3f + (i + 1) % 3. One sort of the half-edges by
+undirected key numbers the edges: `edges` lists them ascending and
+`edge_of` gives each half-edge's row there. `opposite`, the half-edge
+across, is derived from `edge_of` on first use.
 """
 
 from __future__ import annotations
@@ -48,7 +50,7 @@ class TriMesh:
     """Immutable indexed triangle mesh.
 
     Vertices are float64 positions, faces are integer index triples.
-    The corner table is built by validation, or lazily without it, and
+    The edge table is built by validation, or lazily without it, and
     cached; the mesh itself is never mutated after construction, so
     instances are safe to share across threads.
     """
@@ -85,42 +87,48 @@ class TriMesh:
             f = self.faces
             if np.any((f[:, 0] == f[:, 1]) | (f[:, 1] == f[:, 2]) | (f[:, 0] == f[:, 2])):
                 raise MeshError("degenerate face (repeated vertex index)")
-        self._corner_table      # raises NonManifoldError
+        self._edge_table        # raises NonManifoldError
 
     # -- adjacency --------------------------------------------------------
 
     @cached_property
-    def _corner_table(self) -> tuple[np.ndarray, np.ndarray]:
-        """(edges, opposite) from one stable sort of the half-edges by key.
-        Each edge is one run: a boundary edge's has one half-edge, an
-        interior edge's pairs two, and a longer one raises NonManifoldError."""
+    def _edge_table(self) -> tuple[np.ndarray, np.ndarray]:
+        """(edges, edge_of) from one sort of the half-edges' keys lo * n + hi,
+        with n above every index. A boundary edge has one half-edge, an
+        interior edge two, and more raise NonManifoldError."""
         start = self.faces.ravel()
-        end = self.faces[:, [1, 2, 0]].ravel()
-        lo, hi = np.minimum(start, end), np.maximum(start, end)
-        order = np.lexsort((hi, lo))
-        lo, hi = lo[order], hi[order]
-        first = np.flatnonzero(np.diff(lo, prepend=-1) | np.diff(hi, prepend=-1))
-        runs = np.diff(first, append=len(order))
+        end = self.faces.take([1, 2, 0], axis=1).ravel()
+        n = int(self.faces.max(initial=0)) + 1
+        codes, edge_of = np.unique(
+            np.minimum(start, end) * n + np.maximum(start, end),
+            return_inverse=True)
+        runs = np.bincount(edge_of)
         if runs.max(initial=0) > 2:
             k = np.argmax(runs > 2)             # the smallest such key
             raise NonManifoldError(
-                f"edge {(int(lo[first[k]]), int(hi[first[k]]))} shared by "
+                f"edge {(int(codes[k] // n), int(codes[k] % n))} shared by "
                 f"{runs[k]} faces")
-        pair = first[runs == 2]
-        opposite = np.full(len(order), -1, dtype=np.int64)
-        opposite[order[pair]] = order[pair + 1]
-        opposite[order[pair + 1]] = order[pair]
-        return np.stack([lo[first], hi[first]], axis=1), opposite
+        return np.stack(np.divmod(codes, n), axis=1), edge_of
 
     @property
     def edges(self) -> np.ndarray:
         """(E, 2) undirected edge keys, ascending."""
-        return self._corner_table[0]
+        return self._edge_table[0]
 
     @property
+    def edge_of(self) -> np.ndarray:
+        """(3F,) the row in `edges` of each half-edge."""
+        return self._edge_table[1]
+
+    @cached_property
     def opposite(self) -> np.ndarray:
         """(3F,) the half-edge paired with each half-edge, -1 on a boundary."""
-        return self._corner_table[1]
+        order = np.argsort(self.edge_of, kind="stable")
+        pair = np.flatnonzero(np.diff(self.edge_of[order]) == 0)
+        opposite = np.full(len(order), -1, dtype=np.int64)
+        opposite[order[pair]] = order[pair + 1]
+        opposite[order[pair + 1]] = order[pair]
+        return opposite
 
     @cached_property
     def vertex_faces(self) -> list[list[int]]:
@@ -129,13 +137,6 @@ class TriMesh:
         fids = (np.argsort(corners, kind="stable") // 3).tolist()
         ends = np.bincount(corners, minlength=self.vertex_count).cumsum().tolist()
         return [fids[a:b] for a, b in zip([0] + ends, ends)]
-
-    @cached_property
-    def _edge_keys(self) -> set[tuple[int, int]]:
-        return set(map(tuple, self.edges.tolist()))
-
-    def has_edge(self, u: int, v: int) -> bool:
-        return edge_key(u, v) in self._edge_keys
 
     def with_vertices(self, vertices) -> "TriMesh":
         """Same connectivity, new geometry."""

@@ -69,16 +69,17 @@ def subdivide_midpoint(mesh: TriMesh, edges=None, position=None) -> TriMesh:
     to project onto a surface). Faces follow the codec's subdivision
     conventions, so the result is invertible by construction.
     """
-    keys = sorted(map(tuple, mesh.edges.tolist() if edges is None else edges))
     nv = mesh.vertex_count
-    split = {k: nv + i for i, k in enumerate(keys)}
+    pick = np.ones(len(mesh.edges), dtype=bool) if edges is None else np.isin(
+        mesh.edges @ [nv, 1], np.reshape(edges, (-1, 2)) @ [nv, 1])
+    split = np.where(pick, nv - 1 + np.cumsum(pick), -1)
     new_pts = []
-    for a, b in keys:
+    for a, b in mesh.edges[pick].tolist():
         mid = 0.5 * (mesh.vertices[a] + mesh.vertices[b])
         new_pts.append(position(a, b, mid) if position else mid)
     verts = np.vstack([mesh.vertices, np.array(new_pts).reshape(-1, 3)]) \
         if new_pts else mesh.vertices
-    faces = subdivide(split_plan(mesh.faces, split), split, itertools.repeat(0))
+    faces = subdivide(split_plan(mesh, split), itertools.repeat(0))
     return TriMesh(verts, faces)
 
 

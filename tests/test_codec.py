@@ -250,6 +250,47 @@ def test_base_face_index_out_of_range_rejected(encoded):
         decode(stream)
 
 
+def _stream_over_base(faces, nv, level_count):
+    """A stream with valid CRCs whose base mesh is `faces` over `nv`
+    vertices at the origin, followed by `level_count` levels that split
+    no edge."""
+    m = codec._Models(12)
+    chunks = [codec._encode_ints(m.base_conn, np.diff(np.ravel(faces),
+                                                      prepend=0)),
+              codec._encode_ints(m.base_geom, np.zeros((nv, 3), dtype=int))]
+    edge_count = len({tuple(sorted((f[i], f[(i + 1) % 3])))
+                      for f in faces for i in range(3)})
+    for _ in range(level_count):
+        enc = RangeEncoder()
+        for _ in range(edge_count):
+            enc.encode_symbol(m.split, 0)
+        chunks += [enc.finish(), codec._encode_ints(m.detail, [])]
+    chunks.append(codec._encode_ints(m.completion,
+                                     np.zeros((nv, 3), dtype=int)))
+    return ProgressiveStream(
+        q_max=12, threshold=0, wgc_enabled=False, wgc_gamma=0.25,
+        adaptive=False, origin=np.zeros(3), scale=1.0,
+        base_vertex_count=nv, base_face_count=len(faces),
+        level_count=level_count, original_vertex_count=nv,
+        chunks=chunks).to_bytes()
+
+
+@pytest.mark.parametrize("faces, nv, level_count", [
+    ([(0, 1, 2), (1, 0, 3), (0, 1, 4)], 5, 0),
+    ([(0, 1, 2), (1, 0, 3), (0, 1, 4)], 5, 1),
+    ([(0, 0, 1)], 3, 0),
+], ids=["edge_in_three_faces", "edge_in_three_faces_one_level",
+        "repeated_index"])
+def test_invalid_base_mesh_rejected(faces, nv, level_count):
+    """A base mesh that TriMesh validation rejects is a format error,
+    whatever the level count, even when every CRC matches."""
+    data = _stream_over_base(faces, nv, level_count)
+    with pytest.raises(StreamFormatError, match="base mesh"):
+        decode(data)
+    assert decode(_stream_over_base([(0, 1, 2)], nv,
+                                    level_count)).face_count == 1
+
+
 @pytest.mark.parametrize("block", [1, 7])
 def test_decoder_block_size_does_not_change_the_mesh(monkeypatch, encoded,
                                                      block):

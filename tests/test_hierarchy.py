@@ -142,18 +142,25 @@ def reference_subdivide_face(face, midpoint_of, diag_bit=0):
     return [(p0, m01, m20), (m01, p1, m12), (m20, m12, p2), (m01, m12, m20)]
 
 
+def midpoints(mesh, split):
+    """`split` (edge key -> midpoint) in the order of `mesh.edges`, -1 for
+    an edge it does not hold."""
+    return [split.get(tuple(e), -1) for e in mesh.edges.tolist()]
+
+
 def test_split_table_matches_rotation_search():
     """Every rotation of one triangle, every split mask, both diagonal
     bits: the same child faces, in the same order and winding."""
     for rot in range(3):
         face = [(10, 11, 12)[(rot + i) % 3] for i in range(3)]
+        mesh = TriMesh(np.zeros((13, 3)), [face])
         for mask in range(8):
             split = {edge_key(face[i], face[(i + 1) % 3]): 20 + i
                      for i in range(3) if mask >> i & 1}
-            plan = hierarchy.split_plan([face], split)
-            assert plan[0][3] == bin(mask).count("1")
+            plan = hierarchy.split_plan(mesh, midpoints(mesh, split))
+            assert plan[0][6] == bin(mask).count("1")
             for bit in (0, 1):
-                got = hierarchy.subdivide(plan, split, [bit])
+                got = hierarchy.subdivide(plan, [bit])
                 want = reference_subdivide_face(face, split.get, bit)
                 assert [tuple(f) for f in got.tolist()] == want, \
                     (face, mask, bit)
@@ -165,7 +172,7 @@ def test_subdivide_keeps_face_order_and_diagonal_bit_order():
     mesh = shapes.icosphere(1)
     keys = [tuple(e) for e in mesh.edges.tolist()]
     split = {k: mesh.vertex_count + i for i, k in enumerate(keys[::3])}
-    plan = hierarchy.split_plan(mesh.faces, split)
+    plan = hierarchy.split_plan(mesh, midpoints(mesh, split))
     trisected = [f for f, (*_, n) in enumerate(plan) if n == 2]
     assert 10 < len(trisected) < mesh.face_count
     bits = np.random.default_rng(1).integers(0, 2, len(trisected)).tolist()
@@ -173,7 +180,7 @@ def test_subdivide_keeps_face_order_and_diagonal_bit_order():
     want = [child for f, face in enumerate(mesh.faces.tolist())
             for child in reference_subdivide_face(face, split.get,
                                                   bit_of.get(f, 0))]
-    got = hierarchy.subdivide(plan, split, bits)
+    got = hierarchy.subdivide(plan, bits)
     assert [tuple(f) for f in got.tolist()] == want
 
 
@@ -199,10 +206,11 @@ def test_even_odd_partition(hierarchies):
 def test_parents_joined_by_coarse_edge(hierarchies):
     for records in hierarchies.values():
         for record in records:
+            edges = record.coarse_mesh.edges.tolist()
             for odd, (a, b) in record.parent_edge.items():
                 ca, cb = np.searchsorted(record.coarse_to_fine, (a, b))
                 assert record.coarse_to_fine[[ca, cb]].tolist() == [a, b]
-                assert record.coarse_mesh.has_edge(ca, cb)
+                assert [ca, cb] in edges
 
 
 def test_monotone_decimation(hierarchies):

@@ -63,6 +63,11 @@ def test_corner_table_matches_brute_force(corpus):
     for name, m in meshes.items():
         halves, stars = brute_force_adjacency(m)
         assert m.edges.tolist() == sorted(map(list, halves)), name
+        row = [0] * (3 * m.face_count)
+        for e, key in enumerate(sorted(halves)):
+            for h in halves[key]:
+                row[h] = e
+        assert m.edge_of.tolist() == row, name
         want = [-1] * (3 * m.face_count)
         for pair in halves.values():
             if len(pair) == 2:
@@ -71,8 +76,9 @@ def test_corner_table_matches_brute_force(corpus):
         rim = [key for key, run in halves.items() if len(run) == 1]
         assert int((m.opposite < 0).sum()) == len(rim), name
         assert m.vertex_faces == stars, name
-        assert all(m.has_edge(v, u) for u, v in halves), name
-    assert not meshes["faceless"].has_edge(0, 1)
+        assert all(u < v for u, v in m.edges.tolist()), name
+    assert meshes["faceless"].edges.shape == (0, 2)
+    assert meshes["faceless"].edge_of.shape == (0,)
     assert (meshes["open"].opposite < 0).any()
     assert (meshes["icosphere"].opposite >= 0).all()
 
@@ -109,7 +115,7 @@ def test_neighbor_across_and_apex():
     assert sorted(corners[[o, o - o % 3 + (o + 1) % 3]].tolist()) == sorted([a, b])
     other_apex = int(corners[o - o % 3 + (o + 2) % 3])
     assert other_apex not in (a, b, c)
-    assert not m.has_edge(99, 98)
+    assert [98, 99] not in m.edges.tolist()
 
 
 def test_boundary_edges_on_open_patch():
