@@ -31,7 +31,8 @@ faces (`TriMesh.edges`) and refine connectivity with one rule,
 their midpoints and count) and `hierarchy.subdivide`. The encoder finds
 its split flags and diagonal bits in the level's fine ids:
 `coarse_to_fine[pi]` maps the decoder's vertices to them once per level,
-and `parent_edge` and the groups' coarse faces give the fine edge keys.
+`parent_edge` gives each split edge's midpoint, and a trisect's diagonal
+bit is keyed by the midpoints of its two split edges, in face order.
 Every chunk of plain integers is written by :func:`_encode_ints` and
 read by :func:`_decode_ints`.
 """
@@ -516,34 +517,31 @@ def encode(mesh: TriMesh, config: EncodeConfig | None = None):
     for rec in reversed(records):
         cs = analyze(rec, rec.fine_mesh.vertices)
         split_of = {key: odd for odd, key in rec.parent_edge.items()}
-        trisect_bit = {}                     # ordered edge-key pair -> bit
+        bit_of = {}             # a trisect's two ordered midpoints -> bit
         for g in rec.face_groups:
             if g.pattern is Pattern.TRISECT:
                 a, b, c = g.coarse_face
-                trisect_bit[(edge_key(a, b), edge_key(b, c))] = g.diag_bit
+                bit_of[split_of[edge_key(a, b)],
+                       split_of[edge_key(b, c)]] = g.diag_bit
 
         enc = RangeEncoder()
         fine = rec.coarse_to_fine[pi].tolist()   # decoder id -> fine id
-        odd_of = [split_of.get(edge_key(fine[u], fine[v]))
-                  for u, v in sim.conn.edges.tolist()]
-        for odd in odd_of:
-            enc.encode_symbol(m.split, 0 if odd is None else 1)
-        # fine ids as midpoints: only which edges split matters here
-        for p0, p1, p2, *_, n in split_plan(
-                sim.conn, [-1 if odd is None else odd for odd in odd_of]):
+        mid = [split_of.get(edge_key(fine[u], fine[v]), -1)
+               for u, v in sim.conn.edges.tolist()]
+        for odd in mid:
+            enc.encode_symbol(m.split, 0 if odd < 0 else 1)
+        # the plan's midpoints are fine ids, as are bit_of's keys
+        for *_, m01, m12, _, n in split_plan(sim.conn, mid):
             if n != 2:
                 continue
-            kab = edge_key(fine[p0], fine[p1])
-            kbc = edge_key(fine[p1], fine[p2])
-            if (kab, kbc) in trisect_bit:
-                bit = trisect_bit[(kab, kbc)]
-            else:                            # opposite winding mirrors the bit
-                bit = 1 - trisect_bit[(kbc, kab)]
+            bit = bit_of.get((m01, m12))
+            if bit is None:                  # opposite winding mirrors the bit
+                bit = 1 - bit_of[m12, m01]
             enc.encode_symbol(m.diag, bit)
         chunks.append(enc.finish())
         sim.read_level_conn(chunks[-1])
 
-        odds = [odd for odd in odd_of if odd is not None]
+        odds = [odd for odd in mid if odd >= 0]
         details = np.array([cs.details[odd] for odd in odds]).reshape(-1, 3)
         steps = 1 << (config.q_max - np.array(sim.level_q, dtype=np.int64))
         chunks.append(_encode_ints(m.detail, round_half_away(

@@ -6,7 +6,8 @@ byte-identical across platforms.
 
 Decoding runs in two batch kernels, :meth:`RangeDecoder.decode_symbols`
 (one adaptive model) and :meth:`SignedIntCoder.decode_many` (magnitude
-symbol, raw escape bits and sign inlined). Each decodes a whole run of
+symbol, raw escape bits and sign inlined; raw bits are decoded nowhere
+else). Each decodes a whole run of
 values with the coder state (`code`, `range`, read position, data) and
 the models' counts held in local variables, because in pure Python the
 attribute accesses and method calls of a per-symbol decoder cost more
@@ -185,23 +186,6 @@ class RangeDecoder:
     def decode_symbol(self, model: AdaptiveModel) -> int:
         return self.decode_symbols(model, 1)[0]
 
-    def decode_raw(self, nbits: int) -> int:
-        value = 0
-        for _ in range(nbits):
-            r = self._range >> 1
-            if self._code >= r:
-                bit = 1
-                self._code -= r
-                self._range -= r
-            else:
-                bit = 0
-                self._range = r
-            while self._range < _TOP:
-                self._range <<= 8
-                self._code = ((self._code << 8) | self._next_byte()) & _MASK32
-            value = (value << 1) | bit
-        return value
-
 
 class SignedIntCoder:
     """Signed integers as magnitude bucket + sign.
@@ -232,10 +216,10 @@ class SignedIntCoder:
             enc.encode_symbol(self.sign, 1 if value < 0 else 0)
 
     def decode_many(self, dec: RangeDecoder, count: int) -> list[int]:
-        """Kernel: the next `count` signed integers. The same steps as
-        :meth:`RangeDecoder.decode_symbols` and
-        :meth:`RangeDecoder.decode_raw`, inlined for the magnitude symbol,
-        the raw escape bits and the sign."""
+        """Kernel: the next `count` signed integers. The steps of
+        :meth:`RangeDecoder.decode_symbols`, inlined for the magnitude
+        symbol and the sign, and the inverse of
+        :meth:`RangeEncoder.encode_raw` for the raw escape bits."""
         data, pos, rng, code = dec._data, dec._pos, dec._range, dec._code
         end = len(data)
         mag_model, sign_model = self.magnitude, self.sign

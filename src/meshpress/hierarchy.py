@@ -10,10 +10,13 @@ by `resubdivide`, the codec's encoder and decoder and
 `shapes.subdivide_midpoint`. It takes a midpoint (-1: none) per edge of
 `TriMesh.edges` and gathers each face's through `TriMesh.edge_of`.
 
-The grouping strategy is greedy over faces in ascending index order with
-an edge registry that keeps the per-coarse-edge split decision globally
-consistent, followed by a demotion fixpoint: any vertex whose star cannot
-be covered by consistent groups is forced even and the pass is rerun.
+The grouping strategy is greedy over faces in ascending index order,
+keeping each coarse edge's split decision (its midpoint, or none)
+globally consistent, followed by a demotion fixpoint: any vertex whose
+star cannot be covered by consistent groups is forced even and the pass
+is rerun. An edge is keyed by one int code, `_PassTables._code`, from the
+static candidates to the grouping state; `simplify_once` turns the codes
+back into (a, b) pairs once, for `LevelRecord.parent_edge`.
 
 Each pass reads its adjacency once (`_PassTables`): faces as lists, the
 face and apex across every (face, local edge), both from
@@ -34,14 +37,15 @@ with ties in matcher order and become one `_Candidate` list per face.
 The dynamic half,
 `_PassState.admits`, runs on every call: free faces, `even`,
 `forbidden`, `parent` (a vertex is odd exactly when it has a parent
-edge), and registry compatibility. Within one `_grow` those state checks
-only get stricter (faces only fill, vertices only become even or odd,
-the registry only gains entries), so `_grow` pushes each face once per
-commit: a second push in the same commit would add a heap entry with the
-same key and a larger sequence number, which can never commit anything.
-A committed group stays its `_Candidate` until the pass ends: `_retract`
-replays the survivors' registry entries, and the `FaceGroup`s are built
-once, for the `LevelRecord`. Nothing cached outlives `simplify_once`.
+edge), and the committed coarse edges, `_PassState.edges`. Within one
+`_grow` those state checks only get stricter (faces only fill, vertices
+only become even or odd, edges are only added or gain groups), so
+`_grow` pushes each face once per commit: a second push in the same
+commit would add a heap entry with the same key and a larger sequence
+number, which can never commit anything. A committed group stays its
+`_Candidate` until the pass ends: `_retract` recommits the survivors'
+edge entries, and the `FaceGroup`s are built once, for the
+`LevelRecord`. Nothing cached outlives `simplify_once`.
 """
 
 from __future__ import annotations
@@ -102,43 +106,11 @@ class LevelRecord:
     coarse_to_fine: np.ndarray                 # the even vertices
 
 
-class _Registry:
-    """Split/unsplit bookkeeping per prospective coarse edge. An entry is
-    (edge key, midpoint vertex), the midpoint None for an unsplit edge; the
-    table maps an edge key to [midpoint, number of groups using the edge]."""
-
-    def __init__(self):
-        self._table: dict[tuple[int, int], list] = {}
-
-    def compatible(self, entries) -> bool:
-        for key, mid in entries:
-            cur = self._table.get(key)
-            if cur is not None and (cur[0] != mid or cur[1] >= 2):
-                return False
-        return True
-
-    def commit(self, entries) -> None:
-        for key, mid in entries:
-            self._table.setdefault(key, [mid, 0])[1] += 1
-
-    def reuse_count(self, entries) -> int:
-        """Number of entries that re-use an already-registered split edge
-        (same edge, same midpoint). Such a candidate is the forced
-        continuation of the committed tiling across that edge; unsplit
-        matches carry no such information and are not counted."""
-        n = 0
-        for key, mid in entries:
-            cur = self._table.get(key)
-            if mid is not None and cur is not None and cur[0] == mid:
-                n += 1
-        return n
-
-
 class _Candidate(NamedTuple):
     """A group that passes every state-free check, with its ranking terms.
-    entries[i] registers coarse edge i, (corners[i], corners[i + 1]); the
-    FaceGroup is only built for a candidate that is still committed when
-    the pass ends."""
+    entries[i] is (code, midpoint or None) of coarse edge i, (corners[i],
+    corners[i + 1]), its code from `_PassTables._code`; the FaceGroup is
+    only built for a candidate that is still committed when the pass ends."""
     corners: tuple[int, int, int]
     fine_face_ids: tuple[int, ...]
     diag_bit: int
@@ -195,8 +167,9 @@ class _PassTables:
 
     Local edge i of face f runs from faces[f][i] to faces[f][(i + 1) % 3];
     opp[3 * f + i] and apex[3 * f + i] are the face and vertex across it
-    (-1 on a boundary). Edges are coded u * nv + w with u < w; `boundary`
-    holds the boundary edges' codes, ascending. candidates[pref][f] lists
+    (-1 on a boundary). Edges are coded u * nv + w with u < w, by
+    `_code`, the module's one edge key; `boundary` holds the boundary
+    edges' codes, ascending. candidates[pref][f] lists
     the quadrisect (pref 0), trisect (1) and bisect (2) groups seeded at f
     in matcher order.
 
@@ -334,7 +307,8 @@ class _PassTables:
         (corners[i], corners[i + 1]), or the pass's `kept` marker where
         that edge is kept. The ints come from `ids`, shared by the whole
         pass (`ids[kept]` is None), so that a vertex or face id is one
-        object however many candidates hold it."""
+        object however many candidates hold it. `keys` holds the three
+        coarse edges' codes."""
         face, corners, odd, diag_bit, fine, scale, score = (
             np.concatenate(x) for x in zip(*blocks))
         # Irregular interior vertices must survive every valid tiling, so
@@ -347,13 +321,12 @@ class _PassTables:
         order = np.lexsort((*np.sort(fine, axis=1).T[::-1], face))
         cols = ids[np.column_stack(
             [corners, odd, diag_bit, rank, fine])[order].T].tolist()
+        keys = self._code(corners, np.roll(corners, -1, axis=1))[order].tolist()
         built = [
             _Candidate((a, b, c), fine, bit,
-                       (((a, b) if a < b else (b, a), o0),
-                        ((b, c) if b < c else (c, b), o1),
-                        ((c, a) if c < a else (a, c), o2)), s, w, r)
-            for a, b, c, o0, o1, o2, bit, r, fine, s, w in zip(
-                *cols[:8], zip(*cols[8:]),
+                       ((k0, o0), (k1, o1), (k2, o2)), s, w, r)
+            for a, b, c, o0, o1, o2, bit, r, fine, (k0, k1, k2), s, w in zip(
+                *cols[:8], zip(*cols[8:]), keys,
                 scale[order].tolist(), score[order].tolist())]
         start = np.searchsorted(face[order],
                                 np.arange(self.mesh.face_count + 1)).tolist()
@@ -361,19 +334,24 @@ class _PassTables:
 
 
 class _PassState:
+    """The grouping state of one pass. `parent` maps each odd vertex to its
+    parent edge's code, and `edges` each coarse edge's code to [midpoint or
+    None, number of groups using the edge]."""
+
     def __init__(self, tables: _PassTables, forbidden: set[int]):
         self.tables = tables
         self.forbidden = forbidden
         self.even = [False] * tables.mesh.vertex_count
-        self.parent: dict[int, tuple[int, int]] = {}   # odd vertex -> edge key
+        self.parent: dict[int, int] = {}
         self.grouped = [-1] * len(tables.faces)
         self.groups: list[_Candidate] = []
-        self.registry = _Registry()
+        self.edges: dict[int, list] = {}
 
     def admits(self, cand: _Candidate) -> bool:
         """The state-dependent checks: the faces are free, no corner is odd,
         each odd vertex is allowed, not even, and new or already odd on the
-        same parent edge, and the registry agrees."""
+        same parent edge, and each coarse edge is new or has the same
+        midpoint and fewer than two groups."""
         grouped, parent, even = self.grouped, self.parent, self.even
         for n in cand.fine_face_ids:
             if grouped[n] >= 0:
@@ -385,19 +363,37 @@ class _PassState:
             if v is not None and (v in self.forbidden or even[v]
                                   or parent.get(v, key) != key):
                 return False
-        return self.registry.compatible(cand.entries)
+        edges = self.edges
+        for key, v in cand.entries:
+            cur = edges.get(key)
+            if cur is not None and (cur[0] != v or cur[1] >= 2):
+                return False
+        return True
 
     def commit(self, cand: _Candidate) -> None:
-        self.registry.commit(cand.entries)
         gid = len(self.groups)
         self.groups.append(cand)
         for fid in cand.fine_face_ids:
             self.grouped[fid] = gid
         for corner in cand.corners:
             self.even[corner] = True
+        edges, parent = self.edges, self.parent
         for key, v in cand.entries:
+            edges.setdefault(key, [v, 0])[1] += 1
             if v is not None:
-                self.parent[v] = key
+                parent[v] = key
+
+    def reuse_count(self, cand: _Candidate) -> int:
+        """Number of split edges of `cand` already committed with the same
+        midpoint. Such a candidate is the forced continuation of the
+        committed tiling across that edge; unsplit matches carry no such
+        information and are not counted."""
+        n = 0
+        for key, v in cand.entries:
+            cur = self.edges.get(key)
+            if v is not None and cur is not None and cur[0] == v:
+                n += 1
+        return n
 
 
 def _first_admitted(st: _PassState, cands) -> _Candidate | None:
@@ -430,7 +426,7 @@ def _grow(st: _PassState, seed_faces) -> None:
             cand = _first_admitted(st, st.tables.candidates[pref][f])
             if cand is None:
                 continue
-            reuse = st.registry.reuse_count(cand.entries)
+            reuse = st.reuse_count(cand)
             # a candidate re-using a committed split edge is the forced
             # continuation of that region: frontier tier, ordered by how
             # strongly it is forced. Without reuse, a coarser candidate
@@ -570,7 +566,8 @@ def simplify_once(mesh: TriMesh, wgc: WgcConfig | None = None) -> LevelRecord | 
     return LevelRecord(
         level_index=0,
         fine_mesh=mesh,
-        parent_edge=dict(st.parent),
+        parent_edge={v: divmod(k, mesh.vertex_count)
+                     for v, k in st.parent.items()},
         face_groups=groups,
         coarse_mesh=coarse,
         coarse_to_fine=even,

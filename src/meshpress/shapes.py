@@ -65,13 +65,23 @@ def grid_patch(nx: int = 8, ny: int = 8, height=None) -> TriMesh:
 def subdivide_midpoint(mesh: TriMesh, edges=None, position=None) -> TriMesh:
     """Midpoint-subdivide all (or a subset of) edges.
 
-    `position(a, b, mid)` may override the inserted vertex position (e.g.
-    to project onto a surface). Faces follow the codec's subdivision
-    conventions, so the result is invertible by construction.
+    `edges` holds vertex pairs in either order; a pair that is not an
+    edge of the mesh raises ValueError. `position(a, b, mid)` may override
+    the inserted vertex position (e.g. to project onto a surface). Faces
+    follow the codec's subdivision conventions, so the result is
+    invertible by construction.
     """
     nv = mesh.vertex_count
-    pick = np.ones(len(mesh.edges), dtype=bool) if edges is None else np.isin(
-        mesh.edges @ [nv, 1], np.reshape(edges, (-1, 2)) @ [nv, 1])
+    pick = np.ones(len(mesh.edges), dtype=bool)
+    if edges is not None:
+        codes = mesh.edges @ [nv, 1]
+        pairs = np.sort(np.reshape(np.asarray(edges, dtype=np.int64), (-1, 2)))
+        known = ((pairs >= 0) & (pairs < nv)).all(axis=1) \
+            & np.isin(pairs @ [nv, 1], codes)
+        if not known.all():
+            raise ValueError(f"not an edge of the mesh: "
+                             f"{tuple(pairs[~known][0].tolist())}")
+        pick = np.isin(codes, pairs @ [nv, 1])
     split = np.where(pick, nv - 1 + np.cumsum(pick), -1)
     new_pts = []
     for a, b in mesh.edges[pick].tolist():

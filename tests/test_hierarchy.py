@@ -94,6 +94,19 @@ def test_bisect_pair_inverts():
     assert_consistent(record)
 
 
+def test_subdivide_midpoint_rejects_non_edges():
+    ico = shapes.icosahedron()
+    want = shapes.subdivide_midpoint(ico, edges=[(0, 1)])
+    got = shapes.subdivide_midpoint(ico, edges=[(1, 0)])
+    assert got.vertex_count == 13
+    assert np.array_equal(got.vertices, want.vertices)
+    assert np.array_equal(got.faces, want.faces)
+    # (0, 17) has the code 0 * 12 + 17 of the edge (1, 5)
+    for pair in [(0, 3), (0, 17)]:
+        with pytest.raises(ValueError, match="not an edge"):
+            shapes.subdivide_midpoint(ico, edges=[pair])
+
+
 def test_trisect_inverts():
     # split two edges of one triangle; its neighbors bisect
     base = shapes.subdivide_midpoint(shapes.triangle())
@@ -208,6 +221,8 @@ def test_parents_joined_by_coarse_edge(hierarchies):
         for record in records:
             edges = record.coarse_mesh.edges.tolist()
             for odd, (a, b) in record.parent_edge.items():
+                # the pass's edge codes, decoded once into Python ints
+                assert type(a) is int and type(b) is int and a < b
                 ca, cb = np.searchsorted(record.coarse_to_fine, (a, b))
                 assert record.coarse_to_fine[[ca, cb]].tolist() == [a, b]
                 assert [ca, cb] in edges
@@ -421,12 +436,15 @@ def pass_meshes(mesh):
 
 def static_candidates_digest(mesh) -> str:
     """SHA-256 over every pass's static candidates: per pattern and face,
-    the ordered (corners, fine face ids, diagonal bit, registry entries,
-    scale, score, rank), the floats as hex."""
+    the ordered (corners, fine face ids, diagonal bit, coarse-edge entries
+    with each code as its (a, b) pair, scale, score, rank), the floats as
+    hex."""
     h = hashlib.sha256()
     for fine in pass_meshes(mesh):
         tables = _PassTables(fine)
-        h.update(repr([[(c.corners, c.fine_face_ids, c.diag_bit, c.entries,
+        nv = fine.vertex_count
+        h.update(repr([[(c.corners, c.fine_face_ids, c.diag_bit,
+                         tuple((divmod(k, nv), mid) for k, mid in c.entries),
                          c.scale.hex(), c.score.hex(), c.rank)
                         for c in per_face[f]]
                        for per_face in tables.candidates
@@ -496,15 +514,15 @@ def test_vecdot_matches_scalar_norm(monkeypatch):
 # -- retraction --------------------------------------------------------------
 
 
-def rebuilt_registry(cands):
-    """Registry table rebuilt from the committed candidates alone: every
-    coarse edge of every group, keyed by its corners, carrying its
-    midpoint when split, counts summed."""
+def rebuilt_registry(cands, nv):
+    """`_PassState.edges` rebuilt from the committed candidates alone:
+    every coarse edge of every group, keyed by the code of its corners,
+    carrying its midpoint when split, counts summed."""
     table = {}
     for c in cands:
         face = c.corners
         for i, (key, mid) in enumerate(c.entries):
-            assert key == edge_key(face[i], face[(i + 1) % 3])
+            assert divmod(key, nv) == edge_key(face[i], face[(i + 1) % 3])
             cur = table.setdefault(key, [mid, 0])
             assert cur[0] == mid
             cur[1] += 1
@@ -520,11 +538,12 @@ def test_retract_keeps_state_consistent(monkeypatch):
         kept = fresh.groups
         assert not any(v in bad for c in kept for v in c.odds)
         assert kept == [c for c in before if not any(v in bad for v in c.odds)]
-        assert fresh.parent == {v: edge_key(c.corners[i], c.corners[(i + 1) % 3])
-                                for c in kept
-                                for i, (_, v) in enumerate(c.entries)
-                                if v is not None}
-        assert fresh.registry._table == rebuilt_registry(kept)
+        nv = st.tables.mesh.vertex_count
+        assert {v: divmod(k, nv) for v, k in fresh.parent.items()} == {
+            v: edge_key(c.corners[i], c.corners[(i + 1) % 3])
+            for c in kept for i, (_, v) in enumerate(c.entries)
+            if v is not None}
+        assert fresh.edges == rebuilt_registry(kept, nv)
         lost = {f for c in before for f in c.fine_face_ids} - \
             {f for c in kept for f in c.fine_face_ids}
         assert sorted(freed) == sorted(lost)
