@@ -24,28 +24,33 @@ face and apex across every (face, local edge), both from
 edges and vertices, and valences, as arrays.
 
 Every matcher is split in two. The static half is one array build per
-pass, in `_PassTables`: it gathers every quadrisect, trisect (rotation
-and diagonal bit) and bisect reading of every face from the corner table
-and keeps, as masks, the ones that pass every check no grouping state
-can change (topology and distinctness, valence, the boundary rule, the
-WGC test, fine edges looked up by code), with their ranking terms. The
-midpoint deviations and parent-edge lengths are computed at once by
-`_deviations`, and each must equal `sqrt(d.dot(d))` of its 3-vector bit
-for bit: a last-ulp change flips `>` comparisons and with them the
-stream. The survivors are ordered per face by their sorted fine face ids
-with ties in matcher order and become one `_Candidate` list per face.
-The dynamic half,
-`_PassState.admits`, runs on every call: free faces, `even`,
-`forbidden`, `parent` (a vertex is odd exactly when it has a parent
-edge), and the committed coarse edges, `_PassState.edges`. Within one
-`_grow` those state checks only get stricter (faces only fill, vertices
-only become even or odd, edges are only added or gain groups), so
-`_grow` pushes each face once per commit: a second push in the same
-commit would add a heap entry with the same key and a larger sequence
-number, which can never commit anything. A committed group stays its
-`_Candidate` until the pass ends: `_retract` recommits the survivors'
-edge entries, and the `FaceGroup`s are built once, for the
-`LevelRecord`. Nothing cached outlives `simplify_once`.
+pattern and pass, in `_PassTables`: it reads every face as a quadrisect,
+a trisect (all rotations and diagonal bits at once) and a bisect from
+the corner table and keeps, as masks, the readings that pass every check
+no grouping state can change (topology and distinctness, valence, the
+boundary rule, the WGC test, fine edges looked up by code), with their
+ranking terms. The midpoint deviations and parent-edge lengths are
+computed at once by `_deviations`, and each must equal `sqrt(d.dot(d))`
+of its 3-vector bit for bit: a last-ulp change flips `>` comparisons and
+with them the stream. Each survivor is one row of the pass's columns,
+plain lists read by row id; no object is built per candidate. The
+dynamic half, the `first` function `_matcher` binds once per `_grow`,
+runs on every call: free faces, `even`, `forbidden`, `parent` (a vertex
+is odd exactly when it has a parent edge), and the committed coarse
+edges, `_PassState.edges`. Within one `_grow` those state checks only
+get stricter (faces only fill, vertices only become even or odd, edges
+are only added or gain groups), so `_grow` pushes each face once per
+commit: a second push in the same commit would add a heap entry with the
+same key and a larger sequence number, which can never commit anything.
+A pass starts from the empty state (nothing committed or forbidden),
+where every static candidate is admitted and reuses no committed edge,
+so pushing every face gives each face's first row of each pattern its
+seed key: the first `_grow` takes its heap from one sort of those keys
+(`_PassTables.seed`; a sorted list is a heap), and only the regrows of
+the demotion fixpoint push. A committed group stays its row until the
+pass ends: `_retract` recommits the survivors' edge entries, and the
+`FaceGroup`s are built once, for the `LevelRecord`. Nothing cached
+outlives `simplify_once`.
 """
 
 from __future__ import annotations
@@ -54,7 +59,6 @@ import heapq
 import math
 from dataclasses import dataclass
 from enum import IntEnum
-from typing import NamedTuple
 
 import numpy as np
 
@@ -106,29 +110,6 @@ class LevelRecord:
     coarse_to_fine: np.ndarray                 # the even vertices
 
 
-class _Candidate(NamedTuple):
-    """A group that passes every state-free check, with its ranking terms.
-    entries[i] is (code, midpoint or None) of coarse edge i, (corners[i],
-    corners[i + 1]), its code from `_PassTables._code`; the FaceGroup is
-    only built for a candidate that is still committed when the pass ends."""
-    corners: tuple[int, int, int]
-    fine_face_ids: tuple[int, ...]
-    diag_bit: int
-    entries: tuple
-    scale: float                # mean parent-edge length
-    score: float                # worst relative midpoint deviation
-    rank: int                   # 0 when an irregular interior vertex is a corner
-
-    @property
-    def odds(self) -> list[int]:
-        """The midpoints of the split edges, in edge order."""
-        return [v for _, v in self.entries if v is not None]
-
-    def to_group(self) -> FaceGroup:
-        return FaceGroup(Pattern(len(self.odds)), self.corners,
-                         self.fine_face_ids, self.diag_bit)
-
-
 def _deviations(pos: np.ndarray, v, a, b) -> tuple[np.ndarray, np.ndarray]:
     """(|p_v - midpoint(a, b)|, |p_a - p_b|) per triple, bitwise symmetric
     in a, b.
@@ -139,9 +120,14 @@ def _deviations(pos: np.ndarray, v, a, b) -> tuple[np.ndarray, np.ndarray]:
     while `(d * d).sum(1)` and `einsum` round differently on a fifth to a
     quarter of vectors. test_vecdot_matches_scalar_norm checks the
     equality on the corpus; if it fails on some BLAS, the fix is a
-    per-triple `d.dot(d)` here, never a changed stream."""
-    dev = pos[v] - 0.5 * (pos[a] + pos[b])
-    edge = pos[a] - pos[b]
+    per-triple `d.dot(d)` here, never a changed stream. In place, so that
+    three (n, 3) arrays at most are alive: -0.5 * s + p_v rounds as
+    p_v - 0.5 * s does."""
+    edge, dev = pos[a], pos[a]
+    edge -= pos[b]
+    dev += pos[b]
+    dev *= -0.5
+    dev += pos[v]
     return np.sqrt(np.vecdot(dev, dev)), np.sqrt(np.vecdot(edge, edge))
 
 
@@ -169,14 +155,23 @@ class _PassTables:
     opp[3 * f + i] and apex[3 * f + i] are the face and vertex across it
     (-1 on a boundary). Edges are coded u * nv + w with u < w, by
     `_code`, the module's one edge key; `boundary` holds the boundary
-    edges' codes, ascending. candidates[pref][f] lists
-    the quadrisect (pref 0), trisect (1) and bisect (2) groups seeded at f
-    in matcher order.
+    edges' codes, ascending.
 
-    Each matcher reads every face at once, one (rotation, diagonal bit) at
-    a time, keeps the readings that pass its topology and distinctness
-    checks, and hands each such block to `_admissible` for the odd-vertex
-    rules; `_collect` ranks and orders the survivors into those lists."""
+    Each static candidate is one row r of per-pass columns, lists built
+    by one `tolist()` each: corner[i][r] is coarse corner i, and coarse
+    edge i, (corner i, corner i + 1), has code[i][r] and midpoint
+    mid[i][r], -1 where the edge is kept; fine[j][r] is fine face j, -1
+    past the pattern's 4, 3 or 2; then diag_bit, rank, scale and score.
+    Rows run by pattern (quadrisect, trisect, bisect: pref 0, 1, 2), face
+    and sorted fine face ids, ties in matcher order, and
+    bounds[pref][f]:bounds[pref][f + 1] are pattern pref's rows seeded at
+    face f. The array `seed` holds (seq, f, pref, row) of each face's
+    first row of each pattern, ordered by the key `_grow` pushes it with
+    on an empty state, seq numbering them f-major as pushes would.
+
+    Each matcher reads every face in every rotation (and diagonal bit) at
+    once, in (rotation, bit) blocks, and hands the readings that pass its
+    topology checks to `_admissible` for the odd-vertex rules."""
 
     def __init__(self, mesh: TriMesh, wgc: WgcConfig = WgcConfig()):
         self.mesh = mesh
@@ -194,15 +189,43 @@ class _PassTables:
         self.valence = np.bincount(mesh.edges.ravel(),
                                    minlength=mesh.vertex_count)
         self._edges = self._code(*mesh.edges.T)
-        self._kept = max(mesh.vertex_count, mesh.face_count)
-        ids = np.array([*range(self._kept), None], dtype=object)
-        self.candidates = [self._collect(blocks, ids) for blocks in (
-            self._quadrisects(), self._trisects(), self._bisects())]
+        face, corners, odd, bit, fine, scale, score = map(np.concatenate, zip(
+            self._quadrisects(), self._trisects(), self._bisects()))
+        pref = 3 - (odd >= 0).sum(axis=1)
+        # stable, so ties keep matcher order; the -1 padding sorts first
+        order = np.lexsort((*np.sort(fine, axis=1).T[::-1], face, pref))
+        face, corners, odd, bit, fine, scale, score, pref = (
+            x[order] for x in (face, corners, odd, bit, fine, scale, score,
+                               pref))
+        # Irregular interior vertices must survive every valid tiling, so
+        # a candidate keeping one as an even corner is almost certainly in
+        # the globally consistent coset: such candidates are preferred seeds.
+        irregular = (self.valence != 6) & ~self.on_boundary
+        rank = np.where(irregular[corners].any(axis=1), 0, 1)
+        nf = mesh.face_count
+        start = np.searchsorted(pref * nf + face, np.arange(3 * nf + 1))
+        self.bounds = [start[p * nf:(p + 1) * nf + 1].tolist()
+                       for p in range(3)]
+        # f-major, so the seeds' sequence numbers are their positions,
+        # and lexsort is stable
+        fs, ps = np.nonzero((np.diff(start) > 0).reshape(3, nf).T)
+        row = start[ps * nf + fs]
+        order = np.lexsort((score[row], scale[row], ps, rank[row]))
+        self.seed = np.stack([order, fs[order], ps[order], row[order]])
+        # one int object per vertex or face id, however many rows hold it;
+        # ids[-1] is -1
+        ids = np.array([*range(max(mesh.vertex_count, nf)), -1],
+                       dtype=object)
+        self.corner, self.mid, self.fine = (
+            ids[x.T].tolist() for x in (corners, odd, fine))
+        self.code = self._code(corners, np.roll(corners, -1, 1)).T.tolist()
+        self.diag_bit, self.rank, self.scale, self.score = (
+            x.tolist() for x in (bit, rank, scale, score))
 
     def _code(self, u, w):
         return np.minimum(u, w) * self.mesh.vertex_count + np.maximum(u, w)
 
-    def _quadrisects(self) -> list[tuple]:
+    def _quadrisects(self) -> tuple:
         f = np.arange(self.mesh.face_count)
         opp = self.opp.reshape(-1, 3)
         n12, n23, n31 = opp.T
@@ -210,59 +233,54 @@ class _PassTables:
         m1, m2, m3 = self.mesh.faces.T
         ok = ((opp >= 0).all(axis=1) & _distinct(f, n12, n23, n31)
               & _distinct(a, b, c, m1, m2, m3))
-        return [self._admissible(f[ok], np.stack([a, b, c], 1)[ok],
-                                 self.mesh.faces[ok], 0,
-                                 np.stack([n31, n12, n23, f], 1)[ok])]
+        return self._admissible(f[ok], np.stack([a, b, c], 1)[ok],
+                                self.mesh.faces[ok], np.zeros(ok.sum(), int),
+                                np.stack([n31, n12, n23, f], 1)[ok])
 
-    def _trisects(self) -> list[tuple]:
+    def _trisects(self) -> tuple:
         """Each face as the middle face of a trisected coarse triangle."""
-        faces, f = self.mesh.faces, np.arange(self.mesh.face_count)
-        blocks = []
-        for rot in range(3):
-            e = 3 * f + (rot + 2) % 3              # edge (mb, ma)
-            has = self.opp[e] >= 0
-            g, e = f[has], e[has]
-            ma, b, mb = (faces[g, (rot + i) % 3] for i in range(3))
-            n3, y = self.opp[e], self.apex[e]
-            # bit 0: n3 = (ma, mb, C), diagonal from ma, hinge (ma, y);
-            # bit 1: n3 = (A, ma, mb), hinge (mb, y). A hinge is the edge
-            # of n3 that follows the vertex it leaves out.
-            for diag_bit, left_out in enumerate((mb, ma)):
-                at = np.argmax(faces[n3] == left_out[:, None], axis=1)
-                h = 3 * n3 + (at + 1) % 3
-                n1, z = self.opp[h], self.apex[h]
-                if diag_bit == 0:
-                    A, C, fine = z, y, (n1, g, n3)
-                else:
-                    A, C, fine = y, z, (n3, g, n1)
-                ok = ((n1 >= 0) & (n1 != g) & _distinct(A, b, C, ma, mb)
-                      & _isin(self._edges, self._code(C, A)))
-                kept = np.full(ok.sum(), self._kept)
-                blocks.append(self._admissible(
-                    g[ok], np.stack([A, b, C], 1)[ok],
-                    np.stack([ma[ok], mb[ok], kept], 1), diag_bit,
-                    np.stack(fine, 1)[ok]))
-        return blocks
+        faces, nf = self.mesh.faces, self.mesh.face_count
+        block, g = np.divmod(np.arange(6 * nf), nf)    # 2 * rotation + bit
+        e = 3 * g + (block // 2 + 2) % 3               # edge (mb, ma)
+        has = self.opp[e] >= 0
+        block, g, e = block[has], g[has], e[has]
+        ma, b, mb = (faces[g, (block // 2 + i) % 3] for i in range(3))
+        n3, y = self.opp[e], self.apex[e]
+        # bit 0: n3 = (ma, mb, C), diagonal from ma, hinge (ma, y);
+        # bit 1: n3 = (A, ma, mb), hinge (mb, y). A hinge is the edge
+        # of n3 that follows the vertex it leaves out.
+        one = block % 2 == 1
+        at = np.argmax(faces[n3] == np.where(one, ma, mb)[:, None], axis=1)
+        e = 3 * n3 + (at + 1) % 3
+        n1, z = self.opp[e], self.apex[e]
+        A, C = np.where(one, y, z), np.where(one, z, y)
+        ok = ((n1 >= 0) & (n1 != g) & _distinct(A, b, C, ma, mb)
+              & _isin(self._edges, self._code(C, A)))
+        g, A, b, C, ma, mb, n1, n3, one = (
+            x[ok] for x in (g, A, b, C, ma, mb, n1, n3, one))
+        return self._admissible(
+            g, np.stack([A, b, C], 1),
+            np.stack([ma, mb, np.full_like(g, -1)], 1), one.astype(int),
+            np.stack([np.where(one, n3, n1), g, np.where(one, n1, n3)], 1))
 
-    def _bisects(self) -> list[tuple]:
-        faces, f = self.mesh.faces, np.arange(self.mesh.face_count)
-        blocks = []
-        for rot in range(3):
-            a, m, c = (faces[:, (rot + i) % 3] for i in range(3))
-            e = 3 * f + (rot + 1) % 3              # edge (m, c)
-            n, b = self.opp[e], self.apex[e]
-            ok = (n >= 0) & _distinct(a, b, c, m)
-            kept = np.full(ok.sum(), self._kept)
-            blocks.append(self._admissible(
-                f[ok], np.stack([a, b, c], 1)[ok],
-                np.stack([m[ok], kept, kept], 1), 0, np.stack([f, n], 1)[ok]))
-        return blocks
+    def _bisects(self) -> tuple:
+        faces, nf = self.mesh.faces, self.mesh.face_count
+        rot, f = np.divmod(np.arange(3 * nf), nf)
+        a, m, c = (faces[f, (rot + i) % 3] for i in range(3))
+        e = 3 * f + (rot + 1) % 3                  # edge (m, c)
+        n, b = self.opp[e], self.apex[e]
+        ok = (n >= 0) & _distinct(a, b, c, m)
+        f, a, b, c, m, n = (x[ok] for x in (f, a, b, c, m, n))
+        kept = np.full_like(f, -1)
+        return self._admissible(f, np.stack([a, b, c], 1),
+                                np.stack([m, kept, kept], 1), kept + 1,
+                                np.stack([f, n], 1))
 
-    def _admissible(self, face, corners, odd, diag_bit: int, fine) -> tuple:
+    def _admissible(self, face, corners, odd, diag_bit, fine) -> tuple:
         """The readings whose odd vertices may all split their coarse
-        edges, as (face, corners, odd, diag_bit, fine, scale, score). The
-        split edges lead: 3, 2 or 1 of them for a quadrisect, trisect or
-        bisect."""
+        edges, as (face, corners, odd, diag_bit, fine, scale, score), fine
+        padded with -1 to 4 columns. The split edges lead: 3, 2 or 1 of
+        them for a quadrisect, trisect or bisect."""
         splits = fine.shape[1] - 1
         v = odd[:, :splits]
         a, b = corners[:, :splits], corners[:, [1, 2, 0][:splits]]
@@ -272,22 +290,21 @@ class _PassTables:
         # coarse edge must not also exist as a fine edge
         along = (_isin(self.boundary, self._code(a, v))
                  & _isin(self.boundary, self._code(v, b)))
-        ok = (np.where(self.on_boundary[v], along, self.valence[v] <= 6)
-              & ~_isin(self._edges, self._code(a, b))).all(axis=1)
-        face, corners, odd, fine, v, a, b = (
-            x[ok] for x in (face, corners, odd, fine, v, a, b))
+        keep = np.flatnonzero((np.where(self.on_boundary[v], along,
+                                        self.valence[v] <= 6)
+                               & ~_isin(self._edges, self._code(a, b))).all(1))
         dev, length = (x.reshape(-1, splits) for x in _deviations(
-            self.mesh.vertices, v.ravel(), a.ravel(), b.ravel()))
+            self.mesh.vertices, v[keep].ravel(), a[keep].ravel(),
+            b[keep].ravel()))
         if self.wgc.enabled:
             ok = ~(dev > self.wgc.gamma * length).any(axis=1)
-            face, corners, odd, fine, dev, length = (
-                x[ok] for x in (face, corners, odd, fine, dev, length))
+            keep, dev, length = keep[ok], dev[ok], length[ok]
         # scale: mean parent-edge length, comparable across patterns (a
         # coarse-face perimeter would make bisects look finer than
         # quadrisects); score: worst deviation relative to the parent edge
         # length, so true subdivision structure scores low. Both run over
         # the split edges in order, as a scalar sum and max would.
-        total, worst = 0.0, np.zeros(len(face))
+        total, worst = 0.0, np.zeros(len(keep))
         with np.errstate(divide="ignore", invalid="ignore"):
             ratio = dev / length
         for j in range(splits):
@@ -295,48 +312,35 @@ class _PassTables:
             worst = np.where(length[:, j] > 0.0,
                              np.where(ratio[:, j] > worst, ratio[:, j], worst),
                              np.inf)
-        return (face, corners, odd, np.full(len(face), diag_bit), fine,
+        fine = np.pad(fine[keep], ((0, 0), (0, 3 - splits)),
+                      constant_values=-1)
+        return (face[keep], corners[keep], odd[keep], diag_bit[keep], fine,
                 total / splits, worst)
 
-    def _collect(self, blocks, ids: np.ndarray) -> list[list[_Candidate]]:
-        """One pattern's admissible readings, `blocks` in matcher order,
-        ranked and ordered per face, as one `_Candidate` list per face.
+    def corners(self, r: int) -> tuple[int, int, int]:
+        a, b, c = self.corner
+        return a[r], b[r], c[r]
 
-        Column j of `cols` holds a, b, c, o0, o1, o2, diag_bit, rank and the
-        fine face ids in turn: oi is the midpoint of coarse edge i,
-        (corners[i], corners[i + 1]), or the pass's `kept` marker where
-        that edge is kept. The ints come from `ids`, shared by the whole
-        pass (`ids[kept]` is None), so that a vertex or face id is one
-        object however many candidates hold it. `keys` holds the three
-        coarse edges' codes."""
-        face, corners, odd, diag_bit, fine, scale, score = (
-            np.concatenate(x) for x in zip(*blocks))
-        # Irregular interior vertices must survive every valid tiling, so
-        # a candidate keeping one as an even corner is almost certainly in
-        # the globally consistent coset: such candidates are preferred seeds.
-        irregular = (self.valence != 6) & ~self.on_boundary
-        rank = np.where(irregular[corners].any(axis=1), 0, 1)
-        # per face, a stable sort by sorted fine face ids keeps ties in
-        # matcher order
-        order = np.lexsort((*np.sort(fine, axis=1).T[::-1], face))
-        cols = ids[np.column_stack(
-            [corners, odd, diag_bit, rank, fine])[order].T].tolist()
-        keys = self._code(corners, np.roll(corners, -1, axis=1))[order].tolist()
-        built = [
-            _Candidate((a, b, c), fine, bit,
-                       ((k0, o0), (k1, o1), (k2, o2)), s, w, r)
-            for a, b, c, o0, o1, o2, bit, r, fine, (k0, k1, k2), s, w in zip(
-                *cols[:8], zip(*cols[8:]), keys,
-                scale[order].tolist(), score[order].tolist())]
-        start = np.searchsorted(face[order],
-                                np.arange(self.mesh.face_count + 1)).tolist()
-        return [built[i:j] for i, j in zip(start, start[1:])]
+    def entries(self, r: int) -> list[tuple[int, int]]:
+        """(code, midpoint or -1) of row r's coarse edges, in edge order."""
+        return [(k[r], m[r]) for k, m in zip(self.code, self.mid)]
+
+    def odds(self, r: int) -> list[int]:
+        """The midpoints of row r's split edges, in edge order."""
+        return [m[r] for m in self.mid if m[r] >= 0]
+
+    def fine_ids(self, r: int) -> tuple[int, ...]:
+        return tuple(g[r] for g in self.fine if g[r] >= 0)
+
+    def group(self, r: int) -> FaceGroup:
+        return FaceGroup(Pattern(len(self.odds(r))), self.corners(r),
+                         self.fine_ids(r), self.diag_bit[r])
 
 
 class _PassState:
-    """The grouping state of one pass. `parent` maps each odd vertex to its
-    parent edge's code, and `edges` each coarse edge's code to [midpoint or
-    None, number of groups using the edge]."""
+    """The grouping state of one pass: `groups` lists the committed rows,
+    `parent` maps each odd vertex to its parent edge's code, and `edges`
+    each coarse edge's code to [midpoint or -1, groups using it]."""
 
     def __init__(self, tables: _PassTables, forbidden: set[int]):
         self.tables = tables
@@ -344,66 +348,59 @@ class _PassState:
         self.even = [False] * tables.mesh.vertex_count
         self.parent: dict[int, int] = {}
         self.grouped = [-1] * len(tables.faces)
-        self.groups: list[_Candidate] = []
+        self.groups: list[int] = []
         self.edges: dict[int, list] = {}
 
-    def admits(self, cand: _Candidate) -> bool:
-        """The state-dependent checks: the faces are free, no corner is odd,
-        each odd vertex is allowed, not even, and new or already odd on the
-        same parent edge, and each coarse edge is new or has the same
-        midpoint and fewer than two groups."""
-        grouped, parent, even = self.grouped, self.parent, self.even
-        for n in cand.fine_face_ids:
-            if grouped[n] >= 0:
-                return False
-        for v in cand.corners:
-            if v in parent:
-                return False
-        for key, v in cand.entries:
-            if v is not None and (v in self.forbidden or even[v]
-                                  or parent.get(v, key) != key):
-                return False
-        edges = self.edges
-        for key, v in cand.entries:
-            cur = edges.get(key)
-            if cur is not None and (cur[0] != v or cur[1] >= 2):
-                return False
-        return True
-
-    def commit(self, cand: _Candidate) -> None:
+    def commit(self, r: int) -> None:
         gid = len(self.groups)
-        self.groups.append(cand)
-        for fid in cand.fine_face_ids:
+        self.groups.append(r)
+        for fid in self.tables.fine_ids(r):
             self.grouped[fid] = gid
-        for corner in cand.corners:
+        for corner in self.tables.corners(r):
             self.even[corner] = True
         edges, parent = self.edges, self.parent
-        for key, v in cand.entries:
+        for key, v in self.tables.entries(r):
             edges.setdefault(key, [v, 0])[1] += 1
-            if v is not None:
+            if v >= 0:
                 parent[v] = key
 
-    def reuse_count(self, cand: _Candidate) -> int:
-        """Number of split edges of `cand` already committed with the same
-        midpoint. Such a candidate is the forced continuation of the
-        committed tiling across that edge; unsplit matches carry no such
-        information and are not counted."""
-        n = 0
-        for key, v in cand.entries:
-            cur = self.edges.get(key)
-            if v is not None and cur is not None and cur[0] == v:
-                n += 1
-        return n
+
+def _matcher(st: _PassState):
+    """`first(pref, f)`: the first of pattern pref's rows seeded at face f
+    that `st` admits, -1 if none. The state-dependent checks: the faces
+    are free, no corner is odd, each odd vertex is allowed, not even, and
+    new or already odd on the same parent edge, and each coarse edge is
+    new or has the same midpoint and fewer than two groups."""
+    t = st.tables
+    bounds, (a, b, c), pairs = t.bounds, t.corner, tuple(zip(t.code, t.mid))
+    slots = [t.fine[:4 - pref] for pref in range(3)]
+    grouped, parent, even = st.grouped, st.parent, st.even
+    edges, forbidden = st.edges, st.forbidden
+
+    def first(pref: int, f: int) -> int:
+        rows, fine = bounds[pref], slots[pref]
+        for r in range(rows[f], rows[f + 1]):
+            for g in fine:
+                if grouped[g[r]] >= 0:
+                    break
+            else:
+                if a[r] in parent or b[r] in parent or c[r] in parent:
+                    continue
+                for code, mid in pairs:
+                    key, v = code[r], mid[r]
+                    if v >= 0 and (v in forbidden or even[v]
+                                   or parent.get(v, key) != key):
+                        break
+                    cur = edges.get(key)
+                    if cur is not None and (cur[0] != v or cur[1] >= 2):
+                        break
+                else:
+                    return r
+        return -1
+    return first
 
 
-def _first_admitted(st: _PassState, cands) -> _Candidate | None:
-    for cand in cands:
-        if st.admits(cand):
-            return cand
-    return None
-
-
-def _grow(st: _PassState, seed_faces) -> None:
+def _grow(st: _PassState, seed_faces=None) -> None:
     """Best-first region growing, one pattern at a time.
 
     In regular regions several incompatible groupings are locally valid
@@ -412,21 +409,33 @@ def _grow(st: _PassState, seed_faces) -> None:
     that touch already-committed groups: each committed group's even and
     odd vertices then force its neighborhood into the same consistent
     tiling, and conflicts can only arise along seams between independently
-    seeded regions.
+    seeded regions. Without `seed_faces`, `st` must be empty, and every
+    face is seeded from `_PassTables.seed` (see the module docstring).
     """
-    vertex_faces = st.tables.mesh.vertex_faces
+    t = st.tables
+    first = _matcher(st)
+    vertex_faces, grouped, edges = t.mesh.vertex_faces, st.grouped, st.edges
+    bounds, pairs = t.bounds, tuple(zip(t.code, t.mid))
+    rank, scale, score = t.rank, t.scale, t.score
     seq = 0
     heap: list[tuple] = []
 
     def push(f: int, tier: int, ref_scale: float | None = None) -> None:
         nonlocal seq
-        if st.grouped[f] >= 0:
+        if grouped[f] >= 0:
             return
         for pref in range(3):
-            cand = _first_admitted(st, st.tables.candidates[pref][f])
-            if cand is None:
+            if bounds[pref][f] == bounds[pref][f + 1]:
                 continue
-            reuse = st.reuse_count(cand)
+            r = first(pref, f)
+            if r < 0:
+                continue
+            reuse = 0           # split edges committed with this midpoint
+            for code, mid in pairs:
+                v = mid[r]
+                if v >= 0:
+                    cur = edges.get(code[r])
+                    reuse += cur is not None and cur[0] == v
             # a candidate re-using a committed split edge is the forced
             # continuation of that region: frontier tier, ordered by how
             # strongly it is forced. Without reuse, a coarser candidate
@@ -436,37 +445,42 @@ def _grow(st: _PassState, seed_faces) -> None:
             if reuse > 0:
                 eff_tier = 0
             elif tier == 0 and ref_scale is not None \
-                    and cand.scale > 1.5 * ref_scale:
+                    and scale[r] > 1.5 * ref_scale:
                 eff_tier = 1
             # fuller patterns beat a marginally better-scoring partial
             # match (almost always a spurious reading of a regular region)
             if eff_tier == 0:
-                key = (0, -reuse, float(pref), 0.0, cand.score)
+                key = (0, -reuse, float(pref), 0.0, score[r])
             else:
                 # between seeds of the same pattern, finer-scale
                 # candidates go first so that on meshes refined at mixed
                 # scales the finest structure claims its faces before any
                 # coarser grouping can
-                key = (1, cand.rank, float(pref), cand.scale, cand.score)
+                key = (1, rank[r], float(pref), scale[r], score[r])
             heapq.heappush(heap, (*key, seq, f, pref))
             seq += 1
 
-    for f in seed_faces:
-        push(f, 1)
+    if seed_faces is None:
+        heap = [(1, rank[r], float(p), scale[r], score[r], s, f, p)
+                for s, f, p, r in zip(*t.seed.tolist())]    # sorted: a heap
+        seq = len(heap)
+    else:
+        for f in seed_faces:
+            push(f, 1)
     while heap:
         *_, f, pref = heapq.heappop(heap)
-        if st.grouped[f] >= 0:
+        if grouped[f] >= 0:
             continue
         # revalidate against the current state
-        cand = _first_admitted(st, st.tables.candidates[pref][f])
-        if cand is None:
+        r = first(pref, f)
+        if r < 0:
             continue
-        st.commit(cand)
+        st.commit(r)
         # each face once per commit: exact, see the module docstring
-        touched = (nf for v in (*cand.corners, *cand.odds)
+        touched = (nf for v in (*t.corners(r), *t.odds(r))
                    for nf in vertex_faces[v])
         for nf in dict.fromkeys(touched):
-            push(nf, 0, cand.scale)
+            push(nf, 0, scale[r])
 
 
 def _finalize_violations(st: _PassState) -> set[int]:
@@ -481,9 +495,9 @@ def _retract(st: _PassState, bad: set[int]) -> tuple[_PassState, list[int]]:
     """Drop every group that makes a vertex in `bad` odd and recommit the
     survivors into a fresh state. Returns it and the freed faces."""
     fresh = _PassState(st.tables, st.forbidden)
-    for cand in st.groups:
-        if not any(v in bad for v in cand.odds):
-            fresh.commit(cand)
+    for r in st.groups:
+        if not any(v in bad for v in st.tables.odds(r)):
+            fresh.commit(r)
     freed = [f for f, (old, new) in enumerate(zip(st.grouped, fresh.grouped))
              if old >= 0 and new < 0]
     return fresh, freed
@@ -502,24 +516,25 @@ def _dissolve_conflicts(st: _PassState) -> None:
     consistently tiled finer part (whose removed vertices no stranded
     face uses). A dissolved group stays in `st.groups` but owns no face.
     """
+    t = st.tables
     odd_groups: dict[int, list[int]] = {}
-    for gid, cand in enumerate(st.groups):
-        for v in cand.odds:            # a shared split edge puts its
+    for gid, r in enumerate(st.groups):
+        for v in t.odds(r):            # a shared split edge puts its
             odd_groups.setdefault(v, []).append(gid)    # odd in 2 groups
     removed: set[int] = set()
     queue = [f for f, gid in enumerate(st.grouped) if gid < 0]
     while queue:
         f = queue.pop()
-        for v in st.tables.faces[f]:
+        for v in t.faces[f]:
             for gid in odd_groups.get(v, ()):
                 if gid in removed:
                     continue
                 removed.add(gid)
-                cand = st.groups[gid]
-                for odd in cand.odds:
+                r = st.groups[gid]
+                for odd in t.odds(r):
                     if all(g in removed for g in odd_groups[odd]):
                         st.parent.pop(odd, None)
-                for fid in cand.fine_face_ids:
+                for fid in t.fine_ids(r):
                     st.grouped[fid] = -1
                     queue.append(fid)
 
@@ -537,7 +552,7 @@ def simplify_once(mesh: TriMesh, wgc: WgcConfig | None = None) -> LevelRecord | 
     wgc = wgc or WgcConfig()
     forbidden: set[int] = set()
     st = _PassState(_PassTables(mesh, wgc), forbidden)
-    _grow(st, range(mesh.face_count))
+    _grow(st)
     prev = np.inf
     while True:
         bad = _finalize_violations(st)
@@ -555,7 +570,8 @@ def simplify_once(mesh: TriMesh, wgc: WgcConfig | None = None) -> LevelRecord | 
         return None
 
     # leftover faces survive unchanged; a dissolved group owns no face
-    groups = [st.groups[gid].to_group() for gid in set(st.grouped) - {-1}]
+    groups = [st.tables.group(st.groups[gid])
+              for gid in set(st.grouped) - {-1}]
     groups += [FaceGroup(Pattern.UNCHANGED, tuple(face), (f,))
                for f, face in enumerate(st.tables.faces) if st.grouped[f] < 0]
     groups.sort(key=lambda g: min(g.fine_face_ids))

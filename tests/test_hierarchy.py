@@ -1,3 +1,4 @@
+import gc
 import hashlib
 import math
 from collections import Counter
@@ -6,7 +7,7 @@ import numpy as np
 import pytest
 
 from meshpress import hierarchy, shapes
-from meshpress.hierarchy import (Pattern, WgcConfig, _PassTables,
+from meshpress.hierarchy import (Pattern, WgcConfig, _PassState, _PassTables,
                                  build_hierarchy, resubdivide, simplify_once)
 from meshpress.mesh import TriMesh, edge_key
 
@@ -426,10 +427,10 @@ def test_hierarchy_is_pinned():
     assert got == CONFIG_PINS
 
 
-def pass_meshes(mesh):
+def pass_meshes(mesh, wgc=None):
     """The input mesh of every pass build_hierarchy runs, the last one
     (which finds nothing to remove) included."""
-    records = build_hierarchy(mesh)
+    records = build_hierarchy(mesh, wgc)
     return [r.fine_mesh for r in records] + \
         [records[-1].coarse_mesh if records else mesh]
 
@@ -437,17 +438,18 @@ def pass_meshes(mesh):
 def static_candidates_digest(mesh) -> str:
     """SHA-256 over every pass's static candidates: per pattern and face,
     the ordered (corners, fine face ids, diagonal bit, coarse-edge entries
-    with each code as its (a, b) pair, scale, score, rank), the floats as
-    hex."""
+    with each code as its (a, b) pair and a kept edge's midpoint as None,
+    scale, score, rank), the floats as hex."""
     h = hashlib.sha256()
     for fine in pass_meshes(mesh):
-        tables = _PassTables(fine)
+        t = _PassTables(fine)
         nv = fine.vertex_count
-        h.update(repr([[(c.corners, c.fine_face_ids, c.diag_bit,
-                         tuple((divmod(k, nv), mid) for k, mid in c.entries),
-                         c.scale.hex(), c.score.hex(), c.rank)
-                        for c in per_face[f]]
-                       for per_face in tables.candidates
+        h.update(repr([[(t.corners(r), t.fine_ids(r), t.diag_bit[r],
+                         tuple((divmod(k, nv), None if mid < 0 else mid)
+                               for k, mid in t.entries(r)),
+                         t.scale[r].hex(), t.score[r].hex(), t.rank[r])
+                        for r in range(rows[f], rows[f + 1])]
+                       for rows in t.bounds
                        for f in range(fine.face_count)]).encode())
     return h.hexdigest()
 
@@ -514,14 +516,14 @@ def test_vecdot_matches_scalar_norm(monkeypatch):
 # -- retraction --------------------------------------------------------------
 
 
-def rebuilt_registry(cands, nv):
-    """`_PassState.edges` rebuilt from the committed candidates alone:
-    every coarse edge of every group, keyed by the code of its corners,
-    carrying its midpoint when split, counts summed."""
+def rebuilt_registry(tables, rows, nv):
+    """`_PassState.edges` rebuilt from the committed rows alone: every
+    coarse edge of every group, keyed by the code of its corners, carrying
+    its midpoint when split (-1 when kept), counts summed."""
     table = {}
-    for c in cands:
-        face = c.corners
-        for i, (key, mid) in enumerate(c.entries):
+    for r in rows:
+        face = tables.corners(r)
+        for i, (key, mid) in enumerate(tables.entries(r)):
             assert divmod(key, nv) == edge_key(face[i], face[(i + 1) % 3])
             cur = table.setdefault(key, [mid, 0])
             assert cur[0] == mid
@@ -535,20 +537,21 @@ def test_retract_keeps_state_consistent(monkeypatch):
     def checked(st, bad, _retract=hierarchy._retract):
         before = list(st.groups)
         fresh, freed = _retract(st, bad)
-        kept = fresh.groups
-        assert not any(v in bad for c in kept for v in c.odds)
-        assert kept == [c for c in before if not any(v in bad for v in c.odds)]
-        nv = st.tables.mesh.vertex_count
+        kept, t = fresh.groups, st.tables
+        assert not any(v in bad for r in kept for v in t.odds(r))
+        assert kept == [r for r in before
+                        if not any(v in bad for v in t.odds(r))]
+        nv = t.mesh.vertex_count
         assert {v: divmod(k, nv) for v, k in fresh.parent.items()} == {
-            v: edge_key(c.corners[i], c.corners[(i + 1) % 3])
-            for c in kept for i, (_, v) in enumerate(c.entries)
-            if v is not None}
-        assert fresh.edges == rebuilt_registry(kept, nv)
-        lost = {f for c in before for f in c.fine_face_ids} - \
-            {f for c in kept for f in c.fine_face_ids}
+            v: edge_key(t.corners(r)[i], t.corners(r)[(i + 1) % 3])
+            for r in kept for i, (_, v) in enumerate(t.entries(r))
+            if v >= 0}
+        assert fresh.edges == rebuilt_registry(t, kept, nv)
+        lost = {f for r in before for f in t.fine_ids(r)} - \
+            {f for r in kept for f in t.fine_ids(r)}
         assert sorted(freed) == sorted(lost)
-        for gid, c in enumerate(kept):
-            assert all(fresh.grouped[f] == gid for f in c.fine_face_ids)
+        for gid, r in enumerate(kept):
+            assert all(fresh.grouped[f] == gid for f in t.fine_ids(r))
         calls.append(len(bad))
         return fresh, freed
 
@@ -559,10 +562,10 @@ def test_retract_keeps_state_consistent(monkeypatch):
 
 # -- matcher work ------------------------------------------------------------
 
-# calls of each matcher (`_first_admitted` on one pattern's candidate list)
-# during one build_hierarchy; before static candidates and one push per
-# face per commit they were (4818, 4572, 4598) on the CAD mesh and
-# (12319, 12555, 13106) on the hull
+# calls of each pattern's matcher (`first(pref, f)` from `_matcher`) during
+# one build_hierarchy; before static candidates and one push per face per
+# commit they were (4818, 4572, 4598) on the CAD mesh and (12319, 12555,
+# 13106) on the hull
 @pytest.mark.parametrize("make, bounds", [
     (lambda: shapes.cad_solid(subdivisions=2), (3989, 3743, 3769)),
     (lambda: shapes.random_convex(200), (11049, 11285, 11816)),
@@ -570,19 +573,57 @@ def test_retract_keeps_state_consistent(monkeypatch):
 def test_matcher_calls_bounded(monkeypatch, make, bounds):
     mesh = make()
     calls = Counter()
-    tables, pattern_of = None, {}   # the pass, id of its lists -> pattern
 
-    def counted(st, cands, _match=hierarchy._first_admitted):
-        nonlocal tables, pattern_of
-        if st.tables is not tables:
-            tables = st.tables      # holds its lists, so their ids, alive
-            pattern_of = {id(lst): pref
-                          for pref, per_face in enumerate(tables.candidates)
-                          for lst in per_face}
-        calls[pattern_of[id(cands)]] += 1
-        return _match(st, cands)
+    def counting(st, _matcher=hierarchy._matcher):
+        first = _matcher(st)
 
-    monkeypatch.setattr(hierarchy, "_first_admitted", counted)
+        def counted(pref, f):
+            calls[pref] += 1
+            return first(pref, f)
+        return counted
+
+    monkeypatch.setattr(hierarchy, "_matcher", counting)
     build_hierarchy(mesh)
     got = tuple(calls[pref] for pref in range(3))
     assert all(0 < n <= bound for n, bound in zip(got, bounds)), got
+
+
+# -- the first grow's seed heap ----------------------------------------------
+
+
+def test_sorted_seed_matches_pushed_seed():
+    """On a fresh state every static candidate is admitted, so the sorted
+    seed heap commits what pushing every face does, in the same order."""
+    cases = [(make(), None) for make in PIN_MESHES.values()] + [
+        (make(), wgc) for make in (lambda: shapes.grid_patch(9, 9),
+                                   lambda: shapes.bumpy_sphere(3))
+        for wgc in (NO_WGC, TIGHT_WGC)]
+    passes = 0
+    for mesh, wgc in cases:
+        for fine in pass_meshes(mesh, wgc):
+            tables = _PassTables(fine, wgc or WgcConfig())
+            sorted_seed = _PassState(tables, set())
+            hierarchy._grow(sorted_seed)
+            pushed = _PassState(tables, set())
+            hierarchy._grow(pushed, range(fine.face_count))
+            assert sorted_seed.groups == pushed.groups
+            assert sorted_seed.edges == pushed.edges
+            passes += bool(pushed.groups)
+    assert passes > 20
+
+
+def test_pass_tables_hold_no_per_candidate_objects():
+    """The static candidates are columns of ints and floats: building a
+    pass's tables leaves about one tracked object per face (the face
+    lists), not several per candidate."""
+    mesh = shapes.cad_solid(subdivisions=3)
+    gc.collect()
+    gc.disable()
+    try:
+        before = len(gc.get_objects())
+        tables = _PassTables(mesh)
+        grown = len(gc.get_objects()) - before
+    finally:
+        gc.enable()
+    assert len(tables.scale) > 3 * mesh.face_count
+    assert grown < mesh.face_count + 100, grown
