@@ -475,8 +475,7 @@ def _encode_ints(coder: SignedIntCoder, values: np.ndarray) -> bytes:
     """A chunk holding `values` in C order; the mirror of
     :func:`_decode_ints`."""
     enc = RangeEncoder()
-    for v in np.asarray(values).ravel().tolist():
-        coder.encode(enc, v)
+    coder.encode_many(enc, np.asarray(values).ravel().tolist())
     return enc.finish()
 
 
@@ -528,16 +527,17 @@ def encode(mesh: TriMesh, config: EncodeConfig | None = None):
         fine = rec.coarse_to_fine[pi].tolist()   # decoder id -> fine id
         mid = [split_of.get(edge_key(fine[u], fine[v]), -1)
                for u, v in sim.conn.edges.tolist()]
-        for odd in mid:
-            enc.encode_symbol(m.split, 0 if odd < 0 else 1)
+        enc.encode_symbols(m.split, [0 if odd < 0 else 1 for odd in mid])
         # the plan's midpoints are fine ids, as are bit_of's keys
+        bits = []
         for *_, m01, m12, _, n in split_plan(sim.conn, mid):
             if n != 2:
                 continue
             bit = bit_of.get((m01, m12))
             if bit is None:                  # opposite winding mirrors the bit
                 bit = 1 - bit_of[m12, m01]
-            enc.encode_symbol(m.diag, bit)
+            bits.append(bit)
+        enc.encode_symbols(m.diag, bits)
         chunks.append(enc.finish())
         sim.read_level_conn(chunks[-1])
 

@@ -4,17 +4,20 @@ Carry-aware 32-bit range coder with byte renormalization and order-0
 adaptive frequency models. All arithmetic is integer, so output is
 byte-identical across platforms.
 
-Decoding runs in two batch kernels, :meth:`RangeDecoder.decode_symbols`
-(one adaptive model) and :meth:`SignedIntCoder.decode_many` (magnitude
-symbol, raw escape bits and sign inlined; raw bits are decoded nowhere
-else). Each decodes a whole run of
-values with the coder state (`code`, `range`, read position, data) and
-the models' counts held in local variables, because in pure Python the
-attribute accesses and method calls of a per-symbol decoder cost more
-than the arithmetic itself. The per-value methods `decode_symbol` and
-`SignedIntCoder.decode` are wrappers over the kernels; the halving of
-the counts stays in :meth:`AdaptiveModel.rescale`. The encoder is coded
-symbol by symbol.
+Both directions run in batch kernels of one shape: one adaptive model
+(:meth:`RangeEncoder.encode_symbols`, :meth:`RangeDecoder.decode_symbols`)
+and signed integers (:meth:`SignedIntCoder.encode_many` and
+:meth:`SignedIntCoder.decode_many`: magnitude symbol, raw escape bits and
+sign inlined; raw bits are coded nowhere else). Each holds the coder
+state and the models' counts in locals, because in pure Python the
+attribute accesses and calls of a per-symbol coder cost more than the
+arithmetic. `encode_symbol`, `decode_symbol`, `SignedIntCoder.encode`
+and `SignedIntCoder.decode` wrap the kernels; the halving of the counts
+stays in :meth:`AdaptiveModel.rescale` and the carry in
+:meth:`RangeEncoder._shift_low`. The signed kernels find the escape from
+the top of the cumulative counts, without a scan, and code k raw bits in
+one step when the k halvings of `range` left before it renormalises are
+exact (`range` a multiple of 2**k).
 """
 
 from __future__ import annotations
@@ -47,9 +50,6 @@ class AdaptiveModel:
         self.freq = [1] * alphabet_size
         self.total = alphabet_size
 
-    def cum_below(self, sym: int) -> int:
-        return sum(self.freq[:sym])
-
     def update(self, sym: int) -> None:
         self.freq[sym] += _INCREMENT
         self.total += _INCREMENT
@@ -77,8 +77,10 @@ class RangeEncoder:
         self._cache_size = 1
         self._out = bytearray()
 
-    def _shift_low(self) -> None:
-        low = self._low
+    def _shift_low(self, low: int) -> int:
+        """The one carry path: moves the top byte of `low` into the cache
+        (written out once no carry can reach it) and returns `low`
+        shifted up one byte."""
         if low < 0xFF000000 or low > _MASK32:
             carry = low >> 32
             out = self._out
@@ -89,30 +91,33 @@ class RangeEncoder:
             self._cache = (low >> 24) & 0xFF
             self._cache_size = 0
         self._cache_size += 1
-        self._low = (low << 8) & _MASK32
+        return (low << 8) & _MASK32
+
+    def encode_symbols(self, model: AdaptiveModel, syms: list[int]) -> None:
+        """Kernel: code each symbol of `syms` with one adaptive model."""
+        lo, hi = min(syms, default=0), max(syms, default=0)
+        if lo < 0 or hi >= model.n:
+            raise ValueError(f"symbols {lo}..{hi} outside alphabet {model.n}")
+        low, rng = self._low, self._range
+        freq, total = model.freq, model.total
+        for sym in syms:
+            r = rng // total
+            if sym:
+                low += r * sum(freq[:sym])
+            f = freq[sym]
+            rng = r * f
+            while rng < _TOP:
+                rng <<= 8
+                low = self._shift_low(low)
+            freq[sym] = f + _INCREMENT
+            total += _INCREMENT
+            if total > _RESCALE_LIMIT:
+                total = model.rescale()
+        self._low, self._range = low, rng
+        model.total = total
 
     def encode_symbol(self, model: AdaptiveModel, sym: int) -> None:
-        if not 0 <= sym < model.n:
-            raise ValueError(f"symbol {sym} outside alphabet of {model.n}")
-        r = self._range // model.total
-        self._low += r * model.cum_below(sym)
-        self._range = r * model.freq[sym]
-        while self._range < _TOP:
-            self._range <<= 8
-            self._shift_low()
-        model.update(sym)
-
-    def encode_raw(self, value: int, nbits: int) -> None:
-        for i in range(nbits - 1, -1, -1):
-            r = self._range >> 1
-            if (value >> i) & 1:
-                self._low += r
-                self._range -= r
-            else:
-                self._range = r
-            while self._range < _TOP:
-                self._range <<= 8
-                self._shift_low()
+        self.encode_symbols(model, (sym,))
 
     def finish(self) -> bytes:
         # Any code point in [low, low + range) decodes to the same symbol
@@ -123,10 +128,10 @@ class RangeEncoder:
             mod = 1 << (8 * k)
             c = (low + mod - 1) // mod * mod
             if c - low < rng:
-                self._low = c
+                low = c
                 break
         for _ in range(5):
-            self._shift_low()
+            low = self._shift_low(low)
         return bytes(self._out).rstrip(b"\x00")
 
 
@@ -203,42 +208,116 @@ class SignedIntCoder:
         self.magnitude = AdaptiveModel(18)
         self.sign = AdaptiveModel(2)
 
-    def encode(self, enc, value: int) -> None:
-        mag = abs(int(value))
-        if mag < 16:
-            enc.encode_symbol(self.magnitude, mag)
-        else:
-            if mag >= (1 << self.raw_bits):
-                raise ValueError(f"magnitude {mag} exceeds {self.raw_bits} raw bits")
-            enc.encode_symbol(self.magnitude, self.ESCAPE)
-            enc.encode_raw(mag, self.raw_bits)
-        if mag:
-            enc.encode_symbol(self.sign, 1 if value < 0 else 0)
+    def encode_many(self, enc: RangeEncoder, values: list[int]) -> None:
+        """Kernel: code each int of `values`. The steps of
+        :meth:`RangeEncoder.encode_symbols`, inlined for the magnitude
+        symbol and the sign, and the raw escape bits; the mirror of
+        :meth:`decode_many`."""
+        escape, raw_bits = self.ESCAPE, self.raw_bits
+        top = max(map(abs, values), default=0)
+        if top >= max(escape, 1 << raw_bits):
+            raise ValueError(f"magnitude {top} exceeds {raw_bits} raw bits")
+        low, rng = enc._low, enc._range
+        mag_model, sign_model = self.magnitude, self.sign
+        mfreq, mtotal = mag_model.freq, mag_model.total
+        sfreq, stotal = sign_model.freq, sign_model.total
+        tail = mfreq[escape] + mfreq[escape + 1]    # counts from the escape up
+        for value in values:
+            mag = -value if value < 0 else value
+            r = rng // mtotal
+            if mag >= escape:
+                sym = escape
+                low += r * (mtotal - tail)
+                tail += _INCREMENT
+            else:
+                sym = mag
+                if mag:
+                    low += r * sum(mfreq[:mag])
+            f = mfreq[sym]
+            rng = r * f
+            while rng < _TOP:
+                rng <<= 8
+                low = enc._shift_low(low)
+            mfreq[sym] = f + _INCREMENT
+            mtotal += _INCREMENT
+            if mtotal > _RESCALE_LIMIT:
+                mtotal = mag_model.rescale()
+                tail = mfreq[escape] + mfreq[escape + 1]
+            if sym == escape:
+                left = raw_bits
+                while left:
+                    k = rng.bit_length() - 24   # halvings before renormalising
+                    if k > left:
+                        k = left
+                    if rng & ((1 << k) - 1):    # not exact: one bit
+                        left -= 1
+                        r = rng >> 1
+                        if (mag >> left) & 1:
+                            low += r
+                            r = rng - r
+                        rng = r
+                    else:
+                        left -= k
+                        rng >>= k
+                        low += ((mag >> left) & ((1 << k) - 1)) * rng
+                    while rng < _TOP:
+                        rng <<= 8
+                        low = enc._shift_low(low)
+            if not mag:
+                continue
+            negative = 1 if value < 0 else 0
+            r = rng // stotal
+            if negative:
+                low += r * sfreq[0]
+            f = sfreq[negative]
+            rng = r * f
+            while rng < _TOP:
+                rng <<= 8
+                low = enc._shift_low(low)
+            sfreq[negative] = f + _INCREMENT
+            stotal += _INCREMENT
+            if stotal > _RESCALE_LIMIT:
+                stotal = sign_model.rescale()
+        enc._low, enc._range = low, rng
+        mag_model.total, sign_model.total = mtotal, stotal
+
+    def encode(self, enc: RangeEncoder, value: int) -> None:
+        self.encode_many(enc, (int(value),))
 
     def decode_many(self, dec: RangeDecoder, count: int) -> list[int]:
         """Kernel: the next `count` signed integers. The steps of
         :meth:`RangeDecoder.decode_symbols`, inlined for the magnitude
-        symbol and the sign, and the inverse of
-        :meth:`RangeEncoder.encode_raw` for the raw escape bits."""
+        symbol and the sign, and the raw escape bits; the mirror of
+        :meth:`encode_many`. The escape's interval ends below `range`, so
+        `code < range` holds through its raw bits even on a corrupt
+        stream, and a group of k bits reads `code // s < 2**k` unclamped."""
         data, pos, rng, code = dec._data, dec._pos, dec._range, dec._code
         end = len(data)
         mag_model, sign_model = self.magnitude, self.sign
         mfreq, mtotal = mag_model.freq, mag_model.total
         sfreq, stotal = sign_model.freq, sign_model.total
         escape, raw_bits = self.ESCAPE, self.raw_bits
+        tail = mfreq[escape] + mfreq[escape + 1]
         out = []
         append = out.append
         for _ in repeat(None, count):
             r = rng // mtotal
             dv = code // r
-            if dv >= mtotal:
-                dv = mtotal - 1
-            mag = cum = 0
-            f = mfreq[0]
-            while cum + f <= dv:
-                cum += f
-                mag += 1
-                f = mfreq[mag]
+            if dv >= mtotal - tail:     # the escape, found without a scan
+                cum = mtotal - tail
+                tail += _INCREMENT
+                mag, f = escape, mfreq[escape]
+                if dv >= cum + f:       # reserved 17 or dv >= mtotal: corrupt
+                    cum += f
+                    mag += 1
+                    f = mfreq[mag]
+            else:
+                mag = cum = 0
+                f = mfreq[0]
+                while cum + f <= dv:
+                    cum += f
+                    mag += 1
+                    f = mfreq[mag]
             code -= r * cum
             rng = r * f
             while rng < _TOP:
@@ -249,17 +328,29 @@ class SignedIntCoder:
             mtotal += _INCREMENT
             if mtotal > _RESCALE_LIMIT:
                 mtotal = mag_model.rescale()
+                tail = mfreq[escape] + mfreq[escape + 1]
             if mag == escape:
                 mag = 0
-                for _ in repeat(None, raw_bits):
-                    r = rng >> 1
-                    if code >= r:
-                        code -= r
-                        rng -= r
-                        mag = (mag << 1) | 1
-                    else:
-                        rng = r
+                left = raw_bits
+                while left:
+                    k = rng.bit_length() - 24   # halvings before renormalising
+                    if k > left:
+                        k = left
+                    if rng & ((1 << k) - 1):    # not exact: one bit
+                        left -= 1
+                        r = rng >> 1
                         mag <<= 1
+                        if code >= r:
+                            code -= r
+                            r = rng - r
+                            mag |= 1
+                        rng = r
+                    else:
+                        left -= k
+                        rng >>= k
+                        v = code // rng
+                        code -= v * rng
+                        mag = (mag << k) | v
                     while rng < _TOP:
                         rng <<= 8
                         code = (((code << 8)

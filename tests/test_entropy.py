@@ -45,6 +45,9 @@ def test_model_rejects_empty_alphabet():
 
 def test_symbol_out_of_alphabet_rejected():
     enc = RangeEncoder()
+    for syms in ([4], [0, 3, 4, 1], [2, -1]):
+        with pytest.raises(ValueError):
+            enc.encode_symbols(AdaptiveModel(4), syms)
     with pytest.raises(ValueError):
         enc.encode_symbol(AdaptiveModel(4), 4)
 
@@ -73,13 +76,16 @@ def test_single_symbol_alphabet_costs_nothing_per_symbol():
 
 
 def test_raw_bits_round_trip():
-    enc = RangeEncoder()
-    values = [(0, 1), (1, 1), (0xDEAD, 16), (123456789, 32), (5, 3)]
-    for value, nbits in values:
-        enc.encode_raw(value, nbits)
-    ref = _Reference(enc.finish())
-    for value, nbits in values:
-        assert ref.raw(nbits) == value
+    """Escapes at every raw width, coded by the kernel's grouped raw bits
+    and read back one bit at a time."""
+    for raw_bits in _RAW_WIDTHS:
+        top = (1 << raw_bits) - 1
+        values = [16, top, 0x5555_5555 & top, -(0xAAAA_AAAA & top), -16]
+        assert min(map(abs, values)) >= SignedIntCoder.ESCAPE
+        enc = RangeEncoder()
+        SignedIntCoder(raw_bits).encode_many(enc, values)
+        ref, coder = _Reference(enc.finish()), SignedIntCoder(raw_bits)
+        assert [ref.signed(coder) for _ in values] == values
 
 
 def test_mixed_models_round_trip():
@@ -133,9 +139,11 @@ def test_signed_magnitude_overflow_rejected():
     coder = SignedIntCoder(raw_bits=8)
     with pytest.raises(ValueError):
         coder.encode(enc, 1 << 9)
+    with pytest.raises(ValueError):
+        coder.encode_many(enc, [3, -(1 << 8), 7])
 
 
-# -- batch decoder kernels -------------------------------------------------
+# -- batch kernels ---------------------------------------------------------
 
 # every raw escape width the codec uses: 32 (base connectivity), q_max + 2
 # (base geometry, completion) and q_max + 8 (details), q_max in [4, 16]
@@ -202,10 +210,55 @@ class _Reference:
         return -mag if self.symbol(coder.sign) else mag
 
 
+class _ReferenceEncoder(RangeEncoder):
+    """Symbol-at-a-time encoding through attributes and `model.update`,
+    as the encoder ran before its batch kernels: their oracle, byte for
+    byte and count for count. The carry path and `finish` are shared."""
+
+    def encode_symbol(self, model, sym):
+        if not 0 <= sym < model.n:
+            raise ValueError(f"symbol {sym} outside alphabet of {model.n}")
+        r = self._range // model.total
+        self._low += r * sum(model.freq[:sym])
+        self._range = r * model.freq[sym]
+        while self._range < 1 << 24:
+            self._range <<= 8
+            self._low = self._shift_low(self._low)
+        model.update(sym)
+
+    def encode_raw(self, value, nbits):
+        for i in range(nbits - 1, -1, -1):
+            r = self._range >> 1
+            if (value >> i) & 1:
+                self._low += r
+                self._range -= r
+            else:
+                self._range = r
+            while self._range < 1 << 24:
+                self._range <<= 8
+                self._low = self._shift_low(self._low)
+
+    def signed(self, coder, value):
+        mag = abs(int(value))
+        if mag < 16:
+            self.encode_symbol(coder.magnitude, mag)
+        else:
+            if mag >= (1 << coder.raw_bits):
+                raise ValueError(
+                    f"magnitude {mag} exceeds {coder.raw_bits} raw bits")
+            self.encode_symbol(coder.magnitude, coder.ESCAPE)
+            self.encode_raw(mag, coder.raw_bits)
+        if mag:
+            self.encode_symbol(coder.sign, 1 if value < 0 else 0)
+
+
+def _counts(*models):
+    return [(list(m.freq), m.total) for m in models]
+
+
 def _state(dec, *models):
     """Decoder position, range and code, then each model's counts."""
-    return (dec._pos, dec._range, dec._code,
-            [(list(m.freq), m.total) for m in models])
+    return dec._pos, dec._range, dec._code, _counts(*models)
 
 
 def _count_rescales(monkeypatch):
@@ -276,6 +329,70 @@ def test_decode_symbols_matches_reference_in_any_split(monkeypatch,
             got += dec.decode_symbols(model, min(split, n - len(got)))
         assert got == want
         assert _state(dec, model) == want_state
+    assert len(rescales) >= 4 * 3
+
+
+def _any_bytes():
+    """Byte strings of 1-200 bytes no encoder wrote: seeded random, all
+    0xFF, and mixes of 0x00, 0x7F, 0x80 and 0xFF."""
+    rng = np.random.default_rng(17)
+    for n in (1, 2, 3, 5, 8, 13, 31, 64, 128, 200):
+        yield rng.integers(0, 256, size=n, dtype=np.uint8).tobytes()
+        yield b"\xff" * n
+        yield bytes(rng.choice([0x00, 0x7F, 0x80, 0xFF], size=n).tolist())
+
+
+@pytest.mark.parametrize("raw_bits", _RAW_WIDTHS)
+def test_decode_many_matches_reference_on_any_bytes(raw_bits):
+    n, reserved = 300, 0
+    for data in _any_bytes():
+        ref, coder = _Reference(data), SignedIntCoder(raw_bits)
+        want = [ref.signed(coder) for _ in range(n)]
+        want_state = _state(ref, coder.magnitude, coder.sign)
+        reserved += coder.magnitude.freq[17] > 1
+        for split in (1, 7, n):
+            dec, coder = RangeDecoder(data), SignedIntCoder(raw_bits)
+            got = []
+            while len(got) < n:
+                got += coder.decode_many(dec, min(split, n - len(got)))
+            assert got == want
+            assert _state(dec, coder.magnitude, coder.sign) == want_state
+    assert reserved                         # the reserved symbol 17 is read
+
+
+@pytest.mark.parametrize("raw_bits", _RAW_WIDTHS)
+def test_encode_many_matches_reference_encoder(monkeypatch, raw_bits):
+    values = _signed_values(raw_bits, 3000, raw_bits)
+    ref, coder = _ReferenceEncoder(), SignedIntCoder(raw_bits)
+    for v in values:
+        ref.signed(coder, v)
+    want, want_counts = ref.finish(), _counts(coder.magnitude, coder.sign)
+    rescales = _count_rescales(monkeypatch)
+    for split in (1, 7, len(values)):
+        enc, coder = RangeEncoder(), SignedIntCoder(raw_bits)
+        for i in range(0, len(values), split):
+            coder.encode_many(enc, values[i:i + split])
+        assert enc.finish() == want
+        assert _counts(coder.magnitude, coder.sign) == want_counts
+    assert rescales.count(18) >= 4 * 3 and rescales.count(2) >= 4 * 3
+
+
+@pytest.mark.parametrize("alphabet", [2, 18, 256])
+def test_encode_symbols_matches_reference_encoder(monkeypatch, alphabet):
+    rng = np.random.default_rng(alphabet)
+    symbols = np.minimum(rng.geometric(0.3, size=4000) - 1,
+                         alphabet - 1).tolist()
+    ref, model = _ReferenceEncoder(), AdaptiveModel(alphabet)
+    for sym in symbols:
+        ref.encode_symbol(model, sym)
+    want, want_counts = ref.finish(), _counts(model)
+    rescales = _count_rescales(monkeypatch)
+    for split in (1, 7, len(symbols)):
+        enc, model = RangeEncoder(), AdaptiveModel(alphabet)
+        for i in range(0, len(symbols), split):
+            enc.encode_symbols(model, symbols[i:i + split])
+        assert enc.finish() == want
+        assert _counts(model) == want_counts
     assert len(rescales) >= 4 * 3
 
 
