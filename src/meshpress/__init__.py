@@ -20,12 +20,12 @@ from .meshio import ParseError, load_mesh, save_mesh
 from .metrics import DistortionResult, point_to_triangle, sampled_distance
 from .quantize import (DEFAULT_THRESHOLD, MIN_PRECISION, QuantGrid,
                        assign_precision, batch_precision, make_grid)
-from .wavelet import CoefficientSet, analyze, synthesize
+from .wavelet import analyze, synthesize
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "BACKEND_NAME", "BBox", "BenchRow", "CoefficientSet", "DEFAULT_THRESHOLD",
+    "BACKEND_NAME", "BBox", "BenchRow", "DEFAULT_THRESHOLD",
     "DistortionResult", "EncodeConfig", "FaceGroup", "LevelRecord",
     "MIN_PRECISION", "MeshError", "NonManifoldError", "ParseError", "Pattern",
     "ProgressiveStream", "QuantGrid", "RateReport", "StreamFormatError",

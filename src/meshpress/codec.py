@@ -54,7 +54,7 @@ from .mesh import (MeshError, NonManifoldError, TriMesh, edge_key,
                    validate_manifold)
 from .quantize import (DEFAULT_THRESHOLD, QuantGrid, batch_precision,
                        make_grid, round_half_away)
-from .wavelet import analyze, synthesize_edges
+from .wavelet import analyze, synthesize
 
 __all__ = ["EncodeConfig", "ProgressiveStream", "RateReport", "ChunkInfo",
            "ProgressiveDecoder", "StreamFormatError", "TruncatedStreamError",
@@ -382,20 +382,14 @@ class ProgressiveDecoder:
     # -- chunk readers -----------------------------------------------------
 
     def read_base_conn(self, data: bytes) -> None:
-        dec = RangeDecoder(data)
         nv = self.base_vertex_count
-        flat = np.empty(3 * self.base_face_count, dtype=np.int64)
-        prev = 0
-        for s in range(0, len(flat), _BLOCK):
-            block = np.cumsum(self.models.base_conn.decode_many(
-                dec, min(_BLOCK, len(flat) - s)), dtype=np.int64) + prev
-            bad = (block < 0) | (block >= nv)
-            if bad.any():
-                raise StreamFormatError(
-                    f"base face index {block[bad.argmax()]} outside "
-                    f"[0, {nv})")
-            flat[s:s + len(block)] = block
-            prev = int(block[-1])
+        flat = _decode_ints(self.models.base_conn, RangeDecoder(data),
+                            3 * self.base_face_count)
+        np.cumsum(flat, out=flat)
+        bad = (flat < 0) | (flat >= nv)
+        if bad.any():
+            raise StreamFormatError(
+                f"base face index {flat[bad.argmax()]} outside [0, {nv})")
         # subdivision keeps distinct corners and at most two faces per
         # edge, so the levels need no check of their own
         try:
@@ -452,8 +446,8 @@ class ProgressiveDecoder:
                             3 * len(self.level_q)).reshape(-1, 3)
         steps = 1 << (self.grid.q_max - np.array(self.level_q, dtype=np.int64))
         details = ints * steps[:, None] / self.grid.scale
-        self.positions = synthesize_edges(self.positions,
-                                          self.last_split_edges, details)
+        self.positions = synthesize(self.positions, self.last_split_edges,
+                                    details)
         self.conn = self._next_conn
         self.q_recomputed.append(self.level_q)
 
@@ -514,7 +508,6 @@ def encode(mesh: TriMesh, config: EncodeConfig | None = None):
 
     pi = np.arange(base_mesh.vertex_count, dtype=np.int64)
     for rec in reversed(records):
-        cs = analyze(rec, rec.fine_mesh.vertices)
         split_of = {key: odd for odd, key in rec.parent_edge.items()}
         bit_of = {}             # a trisect's two ordered midpoints -> bit
         for g in rec.face_groups:
@@ -542,7 +535,8 @@ def encode(mesh: TriMesh, config: EncodeConfig | None = None):
         sim.read_level_conn(chunks[-1])
 
         odds = [odd for odd in mid if odd >= 0]
-        details = np.array([cs.details[odd] for odd in odds]).reshape(-1, 3)
+        details = analyze(rec.fine_mesh.vertices, odds,
+                          rec.coarse_to_fine[pi[sim.last_split_edges]])
         steps = 1 << (config.q_max - np.array(sim.level_q, dtype=np.int64))
         chunks.append(_encode_ints(m.detail, round_half_away(
             details * grid.scale / steps[:, None])))
@@ -655,8 +649,7 @@ def bench_rows(mesh: TriMesh, config: EncodeConfig | None = None,
         nbytes = fixed + sum(len(c) for c in stream.chunks[:2 + 2 * level])
         if level == stream.level_count:
             nbytes += len(stream.chunks[-1])
-        dist = sampled_distance(mesh, decoded, samples_per_unit_area,
-                                seed=seed, direction="symmetric")
+        dist = sampled_distance(mesh, decoded, samples_per_unit_area, seed)
         rows.append(BenchRow(level, nbytes, 8 * nbytes / nv,
                              dist.rms, dist.max_dist))
     return rows

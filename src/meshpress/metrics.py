@@ -6,7 +6,7 @@ nearest), so it is bit-identical to the brute-force reference
 (`distances_to_mesh(..., accelerated=False)`).
 Sampling is area-stratified and fully determined by the seed.
 
-The "symmetric" direction is the maximum of the two directed results
+The distance is symmetric: the maximum of the two directed results
 (max of directed RMS values, not the RMS of per-point maxima); both
 directions are normalized by the same reference bounding-box diagonal
 so curves remain comparable across resolutions.
@@ -34,7 +34,6 @@ class DistortionResult:
     rms: float                  # normalized by the reference bbox diagonal
     max_dist: float             # likewise
     sample_count: int
-    direction: str              # "a_to_b" | "b_to_a" | "symmetric"
 
 
 # -- exact point-to-triangle kernel ---------------------------------------
@@ -228,24 +227,13 @@ def _directed(src: TriMesh, dst: TriMesh,
 
 def sampled_distance(a: TriMesh, b: TriMesh,
                      samples_per_unit_area: float | None = None,
-                     seed: int = 0, direction: str = "symmetric"
-                     ) -> DistortionResult:
-    """Metro-style sampled distance, normalized by a's bbox diagonal.
-
-    Symmetric mode takes the max of the two directed RMS values and of the
-    two directed max values.
-    """
+                     seed: int = 0) -> DistortionResult:
+    """Metro-style sampled distance, normalized by a's bbox diagonal: the
+    max of the two directed RMS values and of the two directed max
+    values."""
     diag = bounding_box(a).diagonal
     if diag <= 0:
         raise ValueError("reference mesh has a degenerate bounding box")
-    if direction == "a_to_b":
-        rms, mx, n = _directed(a, b, samples_per_unit_area, seed)
-    elif direction == "b_to_a":
-        rms, mx, n = _directed(b, a, samples_per_unit_area, seed)
-    elif direction == "symmetric":
-        r1, m1, n1 = _directed(a, b, samples_per_unit_area, seed)
-        r2, m2, n2 = _directed(b, a, samples_per_unit_area, seed)
-        rms, mx, n = max(r1, r2), max(m1, m2), n1 + n2
-    else:
-        raise ValueError(f"unknown direction {direction!r}")
-    return DistortionResult(rms / diag, mx / diag, n, direction)
+    r1, m1, n1 = _directed(a, b, samples_per_unit_area, seed)
+    r2, m2, n2 = _directed(b, a, samples_per_unit_area, seed)
+    return DistortionResult(max(r1, r2) / diag, max(m1, m2) / diag, n1 + n2)

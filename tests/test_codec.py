@@ -63,6 +63,32 @@ def test_round_trip_across_configs(kwargs):
     assert_lossless(mesh, stream)
 
 
+@pytest.mark.parametrize("make", [
+    lambda: shapes.cad_solid(subdivisions=2),
+    lambda: shapes.icosphere(3),
+    lambda: shapes.grid_patch(9, 9),
+], ids=["cad_solid_sub2", "icosphere_3", "grid_9x9"])
+def test_windings_follow_the_base_mesh(make):
+    """Windings are not coded: each decoded face is wound like its
+    base-mesh ancestor. With about half the faces reversed, the decoded
+    faces are the input's as unoriented triples, not as oriented ones,
+    and the grid coordinates are exact."""
+    mesh = make()
+    flip = np.random.default_rng(1).random(mesh.face_count) < 0.5
+    faces = mesh.faces.copy()
+    faces[flip] = faces[flip][:, ::-1]
+    mesh = TriMesh(mesh.vertices, faces)
+    stream, _ = encode(mesh)
+    dec = decode_debug(stream)
+    pi = stream.vertex_map
+    relabeled = pi[dec.mesh.faces]
+    assert ({frozenset(f) for f in relabeled.tolist()}
+            == {frozenset(f) for f in faces.tolist()})
+    assert canonical_faces(relabeled) != canonical_faces(faces)
+    grid = QuantGrid(stream.origin, stream.scale, stream.q_max)
+    assert np.array_equal(dec.final_ints, grid.quantize(mesh.vertices)[pi])
+
+
 def test_non_manifold_input_rejected():
     verts = [[0, 0, 0], [1, 0, 0], [1, 1, 0], [-1, 0, 0], [-1, -1, 0]]
     faces = [[0, 1, 2], [0, 3, 4]]      # bowtie at vertex 0

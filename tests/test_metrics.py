@@ -2,10 +2,10 @@ import numpy as np
 import pytest
 
 from meshpress import shapes
-from meshpress.mesh import TriMesh
-from meshpress.metrics import (distances_to_mesh, point_to_triangle,
-                               sample_surface, sampled_distance,
-                               triangle_areas)
+from meshpress.mesh import TriMesh, bounding_box
+from meshpress.metrics import (_directed, distances_to_mesh,
+                               point_to_triangle, sample_surface,
+                               sampled_distance, triangle_areas)
 
 
 def barycentric_oracle(p, tri, rounds=7, grid=17):
@@ -161,13 +161,14 @@ def test_sampling_density_stability():
 def test_symmetric_direction_takes_worst_side():
     coarse = shapes.icosahedron()
     fine = shapes.icosphere(2)
-    ab = sampled_distance(fine, coarse, seed=2, direction="a_to_b")
-    ba = sampled_distance(fine, coarse, seed=2, direction="b_to_a")
-    sym = sampled_distance(fine, coarse, seed=2, direction="symmetric")
-    assert sym.rms == pytest.approx(max(ab.rms, ba.rms))
-    assert sym.max_dist == pytest.approx(max(ab.max_dist, ba.max_dist))
-    with pytest.raises(ValueError):
-        sampled_distance(fine, coarse, direction="sideways")
+    ab = _directed(fine, coarse, None, 2)
+    ba = _directed(coarse, fine, None, 2)
+    sym = sampled_distance(fine, coarse, seed=2)
+    diag = bounding_box(fine).diagonal
+    assert ab[0] != ba[0]
+    assert sym.rms == max(ab[0], ba[0]) / diag
+    assert sym.max_dist == max(ab[1], ba[1]) / diag
+    assert sym.sample_count == ab[2] + ba[2]
 
 
 def test_degenerate_reference_rejected():
