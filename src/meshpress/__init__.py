@@ -12,8 +12,8 @@ from .codec import (BenchRow, EncodeConfig, ProgressiveStream, RateReport,
                     StreamFormatError, TruncatedStreamError, bench_rows,
                     decode, decode_debug, encode)
 from .entropy import BACKEND_NAME
-from .hierarchy import (FaceGroup, LevelRecord, Pattern, WgcConfig,
-                        build_hierarchy, resubdivide, simplify_once)
+from .hierarchy import (LevelRecord, WgcConfig, build_hierarchy, resubdivide,
+                        simplify_once)
 from .mesh import (BBox, MeshError, NonManifoldError, TriMesh, bounding_box,
                    edge_key, validate_manifold)
 from .meshio import ParseError, load_mesh, save_mesh
@@ -26,8 +26,8 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BACKEND_NAME", "BBox", "BenchRow", "DEFAULT_THRESHOLD",
-    "DistortionResult", "EncodeConfig", "FaceGroup", "LevelRecord",
-    "MIN_PRECISION", "MeshError", "NonManifoldError", "ParseError", "Pattern",
+    "DistortionResult", "EncodeConfig", "LevelRecord",
+    "MIN_PRECISION", "MeshError", "NonManifoldError", "ParseError",
     "ProgressiveStream", "QuantGrid", "RateReport", "StreamFormatError",
     "TriMesh", "TruncatedStreamError", "WgcConfig", "analyze", "bench_rows",
     "batch_precision", "bounding_box", "build_hierarchy", "decode",

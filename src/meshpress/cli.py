@@ -103,8 +103,8 @@ def cmd_encode(input_path, output_path, dump_levels, **opts):
         records = build_hierarchy(mesh, WgcConfig(config.wgc, config.wgc_gamma),
                                   config.max_levels)
         save_mesh(mesh, os.path.join(dump_levels, "level_full.off"))
-        for record in records:
-            name = f"level_{record.level_index:02d}.off"
+        for i, record in enumerate(records):
+            name = f"level_{len(records) - i:02d}.off"
             save_mesh(record.coarse_mesh, os.path.join(dump_levels, name))
     click.echo(f"levels={stream.level_count}")
     click.echo(f"total_bpv={report.total_bpv:.4f}")

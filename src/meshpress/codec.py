@@ -28,11 +28,11 @@ derived in between.
 Both sides number a level's edges by the edge table of the decoder's
 faces (`TriMesh.edges`) and refine connectivity with one rule,
 `hierarchy.split_plan` (each face rotated so its split edges lead, with
-their midpoints and count) and `hierarchy.subdivide`. The encoder finds
-its split flags and diagonal bits in the level's fine ids:
-`coarse_to_fine[pi]` maps the decoder's vertices to them once per level,
-`parent_edge` gives each split edge's midpoint, and a trisect's diagonal
-bit is keyed by the midpoints of its two split edges, in face order.
+their midpoints and count) and `hierarchy.subdivide`. The encoder takes
+its split flags and diagonal bits from `hierarchy.refinement`, given the
+decoder's faces and `coarse_to_fine[pi]`, which maps the decoder's
+vertices to the level's fine ids: each split edge's midpoint is looked up
+by its parent-edge code, and a trisect's bit in the fine mesh's edges.
 Every chunk of plain integers is written by :func:`_encode_ints` and
 read by :func:`_decode_ints`.
 """
@@ -48,10 +48,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .entropy import AdaptiveModel, RangeDecoder, RangeEncoder, SignedIntCoder
-from .hierarchy import (Pattern, WgcConfig, build_hierarchy, split_plan,
+from .hierarchy import (WgcConfig, build_hierarchy, refinement, split_plan,
                         subdivide)
-from .mesh import (MeshError, NonManifoldError, TriMesh, edge_key,
-                   validate_manifold)
+from .mesh import MeshError, NonManifoldError, TriMesh, validate_manifold
 from .quantize import (DEFAULT_THRESHOLD, QuantGrid, batch_precision,
                        make_grid, round_half_away)
 from .wavelet import analyze, synthesize
@@ -508,33 +507,15 @@ def encode(mesh: TriMesh, config: EncodeConfig | None = None):
 
     pi = np.arange(base_mesh.vertex_count, dtype=np.int64)
     for rec in reversed(records):
-        split_of = {key: odd for odd, key in rec.parent_edge.items()}
-        bit_of = {}             # a trisect's two ordered midpoints -> bit
-        for g in rec.face_groups:
-            if g.pattern is Pattern.TRISECT:
-                a, b, c = g.coarse_face
-                bit_of[split_of[edge_key(a, b)],
-                       split_of[edge_key(b, c)]] = g.diag_bit
-
+        fine = rec.coarse_to_fine[pi]           # decoder id -> fine id
+        mid, _, bits = refinement(rec, sim.conn, fine)
         enc = RangeEncoder()
-        fine = rec.coarse_to_fine[pi].tolist()   # decoder id -> fine id
-        mid = [split_of.get(edge_key(fine[u], fine[v]), -1)
-               for u, v in sim.conn.edges.tolist()]
-        enc.encode_symbols(m.split, [0 if odd < 0 else 1 for odd in mid])
-        # the plan's midpoints are fine ids, as are bit_of's keys
-        bits = []
-        for *_, m01, m12, _, n in split_plan(sim.conn, mid):
-            if n != 2:
-                continue
-            bit = bit_of.get((m01, m12))
-            if bit is None:                  # opposite winding mirrors the bit
-                bit = 1 - bit_of[m12, m01]
-            bits.append(bit)
+        enc.encode_symbols(m.split, (mid >= 0).astype(int).tolist())
         enc.encode_symbols(m.diag, bits)
         chunks.append(enc.finish())
         sim.read_level_conn(chunks[-1])
 
-        odds = [odd for odd in mid if odd >= 0]
+        odds = mid[mid >= 0]
         details = analyze(rec.fine_mesh.vertices, odds,
                           rec.coarse_to_fine[pi[sim.last_split_edges]])
         steps = 1 << (config.q_max - np.array(sim.level_q, dtype=np.int64))
@@ -542,7 +523,7 @@ def encode(mesh: TriMesh, config: EncodeConfig | None = None):
             details * grid.scale / steps[:, None])))
         sim.read_level_geom(chunks[-1])
 
-        pi = np.array(fine + odds, dtype=np.int64)
+        pi = np.concatenate([fine, odds])
         if len(pi) != len(sim.positions):
             raise AssertionError("encoder/decoder vertex count diverged")
 

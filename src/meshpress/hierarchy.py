@@ -2,11 +2,14 @@
 
 Each simplification level recognizes groups of 1-4 fine faces as the image
 of one coarse face under midpoint subdivision (quadrisect / trisect /
-bisect / unchanged) and merges them. The master invariant is subdivision
-consistency: re-subdividing the coarse mesh according to the recorded
-groups reproduces the fine connectivity exactly. Forward subdivision is
-one rule, `split_plan` and `subdivide` at the end of this module, shared
-by `resubdivide`, the codec's encoder and decoder and
+bisect / unchanged) and merges them. A `LevelRecord` is the partition
+alone (coarse mesh, parent edges, fine mesh): `refinement` derives each
+coarse edge's midpoint from the parent-edge codes and each trisect's
+diagonal bit from the fine mesh's edge table, for the encoder and
+`resubdivide`. The master invariant is subdivision consistency:
+subdividing by them reproduces the fine connectivity. Forward subdivision
+is one rule, `split_plan` and `subdivide` at the end of this module,
+shared by `refinement`, the codec's decoder and
 `shapes.subdivide_midpoint`. It takes a midpoint (-1: none) per edge of
 `TriMesh.edges` and gathers each face's through `TriMesh.edge_of`.
 
@@ -25,7 +28,7 @@ edges and vertices, and valences, as arrays.
 
 Every matcher is split in two. The static half is one array build per
 pattern and pass, in `_PassTables`: it reads every face as a quadrisect,
-a trisect (all rotations and diagonal bits at once) and a bisect from
+a trisect (all rotations and diagonals at once) and a bisect from
 the corner table and keeps, as masks, the readings that pass every check
 no grouping state can change (topology and distinctness, valence, the
 boundary rule, the WGC test, fine edges looked up by code), with their
@@ -48,9 +51,9 @@ so pushing every face gives each face's first row of each pattern its
 seed key: the first `_grow` takes its heap from one sort of those keys
 (`_PassTables.seed`; a sorted list is a heap), and only the regrows of
 the demotion fixpoint push. A committed group stays its row until the
-pass ends: `_retract` recommits the survivors' edge entries, and the
-`FaceGroup`s are built once, for the `LevelRecord`. Nothing cached
-outlives `simplify_once`.
+pass ends: `_retract` recommits the survivors' edge entries, and
+`simplify_once` reads the coarse faces' corners from the rows once.
+Nothing cached outlives `simplify_once`.
 """
 
 from __future__ import annotations
@@ -58,22 +61,13 @@ from __future__ import annotations
 import heapq
 import math
 from dataclasses import dataclass
-from enum import IntEnum
 
 import numpy as np
 
 from .mesh import TriMesh
 
-__all__ = ["Pattern", "WgcConfig", "FaceGroup", "LevelRecord",
-           "simplify_once", "build_hierarchy", "resubdivide",
-           "split_plan", "subdivide"]
-
-
-class Pattern(IntEnum):
-    UNCHANGED = 0
-    BISECT = 1
-    TRISECT = 2
-    QUADRISECT = 3
+__all__ = ["WgcConfig", "LevelRecord", "simplify_once", "build_hierarchy",
+           "refinement", "resubdivide", "split_plan", "subdivide"]
 
 
 @dataclass(frozen=True)
@@ -90,22 +84,13 @@ class WgcConfig:
                              f"got {self.gamma}")
 
 
-@dataclass(frozen=True)
-class FaceGroup:
-    pattern: Pattern
-    coarse_face: tuple[int, int, int]          # even corners, fine indexing
-    fine_face_ids: tuple[int, ...]
-    diag_bit: int = 0                          # trisect diagonal selector
-
-
 @dataclass
 class LevelRecord:
     # All ids are fine ids; coarse vertex i is fine vertex coarse_to_fine[i],
     # which is ascending (np.searchsorted maps even fine ids to coarse ids).
-    level_index: int
+    # Coarse faces keep their fine faces' winding, by first fine face.
     fine_mesh: TriMesh
     parent_edge: dict[int, tuple[int, int]]    # odd vertex -> edge key
-    face_groups: list[FaceGroup]
     coarse_mesh: TriMesh
     coarse_to_fine: np.ndarray                 # the even vertices
 
@@ -161,7 +146,7 @@ class _PassTables:
     by one `tolist()` each: corner[i][r] is coarse corner i, and coarse
     edge i, (corner i, corner i + 1), has code[i][r] and midpoint
     mid[i][r], -1 where the edge is kept; fine[j][r] is fine face j, -1
-    past the pattern's 4, 3 or 2; then diag_bit, rank, scale and score.
+    past the pattern's 4, 3 or 2; then rank, scale and score.
     Rows run by pattern (quadrisect, trisect, bisect: pref 0, 1, 2), face
     and sorted fine face ids, ties in matcher order, and
     bounds[pref][f]:bounds[pref][f + 1] are pattern pref's rows seeded at
@@ -189,14 +174,13 @@ class _PassTables:
         self.valence = np.bincount(mesh.edges.ravel(),
                                    minlength=mesh.vertex_count)
         self._edges = self._code(*mesh.edges.T)
-        face, corners, odd, bit, fine, scale, score = map(np.concatenate, zip(
+        face, corners, odd, fine, scale, score = map(np.concatenate, zip(
             self._quadrisects(), self._trisects(), self._bisects()))
         pref = 3 - (odd >= 0).sum(axis=1)
         # stable, so ties keep matcher order; the -1 padding sorts first
         order = np.lexsort((*np.sort(fine, axis=1).T[::-1], face, pref))
-        face, corners, odd, bit, fine, scale, score, pref = (
-            x[order] for x in (face, corners, odd, bit, fine, scale, score,
-                               pref))
+        face, corners, odd, fine, scale, score, pref = (
+            x[order] for x in (face, corners, odd, fine, scale, score, pref))
         # Irregular interior vertices must survive every valid tiling, so
         # a candidate keeping one as an even corner is almost certainly in
         # the globally consistent coset: such candidates are preferred seeds.
@@ -219,8 +203,8 @@ class _PassTables:
         self.corner, self.mid, self.fine = (
             ids[x.T].tolist() for x in (corners, odd, fine))
         self.code = self._code(corners, np.roll(corners, -1, 1)).T.tolist()
-        self.diag_bit, self.rank, self.scale, self.score = (
-            x.tolist() for x in (bit, rank, scale, score))
+        self.rank, self.scale, self.score = (
+            x.tolist() for x in (rank, scale, score))
 
     def _code(self, u, w):
         return np.minimum(u, w) * self.mesh.vertex_count + np.maximum(u, w)
@@ -234,7 +218,7 @@ class _PassTables:
         ok = ((opp >= 0).all(axis=1) & _distinct(f, n12, n23, n31)
               & _distinct(a, b, c, m1, m2, m3))
         return self._admissible(f[ok], np.stack([a, b, c], 1)[ok],
-                                self.mesh.faces[ok], np.zeros(ok.sum(), int),
+                                self.mesh.faces[ok],
                                 np.stack([n31, n12, n23, f], 1)[ok])
 
     def _trisects(self) -> tuple:
@@ -260,7 +244,7 @@ class _PassTables:
             x[ok] for x in (g, A, b, C, ma, mb, n1, n3, one))
         return self._admissible(
             g, np.stack([A, b, C], 1),
-            np.stack([ma, mb, np.full_like(g, -1)], 1), one.astype(int),
+            np.stack([ma, mb, np.full_like(g, -1)], 1),
             np.stack([np.where(one, n3, n1), g, np.where(one, n1, n3)], 1))
 
     def _bisects(self) -> tuple:
@@ -273,12 +257,12 @@ class _PassTables:
         f, a, b, c, m, n = (x[ok] for x in (f, a, b, c, m, n))
         kept = np.full_like(f, -1)
         return self._admissible(f, np.stack([a, b, c], 1),
-                                np.stack([m, kept, kept], 1), kept + 1,
+                                np.stack([m, kept, kept], 1),
                                 np.stack([f, n], 1))
 
-    def _admissible(self, face, corners, odd, diag_bit, fine) -> tuple:
+    def _admissible(self, face, corners, odd, fine) -> tuple:
         """The readings whose odd vertices may all split their coarse
-        edges, as (face, corners, odd, diag_bit, fine, scale, score), fine
+        edges, as (face, corners, odd, fine, scale, score), fine
         padded with -1 to 4 columns. The split edges lead: 3, 2 or 1 of
         them for a quadrisect, trisect or bisect."""
         splits = fine.shape[1] - 1
@@ -314,8 +298,8 @@ class _PassTables:
                              np.inf)
         fine = np.pad(fine[keep], ((0, 0), (0, 3 - splits)),
                       constant_values=-1)
-        return (face[keep], corners[keep], odd[keep], diag_bit[keep], fine,
-                total / splits, worst)
+        return (face[keep], corners[keep], odd[keep], fine, total / splits,
+                worst)
 
     def corners(self, r: int) -> tuple[int, int, int]:
         a, b, c = self.corner
@@ -331,10 +315,6 @@ class _PassTables:
 
     def fine_ids(self, r: int) -> tuple[int, ...]:
         return tuple(g[r] for g in self.fine if g[r] >= 0)
-
-    def group(self, r: int) -> FaceGroup:
-        return FaceGroup(Pattern(len(self.odds(r))), self.corners(r),
-                         self.fine_ids(r), self.diag_bit[r])
 
 
 class _PassState:
@@ -569,22 +549,19 @@ def simplify_once(mesh: TriMesh, wgc: WgcConfig | None = None) -> LevelRecord | 
     if not st.parent:
         return None
 
-    # leftover faces survive unchanged; a dissolved group owns no face
-    groups = [st.tables.group(st.groups[gid])
-              for gid in set(st.grouped) - {-1}]
-    groups += [FaceGroup(Pattern.UNCHANGED, tuple(face), (f,))
-               for f, face in enumerate(st.tables.faces) if st.grouped[f] < 0]
-    groups.sort(key=lambda g: min(g.fine_face_ids))
+    # leftover faces stay as they are; a dissolved group owns no face
+    t = st.tables
+    first = {f: face for f, face in enumerate(t.faces) if st.grouped[f] < 0}
+    for r in {st.groups[gid] for gid in st.grouped if gid >= 0}:
+        first[min(t.fine_ids(r))] = t.corners(r)
     even = np.setdiff1d(np.arange(mesh.vertex_count, dtype=np.int64),
                         list(st.parent))
-    corners = np.array([g.coarse_face for g in groups], dtype=np.int64)
+    corners = np.array([first[f] for f in sorted(first)], dtype=np.int64)
     coarse = TriMesh(mesh.vertices[even], np.searchsorted(even, corners))
     return LevelRecord(
-        level_index=0,
         fine_mesh=mesh,
         parent_edge={v: divmod(k, mesh.vertex_count)
                      for v, k in st.parent.items()},
-        face_groups=groups,
         coarse_mesh=coarse,
         coarse_to_fine=even,
     )
@@ -601,12 +578,10 @@ def build_hierarchy(mesh: TriMesh, wgc: WgcConfig | None = None,
             break
         records.append(rec)
         cur = rec.coarse_mesh
-    for i, rec in enumerate(records):
-        rec.level_index = len(records) - i
     return records
 
 
-# -- forward subdivision rule (decoder, encoder, resubdivide, shapes) ------
+# -- forward subdivision rule (decoder, refinement, shapes) ----------------
 #
 # A face's split mask has bit i set when its edge i, (v_i, v_{i+1}), is
 # split. The mask picks the rotation that brings the split edges to the
@@ -653,29 +628,46 @@ def subdivide(plan, diag_bits) -> np.ndarray:
     return np.array(out, dtype=np.int64).reshape(-1, 3)
 
 
+def refinement(record: LevelRecord, mesh: TriMesh, ids: np.ndarray):
+    """(mid, plan, bits): how `mesh`, the record's coarse mesh in any vertex
+    numbering, face order and winding, refines to its fine mesh. `ids`
+    maps the vertices of `mesh` to fine ids.
+
+    mid holds the fine-id midpoint of each edge of `mesh.edges`, -1 for a
+    kept edge; plan is `split_plan(mesh, mid)`; bits holds each trisected
+    face's diagonal bit in plan order, 1 when the fine mesh has the edge
+    (p0, m12). A face wound the other way reads the mirrored split, and
+    the other bit, so either winding subdivides to the fine faces.
+    """
+    n = record.fine_mesh.vertex_count
+    codes, odd = np.array(sorted((a * n + b, v) for v, (a, b)
+                                 in record.parent_edge.items()),
+                          dtype=np.int64).reshape(-1, 2).T
+    keys = np.sort(ids[mesh.edges], axis=1) @ [n, 1]
+    hit = _isin(codes, keys)
+    mid = np.full(len(keys), -1, dtype=np.int64)
+    mid[hit] = odd[np.searchsorted(codes, keys[hit])]
+    plan = split_plan(mesh, mid)
+    u, w = np.array([(ids[p[0]], p[4]) for p in plan if p[6] == 2],
+                    dtype=np.int64).reshape(-1, 2).T
+    bits = _isin(record.fine_mesh.edges @ [n, 1],
+                 np.minimum(u, w) * n + np.maximum(u, w))
+    return mid, plan, bits.astype(int).tolist()
+
+
 def resubdivide(record: LevelRecord) -> TriMesh:
-    """Reconstruct the fine connectivity from the recorded groups.
+    """Reconstruct the fine connectivity from the record by `refinement`.
 
     Geometry is a placeholder: even vertices keep the coarse positions,
     odd vertices sit at their parent-edge midpoints. Face order follows
-    the group order, so compare connectivity as a face set.
+    the coarse faces, so compare connectivity as a face set.
     """
     nv = record.fine_mesh.vertex_count
     positions = np.zeros((nv, 3), dtype=np.float64)
     positions[record.coarse_to_fine] = record.coarse_mesh.vertices
     for odd, (a, b) in record.parent_edge.items():
         positions[odd] = 0.5 * (positions[a] + positions[b])
-
-    groups = record.face_groups
-    coarse = TriMesh(positions, [g.coarse_face for g in groups],
-                     validate=False)
-    split = {key: v for v, key in record.parent_edge.items()}
-    plan = split_plan(coarse, [split.get(key, -1) for key
-                               in map(tuple, coarse.edges.tolist())])
-    for g, (*_, n) in zip(groups, plan):
-        if n != int(g.pattern):
-            raise ValueError(f"group pattern {g.pattern.name} has {n} split "
-                             f"edges on its face")
-    faces = subdivide(plan, [g.diag_bit for g in groups
-                             if g.pattern is Pattern.TRISECT])
-    return TriMesh(positions, faces)
+    corners = record.coarse_to_fine[record.coarse_mesh.faces]
+    coarse = TriMesh(positions, corners, validate=False)
+    _, plan, bits = refinement(record, coarse, np.arange(nv))
+    return TriMesh(positions, subdivide(plan, bits))

@@ -139,24 +139,30 @@ def _cad_project(_a, _b, mid):
     return d * _cad_radius(d)
 
 
+def _oriented_hull(pts: np.ndarray) -> TriMesh:
+    """The triangulated convex hull of `pts` over its vertices, kept in
+    ascending order, each face wound outward from their mean."""
+    from scipy.spatial import ConvexHull
+
+    used, faces = np.unique(ConvexHull(pts).simplices, return_inverse=True)
+    verts, faces = pts[used], faces.reshape(-1, 3)
+    corner = verts[faces]
+    normal = np.cross(corner[:, 1] - corner[:, 0], corner[:, 2] - corner[:, 0])
+    inward = np.vecdot(normal, corner.mean(axis=1) - verts.mean(axis=0)) < 0
+    # (a, c, b): the reversal (c, b, a) would rotate the pinned faces
+    faces[inward] = faces[inward][:, [0, 2, 1]]
+    return TriMesh(verts, faces)
+
+
 def _sphere_hull(n_points: int, seed: int) -> TriMesh:
     """Outward-oriented triangulated convex hull of random sphere points;
     every input point is a hull vertex, so the count is exact."""
-    from scipy.spatial import ConvexHull
-
     rng = np.random.default_rng(seed)
     pts = rng.normal(size=(n_points, 3))
     pts /= np.linalg.norm(pts, axis=1, keepdims=True)
-    hull = ConvexHull(pts)
-    assert len(np.unique(hull.simplices)) == n_points
-    faces = []
-    for tri in hull.simplices:
-        a, b, c = (int(v) for v in tri)
-        n = np.cross(pts[b] - pts[a], pts[c] - pts[a])
-        if n @ pts[[a, b, c]].mean(axis=0) < 0:
-            a, b, c = a, c, b
-        faces.append([a, b, c])
-    return TriMesh(pts, faces)
+    mesh = _oriented_hull(pts)
+    assert mesh.vertex_count == n_points
+    return mesh
 
 
 def cad_solid(base_points: int = 27, subdivisions: int = 4,
@@ -178,22 +184,8 @@ def cad_solid(base_points: int = 27, subdivisions: int = 4,
 
 def random_convex(n_points: int = 400, seed: int = 3) -> TriMesh:
     """Irregular manifold mesh: convex hull of random sphere points."""
-    from scipy.spatial import ConvexHull
-
     rng = np.random.default_rng(seed)
     pts = rng.normal(size=(n_points, 3))
     pts /= np.linalg.norm(pts, axis=1, keepdims=True)
     pts *= 1.0 + 0.05 * rng.random(n_points)[:, None]
-    hull = ConvexHull(pts)
-    used = np.unique(hull.simplices)
-    remap = {int(v): i for i, v in enumerate(used)}
-    verts = pts[used]
-    center = verts.mean(axis=0)
-    faces = []
-    for tri in hull.simplices:
-        a, b, c = (remap[int(v)] for v in tri)
-        n = np.cross(verts[b] - verts[a], verts[c] - verts[a])
-        if n @ (verts[[a, b, c]].mean(axis=0) - center) < 0:
-            a, b, c = a, c, b
-        faces.append([a, b, c])
-    return TriMesh(verts, faces)
+    return _oriented_hull(pts)

@@ -7,18 +7,47 @@ import numpy as np
 import pytest
 
 from meshpress import hierarchy, shapes
-from meshpress.hierarchy import (Pattern, WgcConfig, _PassState, _PassTables,
-                                 build_hierarchy, resubdivide, simplify_once)
+from meshpress.hierarchy import (WgcConfig, _PassState, _PassTables,
+                                 build_hierarchy, refinement, resubdivide,
+                                 simplify_once, subdivide)
 from meshpress.mesh import TriMesh, edge_key
+
+UNCHANGED, BISECT, TRISECT, QUADRISECT = range(4)     # split counts
+
+
+def rotation(face):
+    """The orientation-preserving canonical rotation of a face."""
+    a, b, c = (int(v) for v in face)
+    return min((a, b, c), (b, c, a), (c, a, b))
 
 
 def canonical_faces(faces):
     """Face set with orientation-preserving canonical rotation per face."""
-    out = set()
-    for face in faces:
-        a, b, c = (int(v) for v in face)
-        out.add(min((a, b, c), (b, c, a), (c, a, b)))
-    return out
+    return {rotation(face) for face in faces}
+
+
+def coarse_in_fine_ids(record):
+    """The record's coarse mesh over fine ids, and the identity map."""
+    nv = record.fine_mesh.vertex_count
+    faces = record.coarse_to_fine[record.coarse_mesh.faces]
+    return TriMesh(np.zeros((nv, 3)), faces, validate=False), np.arange(nv)
+
+
+def groups_of(record):
+    """(split count, corners, fine face ids, diagonal bit) of each coarse
+    face in record order, all ids fine ids: the face group the face
+    stands for, read back from `refinement`. Fine faces come in
+    subdivision order (corner faces, then the center), the bit is 0 for
+    any face but a trisect."""
+    coarse, ids = coarse_in_fine_ids(record)
+    _, plan, bits = refinement(record, coarse, ids)
+    fine_id = {rotation(face): f
+               for f, face in enumerate(record.fine_mesh.faces.tolist())}
+    children, bits = iter(subdivide(plan, bits).tolist()), iter(bits)
+    return [(n, tuple(face),
+             tuple(fine_id[rotation(next(children))] for _ in range(n + 1)),
+             next(bits) if n == TRISECT else 0)
+            for face, (*_, n) in zip(coarse.faces.tolist(), plan)]
 
 
 def assert_consistent(record):
@@ -43,8 +72,7 @@ def test_quadrisected_triangle_inverts_to_one_face():
     assert record is not None
     assert record.coarse_mesh.vertex_count == 3
     assert record.coarse_mesh.face_count == 1
-    groups = [g for g in record.face_groups]
-    assert [g.pattern for g in groups] == [Pattern.QUADRISECT]
+    assert [g[0] for g in groups_of(record)] == [QUADRISECT]
     assert len(record.parent_edge) == 3
     assert_consistent(record)
 
@@ -53,7 +81,7 @@ def test_subdivided_icosahedron_inverts_fully():
     fine = shapes.icosphere(1)          # 42 vertices
     record = simplify_once(fine)
     assert record.coarse_mesh.vertex_count == 12
-    assert all(g.pattern is Pattern.QUADRISECT for g in record.face_groups)
+    assert all(g[0] == QUADRISECT for g in groups_of(record))
     assert_consistent(record)
 
 
@@ -89,8 +117,7 @@ def test_bisect_pair_inverts():
     fine = shapes.subdivide_midpoint(base, edges=[(0, 1)])
     record = simplify_once(fine)
     assert record is not None
-    patterns = sorted(g.pattern for g in record.face_groups)
-    assert patterns == [Pattern.BISECT, Pattern.BISECT]
+    assert [g[0] for g in groups_of(record)] == [BISECT, BISECT]
     assert record.coarse_mesh.vertex_count == 4
     assert_consistent(record)
 
@@ -115,7 +142,7 @@ def test_trisect_inverts():
     fine = shapes.subdivide_midpoint(base, edges=split)
     record = simplify_once(fine)
     assert record is not None
-    assert Pattern.TRISECT in [g.pattern for g in record.face_groups]
+    assert TRISECT in [g[0] for g in groups_of(record)]
     assert_consistent(record)
 
 
@@ -198,6 +225,37 @@ def test_subdivide_keeps_face_order_and_diagonal_bit_order():
     assert [tuple(f) for f in got.tolist()] == want
 
 
+def unoriented(faces):
+    return sorted(tuple(sorted(face)) for face in faces.tolist())
+
+
+def test_refinement_reads_either_winding(hierarchies):
+    """Reversing a random half of the coarse faces, then the other half,
+    changes no midpoint, subdivides to the fine faces as unoriented
+    triples and flips each reversed trisect's diagonal bit."""
+    rng = np.random.default_rng(0)
+    flipped = trisects = 0
+    for records in hierarchies.values():
+        for record in records:
+            coarse, ids = coarse_in_fine_ids(record)
+            mid, plan, bits = refinement(record, coarse, ids)
+            trisected = [n == TRISECT for *_, n in plan]
+            trisects += sum(trisected)
+            half = rng.permutation(coarse.face_count) < coarse.face_count // 2
+            for flip in (half, ~half):
+                faces = np.where(flip[:, None], coarse.faces[:, ::-1],
+                                 coarse.faces)
+                mirror = TriMesh(coarse.vertices, faces, validate=False)
+                mmid, mplan, mbits = refinement(record, mirror, ids)
+                assert np.array_equal(mid, mmid)
+                assert unoriented(subdivide(mplan, mbits)) == \
+                    unoriented(record.fine_mesh.faces)
+                assert mbits == [1 - b if f else b for b, f
+                                 in zip(bits, flip[trisected].tolist())]
+                flipped += int(flip[trisected].sum())
+    assert flipped == trisects > 0
+
+
 # -- whole-corpus structural properties -------------------------------------
 
 
@@ -236,18 +294,15 @@ def test_monotone_decimation(hierarchies):
 
 
 def test_group_cardinality_matches_pattern(hierarchies):
-    expected = {Pattern.UNCHANGED: 1, Pattern.BISECT: 2,
-                Pattern.TRISECT: 3, Pattern.QUADRISECT: 4}
     for records in hierarchies.values():
         for record in records:
             split = set(record.parent_edge.values())
             seen = []
-            for g in record.face_groups:
-                c = g.coarse_face
+            for n, c, fine, _ in groups_of(record):
                 sides = {edge_key(c[i], c[(i + 1) % 3]) for i in range(3)}
-                assert len(g.fine_face_ids) == expected[g.pattern]
-                assert len(sides & split) == expected[g.pattern] - 1
-                seen.extend(g.fine_face_ids)
+                assert len(fine) == n + 1
+                assert len(sides & split) == n
+                seen.extend(fine)
             assert sorted(seen) == list(range(record.fine_mesh.face_count))
 
 
@@ -311,10 +366,7 @@ def test_determinism(corpus):
         for a, b in zip(r1, r2):
             assert np.array_equal(a.coarse_to_fine, b.coarse_to_fine)
             assert a.parent_edge == b.parent_edge
-            assert [(g.pattern, g.coarse_face, g.fine_face_ids, g.diag_bit)
-                    for g in a.face_groups] == \
-                   [(g.pattern, g.coarse_face, g.fine_face_ids, g.diag_bit)
-                    for g in b.face_groups]
+            assert groups_of(a) == groups_of(b)
 
 
 def test_full_subdivision_chains_invert_exactly(corpus):
@@ -364,15 +416,14 @@ def test_pass_tables_match_mesh_adjacency(corpus):
 # -- pinned hierarchies -----------------------------------------------------
 
 def hierarchy_digest(records) -> str:
-    """SHA-256 over every level's even vertices, parent edges and groups."""
+    """SHA-256 over every level's even vertices, parent edges and coarse
+    faces, each face as `groups_of` reads it back."""
     h = hashlib.sha256()
     for r in records:
         h.update(repr([int(v) for v in r.coarse_to_fine]).encode())
         h.update(repr(sorted((int(k), (int(a), int(b)))
                              for k, (a, b) in r.parent_edge.items())).encode())
-        h.update(repr([(int(g.pattern), tuple(int(v) for v in g.coarse_face),
-                        tuple(int(v) for v in g.fine_face_ids), int(g.diag_bit))
-                       for g in r.face_groups]).encode())
+        h.update(repr(groups_of(r)).encode())
     return h.hexdigest()
 
 
@@ -444,7 +495,10 @@ def static_candidates_digest(mesh) -> str:
     for fine in pass_meshes(mesh):
         t = _PassTables(fine)
         nv = fine.vertex_count
-        h.update(repr([[(t.corners(r), t.fine_ids(r), t.diag_bit[r],
+        # a trisect row's diagonal bit is 1 when its first fine face
+        # holds its second midpoint; any other row's is 0
+        h.update(repr([[(t.corners(r), t.fine_ids(r),
+                         int(t.mid[1][r] in t.faces[t.fine[0][r]]),
                          tuple((divmod(k, nv), None if mid < 0 else mid)
                                for k, mid in t.entries(r)),
                          t.scale[r].hex(), t.score[r].hex(), t.rank[r])
