@@ -69,6 +69,9 @@ _ENTRY = struct.Struct("<II")       # chunk-table entry: length, zlib.crc32
 # and memory a header can make a decoder commit to.
 _MAX_VERTICES = 1 << 24     # original_vertex_count
 _MAX_BASE_FACES = 1 << 25   # base_face_count
+# Ceiling on the grid extent, (2^q_max - 1) / scale: it keeps squared
+# distances between decoded positions finite.
+_MAX_EXTENT = 1e100
 _FLAG_WGC = 2
 _FLAG_ADAPTIVE = 4
 
@@ -241,6 +244,9 @@ def _parse_container(data: bytes):
                                    oz + extent))):
         raise StreamFormatError(f"origin ({ox}, {oy}, {oz}) and scale {scale} "
                                 "do not give a finite grid")
+    if extent > _MAX_EXTENT:
+        raise StreamFormatError(f"grid extent {extent:g} exceeds the ceiling "
+                                f"of {_MAX_EXTENT:g}")
     if base_nv > original_nv:
         raise StreamFormatError(f"base mesh has {base_nv} vertices, the "
                                 f"full mesh only {original_nv}")
@@ -422,7 +428,7 @@ class ProgressiveDecoder:
                 f"{self.original_vertex_count} vertices")
         mid = np.where(flags, nc - 1 + flags.cumsum(), -1)   # r-th: nc + r
         plan = split_plan(self.conn, mid)
-        bits = dec.decode_symbols(m.diag, [p[6] for p in plan].count(2))
+        bits = dec.decode_symbols(m.diag, np.count_nonzero(plan[:, 6] == 2))
         self._next_conn = TriMesh((), subdivide(plan, bits), validate=False)
         self.last_split_edges = split_edges
         if self.adaptive:
@@ -485,6 +491,9 @@ def encode(mesh: TriMesh, config: EncodeConfig | None = None):
     if problems:
         raise NonManifoldError("; ".join(problems))
     grid = make_grid(mesh, config.q_max)
+    if grid.levels / grid.scale > _MAX_EXTENT:
+        raise MeshError(f"mesh extent {grid.levels / grid.scale:g} exceeds "
+                        f"the format's ceiling of {_MAX_EXTENT:g}")
     wgc = WgcConfig(enabled=config.wgc, gamma=config.wgc_gamma)
     records = build_hierarchy(mesh, wgc, config.max_levels)
     base_mesh = records[-1].coarse_mesh if records else mesh

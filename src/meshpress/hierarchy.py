@@ -11,7 +11,8 @@ subdividing by them reproduces the fine connectivity. Forward subdivision
 is one rule, `split_plan` and `subdivide` at the end of this module,
 shared by `refinement`, the codec's decoder and
 `shapes.subdivide_midpoint`. It takes a midpoint (-1: none) per edge of
-`TriMesh.edges` and gathers each face's through `TriMesh.edge_of`.
+`TriMesh.edges` and gathers each face's through `TriMesh.edge_of`; the
+children are one gather through the child-template table `_TEMPLATES`.
 
 The grouping strategy is greedy over faces in ascending index order,
 keeping each coarse edge's split decision (its midpoint, or none)
@@ -592,40 +593,49 @@ _ROTATION = np.array([0, 0, 1, 0, 2, 2, 1, 0])
 _SPLIT_COUNT = np.array([0, 1, 1, 2, 1, 2, 2, 3])
 _CORNERS = (_ROTATION[:, None] + [0, 1, 2]) % 3     # rotated corner order
 
+# Child templates by case: the split count, or 4 for a trisect with
+# diagonal bit 1. Entries are plan columns (p0 p1 p2 m01 m12 m20 = 0-5);
+# -1 rows pad a case with fewer than four children.
+_TEMPLATES = np.array([
+    [[0, 1, 2], [-1] * 3, [-1] * 3, [-1] * 3],          # unchanged
+    [[0, 3, 2], [3, 1, 2], [-1] * 3, [-1] * 3],         # bisect
+    [[0, 3, 2], [3, 1, 4], [3, 4, 2], [-1] * 3],        # trisect, bit 0
+    [[0, 3, 5], [3, 1, 4], [5, 4, 2], [3, 4, 5]],       # quadrisect
+    [[0, 3, 4], [3, 1, 4], [0, 4, 2], [-1] * 3],        # trisect, bit 1
+])
+_CHILDREN = _TEMPLATES[:, :, 0] >= 0                  # (case, slot)
+_CHILD_COUNT = _CHILDREN.sum(axis=1)
 
-def split_plan(mesh: TriMesh, mid) -> list[list[int]]:
-    """[p0, p1, p2, m01, m12, m20, n] per face in ascending order: the face
-    rotated so its n split edges lead, and the midpoints of its edges
-    (p0, p1), (p1, p2), (p2, p0). `mid` holds each edge's midpoint vertex
-    in the order of `mesh.edges`, -1 for an edge that is not split."""
+
+def split_plan(mesh: TriMesh, mid) -> np.ndarray:
+    """(F, 7) int64 rows [p0, p1, p2, m01, m12, m20, n] per face in
+    ascending order: the face rotated so its n split edges lead, and the
+    midpoints of its edges (p0, p1), (p1, p2), (p2, p0). `mid` holds each
+    edge's midpoint vertex in the order of `mesh.edges`, -1 for an edge
+    that is not split."""
     m = np.asarray(mid, dtype=np.int64)[mesh.edge_of].reshape(-1, 3)
     mask = (m >= 0) @ [1, 2, 4]
     rows, cols = np.arange(len(m))[:, None], _CORNERS[mask]
     return np.column_stack([mesh.faces[rows, cols], m[rows, cols],
-                            _SPLIT_COUNT[mask]]).tolist()
+                            _SPLIT_COUNT[mask]])
 
 
-def subdivide(plan, diag_bits) -> np.ndarray:
+def subdivide(plan: np.ndarray, diag_bits) -> np.ndarray:
     """Child faces of a split plan, each face's children in its place.
 
-    `diag_bits` yields one diagonal bit per trisected face, in plan order.
-    Children keep their parent's winding.
+    `diag_bits` holds one diagonal bit per trisected face, in plan order
+    (bits past the last trisect are ignored). Children keep their
+    parent's winding.
     """
-    bits = iter(diag_bits)
-    out = []
-    for p0, p1, p2, m01, m12, m20, n in plan:
-        if n == 0:
-            out.append((p0, p1, p2))
-        elif n == 1:
-            out += ((p0, m01, p2), (m01, p1, p2))
-        elif n == 3:
-            out += ((p0, m01, m20), (m01, p1, m12), (m20, m12, p2),
-                    (m01, m12, m20))
-        elif next(bits):
-            out += ((p0, m01, m12), (m01, p1, m12), (p0, m12, p2))
-        else:
-            out += ((p0, m01, p2), (m01, p1, m12), (m01, m12, p2))
-    return np.array(out, dtype=np.int64).reshape(-1, 3)
+    case = plan[:, 6].copy()
+    tri = np.flatnonzero(case == 2)
+    bits = np.asarray(diag_bits, dtype=np.int64).ravel()
+    if len(bits) < len(tri):
+        raise ValueError(f"{len(bits)} diagonal bits for {len(tri)} "
+                         "trisected faces")
+    case[tri] += 2 * (bits[:len(tri)] != 0)
+    rows = np.repeat(np.arange(len(plan)), _CHILD_COUNT[case])
+    return plan[rows[:, None], _TEMPLATES[case][_CHILDREN[case]]]
 
 
 def refinement(record: LevelRecord, mesh: TriMesh, ids: np.ndarray):
@@ -648,8 +658,8 @@ def refinement(record: LevelRecord, mesh: TriMesh, ids: np.ndarray):
     mid = np.full(len(keys), -1, dtype=np.int64)
     mid[hit] = odd[np.searchsorted(codes, keys[hit])]
     plan = split_plan(mesh, mid)
-    u, w = np.array([(ids[p[0]], p[4]) for p in plan if p[6] == 2],
-                    dtype=np.int64).reshape(-1, 2).T
+    tri = plan[plan[:, 6] == 2]
+    u, w = ids[tri[:, 0]], tri[:, 4]
     bits = _isin(record.fine_mesh.edges @ [n, 1],
                  np.minimum(u, w) * n + np.maximum(u, w))
     return mid, plan, bits.astype(int).tolist()

@@ -8,11 +8,14 @@ sqrt(threshold) scaled grid units apart; everything the rule consumes is
 available to the decoder, which keeps both sides in lockstep.
 :func:`batch_precision` is the rule's one implementation: it takes all
 split vertices of a level at once, and the codec calls it once per level.
+It finds each target's nearest candidate with one k-nearest query on a
+k-d tree (Friedman, Bentley & Finkel, ACM TOMS 1977), k doubling until
+every candidate that could tie the nearest is among the k, and ranks
+those in the reference arithmetic.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -47,7 +50,8 @@ class QuantGrid:
         """Round positions to integer grid coordinates (clipped)."""
         pts = np.asarray(points, dtype=np.float64)
         ints = np.floor((pts - self.origin) * self.scale + 0.5).astype(np.int64)
-        return np.clip(ints, 0, self.levels)
+        np.maximum(ints, 0, out=ints)
+        return np.minimum(ints, self.levels, out=ints)
 
     def dequantize(self, ints: np.ndarray) -> np.ndarray:
         return self.origin + np.asarray(ints, dtype=np.float64) / self.scale
@@ -74,21 +78,31 @@ _TIE_MARGIN = 1e-9
 def _nearest(targets: np.ndarray, candidates: np.ndarray) -> np.ndarray:
     """Index of each target's nearest candidate under the reference
     arithmetic `np.sum((c - t) ** 2, axis=1)`, first index winning ties.
-    A k-d tree finds the nearest distance; every candidate within it plus
-    _TIE_MARGIN is ranked again in the reference arithmetic."""
+
+    One k-d tree query takes each target's k nearest, k starting at 3 and
+    doubling for the whole batch until, for every target, the k-th lies
+    beyond its nearest distance times 1 + _TIE_MARGIN (plus 1e-150, which
+    keeps distances whose squares underflow), or k reaches the candidate
+    count. The k then hold every candidate that could tie the nearest,
+    and they are ranked again in the reference arithmetic, written out
+    per axis as `dx*dx + dy*dy + dz*dz` (the same sum, bit for bit)."""
+    n = len(candidates)
     if not len(targets):
         return np.empty(0, dtype=np.int64)
     tree = cKDTree(candidates)
-    dist, _ = tree.query(targets)
-    # the absolute term keeps distances whose squares underflow
-    groups = tree.query_ball_point(targets, dist * (1 + _TIE_MARGIN) + 1e-150)
-    lens = np.fromiter(map(len, groups), dtype=np.int64, count=len(groups))
-    idx = np.fromiter(itertools.chain.from_iterable(groups), dtype=np.int64,
-                      count=int(lens.sum()))
-    owner = np.repeat(np.arange(len(targets)), lens)
-    d2 = np.sum((candidates[idx] - targets[owner]) ** 2, axis=1)
-    order = np.lexsort((idx, d2, owner))    # per target: distance, index
-    return idx[order[np.cumsum(lens) - lens]]
+    k = min(3, n)
+    while True:
+        dist, idx = tree.query(targets, k)
+        dist, idx = dist.reshape(len(targets), k), idx.reshape(len(targets), k)
+        if k == n or (dist[:, -1] > dist[:, 0] * (1 + _TIE_MARGIN)
+                      + 1e-150).all():
+            break
+        k = min(2 * k, n)
+    d = candidates[idx] - targets[:, None, :]               # (m, k, axis)
+    d *= d
+    d2 = d[:, :, 0] + d[:, :, 1] + d[:, :, 2]
+    tied = d2 == d2.min(axis=1, keepdims=True)
+    return np.where(tied, idx, n).min(axis=1)
 
 
 def batch_precision(targets: np.ndarray, candidates: np.ndarray,
@@ -101,11 +115,13 @@ def batch_precision(targets: np.ndarray, candidates: np.ndarray,
     candidates = np.asarray(candidates, dtype=np.float64).reshape(-1, 3)
     if len(targets) and not len(candidates):
         raise ValueError("empty candidate set")
-    nearest = _nearest(targets, candidates)
-    shifts = grid.q_max - np.arange(MIN_PRECISION, grid.q_max + 1)[:, None]
-    ci = grid.quantize(targets)[:, None, :] >> shifts       # (n, q, axis)
-    cj = grid.quantize(candidates[nearest])[:, None, :] >> shifts
-    reached = np.sum((ci - cj) ** 2, axis=2) >= threshold
+    nearest = candidates[_nearest(targets, candidates)]
+    shifts = grid.q_max - np.arange(MIN_PRECISION, grid.q_max + 1)
+    ints = grid.quantize(np.concatenate([targets, nearest]))
+    ints = ints[:, :, None] >> shifts                       # (2m, axis, q)
+    d = ints[:len(targets)] - ints[len(targets):]
+    d *= d
+    reached = d[:, 0] + d[:, 1] + d[:, 2] >= threshold      # (m, q)
     return np.where(reached.any(axis=1),
                     MIN_PRECISION + reached.argmax(axis=1), grid.q_max)
 

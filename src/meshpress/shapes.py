@@ -89,7 +89,8 @@ def subdivide_midpoint(mesh: TriMesh, edges=None, position=None) -> TriMesh:
         new_pts.append(position(a, b, mid) if position else mid)
     verts = np.vstack([mesh.vertices, np.array(new_pts).reshape(-1, 3)]) \
         if new_pts else mesh.vertices
-    faces = subdivide(split_plan(mesh, split), itertools.repeat(0))
+    plan = split_plan(mesh, split)
+    faces = subdivide(plan, np.zeros(len(plan), dtype=np.int64))
     return TriMesh(verts, faces)
 
 

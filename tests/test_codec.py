@@ -242,6 +242,34 @@ def test_encode_rejects_mesh_above_ceiling(monkeypatch, ceiling):
         encode(mesh)
 
 
+@pytest.mark.parametrize("make", [lambda: shapes.icosphere(2),
+                                  lambda: shapes.cad_solid(subdivisions=1)],
+                         ids=["icosphere2", "cad1"])
+@pytest.mark.parametrize("scale", [1e-160, 1e-199, 1e-300])
+def test_header_scale_beyond_extent_ceiling(make, scale):
+    """A scale whose grid is finite but wider than the extent ceiling
+    would overflow squared distances in the precision rule: it is a
+    format error, with no warning on the way."""
+    data = _with_header(encode(make())[0].to_bytes(), scale=scale)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(StreamFormatError, match="extent"):
+            decode(data)
+
+
+def test_encode_extent_ceiling():
+    """The encoder rejects a mesh wider than the extent ceiling at the
+    door, and one just inside it still round-trips losslessly."""
+    mesh = shapes.cad_solid(subdivisions=1)
+    with pytest.raises(MeshError, match="ceiling"):
+        encode(TriMesh(mesh.vertices * 1e160, mesh.faces))
+    wide = TriMesh(mesh.vertices * 1e90, mesh.faces)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        stream, _ = encode(wide)
+        assert_lossless(wide, stream)
+
+
 def test_non_finite_prediction_rejected(encoded):
     """An origin near the float limit passes the header checks, but the
     edge midpoints the precision rule searches from overflow."""

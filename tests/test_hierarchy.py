@@ -47,7 +47,7 @@ def groups_of(record):
     return [(n, tuple(face),
              tuple(fine_id[rotation(next(children))] for _ in range(n + 1)),
              next(bits) if n == TRISECT else 0)
-            for face, (*_, n) in zip(coarse.faces.tolist(), plan)]
+            for face, (*_, n) in zip(coarse.faces.tolist(), plan.tolist())]
 
 
 def assert_consistent(record):
@@ -223,6 +223,64 @@ def test_subdivide_keeps_face_order_and_diagonal_bit_order():
                                                   bit_of.get(f, 0))]
     got = hierarchy.subdivide(plan, bits)
     assert [tuple(f) for f in got.tolist()] == want
+
+
+def loop_subdivide(plan, diag_bits):
+    """The per-face loop `subdivide` ran before its template gather."""
+    bits = iter(diag_bits)
+    out = []
+    for p0, p1, p2, m01, m12, m20, n in plan:
+        if n == 0:
+            out.append((p0, p1, p2))
+        elif n == 1:
+            out += ((p0, m01, p2), (m01, p1, p2))
+        elif n == 3:
+            out += ((p0, m01, m20), (m01, p1, m12), (m20, m12, p2),
+                    (m01, m12, m20))
+        elif next(bits):
+            out += ((p0, m01, m12), (m01, p1, m12), (p0, m12, p2))
+        else:
+            out += ((p0, m01, p2), (m01, p1, m12), (m01, m12, p2))
+    return np.array(out, dtype=np.int64).reshape(-1, 3)
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_subdivide_gather_matches_per_face_loop(seed):
+    """Random plans over disjoint triangles, every split mask, rotation
+    and diagonal bit: the template gather gives the per-face loop's
+    children, in its order."""
+    rng = np.random.default_rng(seed)
+    nf = 480
+    rot = rng.integers(0, 3, nf)
+    faces = 3 * np.arange(nf)[:, None] + (rot[:, None] + [0, 1, 2]) % 3
+    mesh = TriMesh(np.zeros((3 * nf, 3)), rng.permutation(faces),
+                   validate=False)
+    mask = rng.integers(0, 8, nf)
+    split = {edge_key(face[i], face[(i + 1) % 3]): 3 * nf + 3 * f + i
+             for f, face in enumerate(mesh.faces.tolist())
+             for i in range(3) if mask[f] >> i & 1}
+    plan = hierarchy.split_plan(mesh, midpoints(mesh, split))
+    bits = rng.integers(0, 2, np.count_nonzero(plan[:, 6] == 2))
+    want = loop_subdivide(plan.tolist(), bits.tolist())
+    assert np.array_equal(subdivide(plan, bits), want)
+    bit = np.full(nf, -1)
+    bit[plan[:, 6] == 2] = bits
+    seen = set(zip(mask.tolist(), (mesh.faces[:, 0] % 3).tolist(),
+                   bit.tolist()))       # mask, rotation, diagonal bit
+    assert len(seen) == 5 * 3 + 3 * 3 * 2
+
+
+def test_subdivide_rejects_short_diagonal_bits():
+    """Fewer diagonal bits than trisected faces is a ValueError that
+    names both counts."""
+    mesh = shapes.icosphere(1)
+    keys = [tuple(e) for e in mesh.edges.tolist()]
+    split = {k: mesh.vertex_count + i for i, k in enumerate(keys[::3])}
+    plan = hierarchy.split_plan(mesh, midpoints(mesh, split))
+    count = np.count_nonzero(plan[:, 6] == 2)
+    with pytest.raises(ValueError,
+                       match=f"^{count - 1} diagonal bits for {count} "):
+        subdivide(plan, [0] * (count - 1))
 
 
 def unoriented(faces):

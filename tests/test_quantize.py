@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy.spatial import cKDTree
 
 from meshpress import quantize
 from meshpress.mesh import TriMesh
@@ -132,7 +133,13 @@ def _tie_heavy_inputs(n_cand, seed):
     return targets, cands
 
 
-@pytest.mark.parametrize("n_cand", [1, 7, 5000])
+def _reference_nearest(targets, cands):
+    """Brute force in the reference arithmetic, first index winning ties."""
+    return [int(np.argmin(np.sum((cands - t) ** 2, axis=1)))
+            for t in targets]
+
+
+@pytest.mark.parametrize("n_cand", [1, 2, 7, 5000])
 def test_batch_precision_matches_per_target_rule(n_cand):
     """The k-d search picks what a brute-force scan in the reference
     arithmetic picks, first index winning every tie, also when a
@@ -141,12 +148,74 @@ def test_batch_precision_matches_per_target_rule(n_cand):
     for scale in (1.0, 0.1, 3.7):
         targets, cands = _tie_heavy_inputs(n_cand, n_cand)
         targets, cands = scale * targets, scale * cands
-        nearest = [int(np.argmin(np.sum((cands - t) ** 2, axis=1)))
-                   for t in targets]
+        nearest = _reference_nearest(targets, cands)
         assert quantize._nearest(targets, cands).tolist() == nearest
         want = [assign_precision(t, cands[[j]], grid, 200)[0]
                 for t, j in zip(targets, nearest)]
         assert batch_precision(targets, cands, grid, 200).tolist() == want
+
+
+def _crowded_inputs():
+    """(targets, candidates, forces doubling) cases: six coincident
+    copies of one point, a target equidistant from the six axis
+    neighbours of a grid point, one candidate and two candidates."""
+    rng = np.random.default_rng(3)
+    spread = rng.integers(-4, 5, size=(40, 3)).astype(float)
+    point = np.array([0.25, 0.5, 0.75])
+    coincident = np.vstack([spread[:10], np.tile(point, (6, 1)), spread[10:]])
+    centre = np.full(3, 20.0)
+    ring = centre + rng.permutation(np.vstack([np.eye(3), -np.eye(3)]))
+    axes = np.vstack([spread, ring, spread + 40])
+    one, two = spread[:1], spread[:2]
+    return [
+        (np.vstack([point, point + [0.01, 0, 0], spread[:5] + 0.5]),
+         coincident, True),
+        (np.vstack([centre, centre + 0.5, spread[:5]]), axes, True),
+        (np.vstack([spread[:3], spread[:3] + 0.5]), one, False),
+        (np.vstack([0.5 * (two[0] + two[1]), spread[:6]]), two, False),
+    ]
+
+
+@pytest.mark.parametrize("scale", [1.0, 0.1, 3.7])
+def test_nearest_matches_brute_force_when_k_must_grow(monkeypatch, scale):
+    """Ties among more than three candidates make the k-nearest query
+    double k; one or two candidates cap it at the candidate count. Every
+    case picks what a brute-force scan picks."""
+    ks = []
+
+    class RecordingTree(cKDTree):
+        def query(self, x, k=1, **kwargs):
+            ks.append(k)
+            return super().query(x, k, **kwargs)
+
+    monkeypatch.setattr(quantize, "cKDTree", RecordingTree)
+    for targets, cands, doubles in _crowded_inputs():
+        targets, cands = scale * targets, scale * cands
+        ks.clear()
+        assert quantize._nearest(targets, cands).tolist() == \
+            _reference_nearest(targets, cands)
+        assert ks[0] == min(3, len(cands))
+        assert (len(ks) > 1) == doubles
+        assert ks[-1] <= len(cands)
+
+
+@pytest.mark.parametrize("n_cand", [1, 2, 7, 5000])
+def test_tie_rank_sum_is_reference_sum_bit_for_bit(n_cand):
+    """The per-axis sum that `_nearest` ranks ties by equals the
+    reference `np.sum((c - t) ** 2, axis=1)` bit for bit."""
+    cases = [(t, c) for t, c, _ in _crowded_inputs()]
+    cases += [(scale * t, scale * c)
+              for t, c in [_tie_heavy_inputs(n_cand, n_cand)]
+              for scale in (1.0, 0.1, 3.7)]
+    rng = np.random.default_rng(n_cand)
+    cases.append((rng.normal(size=(20, 3)), rng.normal(size=(n_cand, 3))))
+    for targets, cands in cases:
+        d = cands[None, :, :] - targets[:, None, :]
+        d *= d
+        per_axis = d[:, :, 0] + d[:, :, 1] + d[:, :, 2]
+        reference = np.array([np.sum((cands - t) ** 2, axis=1)
+                              for t in targets])
+        assert per_axis.tobytes() == reference.tobytes()
 
 
 def test_batch_precision_empty_targets():
