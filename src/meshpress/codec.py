@@ -14,15 +14,20 @@ the one place that slices chunks out of raw bytes, and it tells a stream
 that ends inside a chunk (TruncatedStreamError) from a chunk whose bytes
 changed (StreamFormatError). Decoding checks only the chunks it reads.
 
-The encoder is closed-loop: it feeds each chunk it emits into a real
-:class:`ProgressiveDecoder` instance and derives all stream-visible
-decisions (edge orderings, precision assignment, predictions) from that
-decoder's state, which makes encoder/decoder symmetry structural rather
-than aspirational. A level is read in two halves: the connectivity half
-fixes the split edges and runs the precision rule once for all of them
-on the positions decoded so far; the geometry half dequantizes the
-details with those q_i and synthesizes. The q_i are never transmitted:
-the encoder writes each level's geometry chunk with the q_i its decoder
+The encoder is closed-loop: it runs a real :class:`ProgressiveDecoder`
+beside it and derives all stream-visible decisions (edge orderings,
+precision assignment, predictions) from that decoder's state, which
+makes encoder/decoder symmetry structural rather than aspirational.
+Each `read_*` of the decoder is a parse half (chunk bytes to integers
+and symbols, through the range-coder kernels) followed by an `apply_*`
+half (integers to decoder state); the encoder runs the apply halves
+alone, on the integers it has just coded, so every decoder state
+change is shared and only parse(encode(x)) = x is left to the coder's
+own tests. A level is read in two halves: the connectivity half fixes
+the split edges and runs the precision rule once for all of them on the
+positions decoded so far; the geometry half dequantizes the details
+with those q_i and synthesizes. The q_i are never transmitted: the
+encoder writes each level's geometry chunk with the q_i its decoder
 derived in between.
 
 Both sides number a level's edges by the edge table of the decoder's
@@ -374,6 +379,7 @@ class ProgressiveDecoder:
         # state of the level whose connectivity was read last
         self.last_split_edges = np.empty((0, 2), dtype=np.int64)
         self.level_q: list[int] = []
+        self._plan: np.ndarray | None = None
         self._next_conn: TriMesh | None = None
 
     # -- state views ------------------------------------------------------
@@ -385,12 +391,17 @@ class ProgressiveDecoder:
         return self.conn.with_vertices(self.positions)
 
     # -- chunk readers -----------------------------------------------------
+    # Each read_* parses its chunk and hands the integers to its apply_*
+    # half; the encoder calls the apply halves alone.
 
     def read_base_conn(self, data: bytes) -> None:
-        nv = self.base_vertex_count
         flat = _decode_ints(self.models.base_conn, RangeDecoder(data),
                             3 * self.base_face_count)
-        np.cumsum(flat, out=flat)
+        self.apply_base_conn(np.cumsum(flat, out=flat))
+
+    def apply_base_conn(self, faces: np.ndarray) -> None:
+        """The base faces, as one flat or (F, 3) array of vertex ids."""
+        nv, flat = self.base_vertex_count, np.ravel(faces)
         bad = (flat < 0) | (flat >= nv)
         if bad.any():
             raise StreamFormatError(
@@ -405,8 +416,11 @@ class ProgressiveDecoder:
     def read_base_geom(self, data: bytes) -> None:
         ints = _decode_ints(self.models.base_geom, RangeDecoder(data),
                             3 * self.base_vertex_count).reshape(-1, 3)
-        self.positions = self.grid.dequantize(np.cumsum(ints, axis=0,
-                                                        out=ints))
+        self.apply_base_geom(np.cumsum(ints, axis=0, out=ints))
+
+    def apply_base_geom(self, ints: np.ndarray) -> None:
+        """The base vertices' (V, 3) grid integers."""
+        self.positions = self.grid.dequantize(ints)
 
     def read_level(self, conn_data: bytes, geom_data: bytes) -> None:
         self.read_level_conn(conn_data)
@@ -415,29 +429,41 @@ class ProgressiveDecoder:
     def read_level_conn(self, data: bytes) -> None:
         """Split flags and diagonal bits of the next level, then the q_i
         of its split edges from the positions decoded so far."""
-        m = self.models
+        m, dec = self.models, RangeDecoder(data)
+        flags = dec.decode_symbols(m.split, len(self.conn.edges))
+        trisects = self.apply_split(np.array(flags, dtype=bool))
+        self.apply_diagonals(dec.decode_symbols(m.diag, trisects))
+
+    def apply_split(self, flags: np.ndarray) -> int:
+        """The next level's split flags, one bool per edge of
+        `conn.edges`. Returns the number of trisected faces, which is the
+        number of diagonal bits :meth:`apply_diagonals` takes."""
         nc, level = len(self.positions), len(self.q_recomputed) + 1
-        dec = RangeDecoder(data)
-        edges = self.conn.edges
-        flags = np.array(dec.decode_symbols(m.split, len(edges)), dtype=bool)
-        split_edges = edges[flags]
+        split_edges = self.conn.edges[flags]
         if nc + len(split_edges) > self.original_vertex_count:
             raise StreamFormatError(
                 f"level {level} splits {len(split_edges)} edges of a "
                 f"{nc}-vertex mesh, beyond the header's "
                 f"{self.original_vertex_count} vertices")
         mid = np.where(flags, nc - 1 + flags.cumsum(), -1)   # r-th: nc + r
-        plan = split_plan(self.conn, mid)
-        bits = dec.decode_symbols(m.diag, np.count_nonzero(plan[:, 6] == 2))
-        self._next_conn = TriMesh((), subdivide(plan, bits), validate=False)
+        self._plan = split_plan(self.conn, mid)
         self.last_split_edges = split_edges
+        return int(np.count_nonzero(self._plan[:, 6] == 2))
+
+    def apply_diagonals(self, bits) -> None:
+        """The diagonal bits of the level split by :meth:`apply_split`,
+        then the q_i of its split edges."""
+        self._next_conn = TriMesh((), subdivide(self._plan, bits),
+                                  validate=False)
+        split_edges = self.last_split_edges
         if self.adaptive:
             prediction = 0.5 * (self.positions[split_edges[:, 0]]
                                 + self.positions[split_edges[:, 1]])
             if not (np.isfinite(self.positions).all()
                     and np.isfinite(prediction).all()):
                 raise StreamFormatError(
-                    f"level {level} predicts from positions that are "
+                    f"level {len(self.q_recomputed) + 1} predicts from "
+                    "positions that are "
                     "not finite")
             self.level_q = batch_precision(prediction, self.positions,
                                            self.grid, self.threshold).tolist()
@@ -447,8 +473,12 @@ class ProgressiveDecoder:
     def read_level_geom(self, data: bytes) -> None:
         """Details of the level read by :meth:`read_level_conn`,
         dequantized with the q_i derived there, then synthesis."""
-        ints = _decode_ints(self.models.detail, RangeDecoder(data),
-                            3 * len(self.level_q)).reshape(-1, 3)
+        self.apply_level_geom(_decode_ints(
+            self.models.detail, RangeDecoder(data),
+            3 * len(self.level_q)).reshape(-1, 3))
+
+    def apply_level_geom(self, ints: np.ndarray) -> None:
+        """The level's (S, 3) detail integers, one row per split edge."""
         steps = 1 << (self.grid.q_max - np.array(self.level_q, dtype=np.int64))
         details = ints * steps[:, None] / self.grid.scale
         self.positions = synthesize(self.positions, self.last_split_edges,
@@ -461,9 +491,15 @@ class ProgressiveDecoder:
             raise StreamFormatError(
                 f"decoded {len(self.positions)} vertices, the header "
                 f"claims {self.original_vertex_count}")
+        self.apply_completion(_decode_ints(
+            self.models.completion, RangeDecoder(data),
+            3 * len(self.positions)).reshape(-1, 3))
+
+    def apply_completion(self, residuals: np.ndarray) -> None:
+        """The (V, 3) residuals from the rounded positions to the final
+        grid integers."""
         ints = self.grid.quantize(self.positions)
-        ints += _decode_ints(self.models.completion, RangeDecoder(data),
-                             ints.size).reshape(-1, 3)
+        ints += residuals
         self.final_ints = ints
         self.positions = self.grid.dequantize(ints)
 
@@ -491,6 +527,9 @@ def encode(mesh: TriMesh, config: EncodeConfig | None = None):
     if problems:
         raise NonManifoldError("; ".join(problems))
     grid = make_grid(mesh, config.q_max)
+    if not math.isfinite(grid.scale):
+        raise MeshError(f"mesh extent too small for the grid: its scale "
+                        f"{grid.scale:g} is not finite")
     if grid.levels / grid.scale > _MAX_EXTENT:
         raise MeshError(f"mesh extent {grid.levels / grid.scale:g} exceeds "
                         f"the format's ceiling of {_MAX_EXTENT:g}")
@@ -509,37 +548,39 @@ def encode(mesh: TriMesh, config: EncodeConfig | None = None):
         base_face_count=base_mesh.face_count, level_count=len(records),
         original_vertex_count=mesh.vertex_count, chunks=chunks)
     sim = _decoder_for(stream)
-    sim.read_base_conn(chunks[-1])
-    chunks.append(_encode_ints(m.base_geom, np.diff(
-        grid.quantize(base_mesh.vertices), axis=0, prepend=0)))
-    sim.read_base_geom(chunks[-1])
+    sim.apply_base_conn(base_mesh.faces)
+    ints = grid.quantize(base_mesh.vertices)
+    chunks.append(_encode_ints(m.base_geom, np.diff(ints, axis=0, prepend=0)))
+    sim.apply_base_geom(ints)
 
     pi = np.arange(base_mesh.vertex_count, dtype=np.int64)
     for rec in reversed(records):
         fine = rec.coarse_to_fine[pi]           # decoder id -> fine id
         mid, _, bits = refinement(rec, sim.conn, fine)
+        split = mid >= 0
         enc = RangeEncoder()
-        enc.encode_symbols(m.split, (mid >= 0).astype(int).tolist())
+        enc.encode_symbols(m.split, split.astype(int).tolist())
         enc.encode_symbols(m.diag, bits)
         chunks.append(enc.finish())
-        sim.read_level_conn(chunks[-1])
+        sim.apply_split(split)
+        sim.apply_diagonals(bits)
 
-        odds = mid[mid >= 0]
+        odds = mid[split]
         details = analyze(rec.fine_mesh.vertices, odds,
                           rec.coarse_to_fine[pi[sim.last_split_edges]])
         steps = 1 << (config.q_max - np.array(sim.level_q, dtype=np.int64))
-        chunks.append(_encode_ints(m.detail, round_half_away(
-            details * grid.scale / steps[:, None])))
-        sim.read_level_geom(chunks[-1])
+        ints = round_half_away(details * grid.scale / steps[:, None])
+        chunks.append(_encode_ints(m.detail, ints))
+        sim.apply_level_geom(ints)
 
         pi = np.concatenate([fine, odds])
         if len(pi) != len(sim.positions):
             raise AssertionError("encoder/decoder vertex count diverged")
 
     target = grid.quantize(mesh.vertices)[pi]
-    chunks.append(_encode_ints(m.completion,
-                               target - grid.quantize(sim.positions)))
-    sim.read_completion(chunks[-1])
+    residuals = target - grid.quantize(sim.positions)
+    chunks.append(_encode_ints(m.completion, residuals))
+    sim.apply_completion(residuals)
     if not np.array_equal(sim.final_ints, target):
         raise AssertionError("completion residuals failed to close the loop")
     stream.vertex_map, stream.q_sequences = pi, sim.q_recomputed

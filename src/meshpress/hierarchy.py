@@ -46,12 +46,19 @@ get stricter (faces only fill, vertices only become even or odd, edges
 are only added or gain groups), so `_grow` pushes each face once per
 commit: a second push in the same commit would add a heap entry with the
 same key and a larger sequence number, which can never commit anything.
+The same holds for the whole life of a `_PassState` (`forbidden` only
+grows, `_retract` starts a fresh state, and `_dissolve_conflicts` frees
+faces only after the pass's last grow), so a row `first` has seen fail
+never passes again: each pattern slot (pref, f) keeps a cursor,
+`_PassState.cursor`, where `first` resumes its scan, and a slot whose
+cursor is at its end is skipped without a call.
 A pass starts from the empty state (nothing committed or forbidden),
 where every static candidate is admitted and reuses no committed edge,
 so pushing every face gives each face's first row of each pattern its
-seed key: the first `_grow` takes its heap from one sort of those keys
-(`_PassTables.seed`; a sorted list is a heap), and only the regrows of
-the demotion fixpoint push. A committed group stays its row until the
+seed key: the first `_grow` reads those keys in the order of one sort
+(`_PassTables.seed`), taking at each step the next seed or the push
+heap's top, whichever is less, and only the regrows of the demotion
+fixpoint push their seeds. A committed group stays its row until the
 pass ends: `_retract` recommits the survivors' edge entries, and
 `simplify_once` reads the coarse faces' corners from the rows once.
 Nothing cached outlives `simplify_once`.
@@ -321,7 +328,9 @@ class _PassTables:
 class _PassState:
     """The grouping state of one pass: `groups` lists the committed rows,
     `parent` maps each odd vertex to its parent edge's code, and `edges`
-    each coarse edge's code to [midpoint or -1, groups using it]."""
+    each coarse edge's code to [midpoint or -1, groups using it].
+    cursor[pref][f] is the first row of slot (pref, f) that `first` has
+    not yet seen fail, bounds[pref][f + 1] once none is left."""
 
     def __init__(self, tables: _PassTables, forbidden: set[int]):
         self.tables = tables
@@ -331,6 +340,7 @@ class _PassState:
         self.grouped = [-1] * len(tables.faces)
         self.groups: list[int] = []
         self.edges: dict[int, list] = {}
+        self.cursor = [list(rows) for rows in tables.bounds]
 
     def commit(self, r: int) -> None:
         gid = len(self.groups)
@@ -351,16 +361,18 @@ def _matcher(st: _PassState):
     that `st` admits, -1 if none. The state-dependent checks: the faces
     are free, no corner is odd, each odd vertex is allowed, not even, and
     new or already odd on the same parent edge, and each coarse edge is
-    new or has the same midpoint and fewer than two groups."""
+    new or has the same midpoint and fewer than two groups. The scan
+    starts at the slot's cursor and leaves it at the row it returns, or
+    at the slot's end."""
     t = st.tables
     bounds, (a, b, c), pairs = t.bounds, t.corner, tuple(zip(t.code, t.mid))
     slots = [t.fine[:4 - pref] for pref in range(3)]
     grouped, parent, even = st.grouped, st.parent, st.even
-    edges, forbidden = st.edges, st.forbidden
+    edges, forbidden, cursor = st.edges, st.forbidden, st.cursor
 
     def first(pref: int, f: int) -> int:
-        rows, fine = bounds[pref], slots[pref]
-        for r in range(rows[f], rows[f + 1]):
+        fine, at, end = slots[pref], cursor[pref], bounds[pref][f + 1]
+        for r in range(at[f], end):
             for g in fine:
                 if grouped[g[r]] >= 0:
                     break
@@ -376,7 +388,9 @@ def _matcher(st: _PassState):
                     if cur is not None and (cur[0] != v or cur[1] >= 2):
                         break
                 else:
+                    at[f] = r
                     return r
+        at[f] = end
         return -1
     return first
 
@@ -396,7 +410,7 @@ def _grow(st: _PassState, seed_faces=None) -> None:
     t = st.tables
     first = _matcher(st)
     vertex_faces, grouped, edges = t.mesh.vertex_faces, st.grouped, st.edges
-    bounds, pairs = t.bounds, tuple(zip(t.code, t.mid))
+    bounds, cursor, pairs = t.bounds, st.cursor, tuple(zip(t.code, t.mid))
     rank, scale, score = t.rank, t.scale, t.score
     seq = 0
     heap: list[tuple] = []
@@ -406,8 +420,8 @@ def _grow(st: _PassState, seed_faces=None) -> None:
         if grouped[f] >= 0:
             return
         for pref in range(3):
-            if bounds[pref][f] == bounds[pref][f + 1]:
-                continue
+            if cursor[pref][f] == bounds[pref][f + 1]:
+                continue        # settled: no row of this slot is admitted
             r = first(pref, f)
             if r < 0:
                 continue
@@ -441,18 +455,27 @@ def _grow(st: _PassState, seed_faces=None) -> None:
             heapq.heappush(heap, (*key, seq, f, pref))
             seq += 1
 
+    seeds: list[tuple] = []
     if seed_faces is None:
-        heap = [(1, rank[r], float(p), scale[r], score[r], s, f, p)
-                for s, f, p, r in zip(*t.seed.tolist())]    # sorted: a heap
-        seq = len(heap)
+        seeds = [(1, rank[r], float(p), scale[r], score[r], s, f, p)
+                 for s, f, p, r in zip(*t.seed.tolist())]
+        seq = len(seeds)
     else:
         for f in seed_faces:
             push(f, 1)
-    while heap:
-        *_, f, pref = heapq.heappop(heap)
-        if grouped[f] >= 0:
-            continue
+    i, n = 0, len(seeds)
+    while i < n or heap:
+        # the seeds are sorted, so the least entry is the next seed or
+        # the heap's top (keys are unique through seq)
+        if i < n and (not heap or seeds[i] < heap[0]):
+            entry = seeds[i]
+            i += 1
+        else:
+            entry = heapq.heappop(heap)
+        f, pref = entry[-2], entry[-1]
         # revalidate against the current state
+        if grouped[f] >= 0 or cursor[pref][f] == bounds[pref][f + 1]:
+            continue
         r = first(pref, f)
         if r < 0:
             continue

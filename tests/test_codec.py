@@ -270,6 +270,41 @@ def test_encode_extent_ceiling():
         assert_lossless(wide, stream)
 
 
+def test_encode_rejects_non_finite_grid_scale():
+    """A mesh so small that its grid scale overflows to inf is a
+    MeshError at the door, with no warning on the way; one whose scale is
+    large but finite still round-trips losslessly."""
+    mesh = shapes.cad_solid(subdivisions=1)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for factor in (1e-318, 1e-310):
+            with pytest.raises(MeshError, match="scale"):
+                encode(TriMesh(mesh.vertices * factor, mesh.faces))
+        tiny = TriMesh(mesh.vertices * 1e-300, mesh.faces)
+        stream, _ = encode(tiny)
+        assert_lossless(tiny, stream)
+
+
+@pytest.mark.parametrize("adaptive", [True, False], ids=["adaptive", "fixed"])
+@pytest.mark.parametrize("make", [lambda: shapes.cad_solid(subdivisions=2),
+                                  lambda: shapes.random_convex(200)],
+                         ids=["cad", "convex"])
+def test_encode_range_decodes_nothing(monkeypatch, make, adaptive):
+    """The encoder applies the integers it has just coded to its decoder
+    and parses none of its own chunks; the stream still decodes to the
+    input exactly."""
+    class Refused:
+        def __init__(self, data):
+            raise AssertionError("encode range-decoded a chunk")
+
+    mesh = make()
+    with monkeypatch.context() as patch:
+        patch.setattr(codec, "RangeDecoder", Refused)
+        stream, _ = encode(mesh, EncodeConfig(adaptive=adaptive))
+    assert stream.level_count > 0
+    assert_lossless(mesh, stream)
+
+
 def test_non_finite_prediction_rejected(encoded):
     """An origin near the float limit passes the header checks, but the
     edge midpoints the precision rule searches from overflow."""

@@ -677,10 +677,11 @@ def test_retract_keeps_state_consistent(monkeypatch):
 # calls of each pattern's matcher (`first(pref, f)` from `_matcher`) during
 # one build_hierarchy; before static candidates and one push per face per
 # commit they were (4818, 4572, 4598) on the CAD mesh and (12319, 12555,
-# 13106) on the hull
+# 13106) on the hull, and before the per-slot cursor (1412, 1696, 1756)
+# and (231, 2709, 5532)
 @pytest.mark.parametrize("make, bounds", [
-    (lambda: shapes.cad_solid(subdivisions=2), (3989, 3743, 3769)),
-    (lambda: shapes.random_convex(200), (11049, 11285, 11816)),
+    (lambda: shapes.cad_solid(subdivisions=2), (886, 1034, 1029)),
+    (lambda: shapes.random_convex(200), (143, 1818, 3846)),
 ], ids=["cad", "convex"])
 def test_matcher_calls_bounded(monkeypatch, make, bounds):
     mesh = make()
@@ -698,6 +699,53 @@ def test_matcher_calls_bounded(monkeypatch, make, bounds):
     build_hierarchy(mesh)
     got = tuple(calls[pref] for pref in range(3))
     assert all(0 < n <= bound for n, bound in zip(got, bounds)), got
+
+
+def admits(st, r):
+    """Whether state `st` admits row r, checked from scratch: its fine
+    faces are free, no corner is odd, each odd vertex is allowed, not
+    even, and new or odd on the same parent edge, and each coarse edge is
+    new or has the same midpoint and fewer than two groups."""
+    t = st.tables
+    if any(st.grouped[g] >= 0 for g in t.fine_ids(r)) or \
+            any(v in st.parent for v in t.corners(r)):
+        return False
+    for key, v in t.entries(r):
+        if v >= 0 and (v in st.forbidden or st.even[v]
+                       or st.parent.get(v, key) != key):
+            return False
+        cur = st.edges.get(key)
+        if cur is not None and (cur[0] != v or cur[1] >= 2):
+            return False
+    return True
+
+
+def test_matcher_cursor_is_exact(monkeypatch):
+    """Each `first(pref, f)` answer during build_hierarchy equals a scan
+    of the whole slot from bounds[pref][f] with no cursor."""
+    calls = 0
+
+    def checked(st, _matcher=hierarchy._matcher):
+        first, rows = _matcher(st), st.tables.bounds
+
+        def scanned(pref, f):
+            nonlocal calls
+            want = next((r for r in range(rows[pref][f], rows[pref][f + 1])
+                         if admits(st, r)), -1)
+            got = first(pref, f)
+            assert got == want, (pref, f, got, want)
+            calls += 1
+            return got
+        return scanned
+
+    monkeypatch.setattr(hierarchy, "_matcher", checked)
+    cases = [(make(), None) for make in PIN_MESHES.values()] + [
+        (make(), wgc) for make in (lambda: shapes.grid_patch(9, 9),
+                                   lambda: shapes.bumpy_sphere(3))
+        for wgc in (NO_WGC, TIGHT_WGC)]
+    for mesh, wgc in cases:
+        build_hierarchy(mesh, wgc)
+    assert calls > 10000
 
 
 # -- the first grow's seed heap ----------------------------------------------
