@@ -28,30 +28,34 @@ face and apex across every (face, local edge), both from
 edges and vertices, and valences, as arrays.
 
 Every matcher is split in two. The static half is one array build per
-pattern and pass, in `_PassTables`: it reads every face as a quadrisect,
-a trisect (all rotations and diagonals at once) and a bisect from
-the corner table and keeps, as masks, the readings that pass every check
-no grouping state can change (topology and distinctness, valence, the
-boundary rule, the WGC test, fine edges looked up by code), with their
-ranking terms. The midpoint deviations and parent-edge lengths are
-computed at once by `_deviations`, and each must equal `sqrt(d.dot(d))`
-of its 3-vector bit for bit: a last-ulp change flips `>` comparisons and
-with them the stream. Each survivor is one row of the pass's columns,
-plain lists read by row id; no object is built per candidate. The
-dynamic half, the `first` function `_matcher` binds once per `_grow`,
-runs on every call: free faces, `even`, `forbidden`, `parent` (a vertex
-is odd exactly when it has a parent edge), and the committed coarse
-edges, `_PassState.edges`. Within one `_grow` those state checks only
-get stricter (faces only fill, vertices only become even or odd, edges
-are only added or gain groups), so `_grow` pushes each face once per
-commit: a second push in the same commit would add a heap entry with the
-same key and a larger sequence number, which can never commit anything.
-The same holds for the whole life of a `_PassState` (`forbidden` only
-grows, `_retract` starts a fresh state, and `_dissolve_conflicts` frees
-faces only after the pass's last grow), so a row `first` has seen fail
-never passes again: each pattern slot (pref, f) keeps a cursor,
-`_PassState.cursor`, where `first` resumes its scan, and a slot whose
-cursor is at its end is skipped without a call.
+pass, in `_PassTables`: it reads every face as a quadrisect, a trisect
+(all rotations and diagonals at once) and a bisect from the corner table
+and keeps the readings that pass every check no grouping state can
+change, with their ranking terms. Topology and distinctness are checked
+per reading. The odd-vertex rules (valence, the boundary rule, a split
+coarse edge that is not a fine edge, the WGC test) read only a split
+triple (odd vertex, parent edge), so they run in one admissibility pass
+over the distinct split triples of all three patterns (25-28 % of the
+readings' split edges on the CAD and hull meshes), and each reading
+gathers its triples' results. The midpoint deviations and parent-edge
+lengths are computed at once by `_deviations`, and each must equal
+`sqrt(d.dot(d))` of its 3-vector bit for bit: a last-ulp change flips
+`>` comparisons and with them the stream. Each survivor is one row of
+the pass's columns, plain lists read by row id; no object is built per
+candidate. The dynamic half, the `first` function `_matcher` binds once
+per `_grow`, runs on every call: free faces, `even`, `forbidden`,
+`parent` (a vertex is odd exactly when it has a parent edge), and the
+committed coarse edges, `_PassState.edges`. Within one `_grow` those
+state checks only get stricter (faces only fill, vertices only become
+even or odd, edges are only added or gain groups), so `_grow` pushes
+each face once per commit: a second push in the same commit would add a
+heap entry with the same key and a larger sequence number, which can
+never commit anything. The same holds for the whole life of a
+`_PassState` (`forbidden` only grows, `_retract` starts a fresh state,
+and `_dissolve_conflicts` frees faces only after the pass's last grow),
+so a row `first` has seen fail never passes again: each pattern slot
+(pref, f) keeps a cursor, `_PassState.cursor`, where `first` resumes its
+scan, and a slot whose cursor is at its end is skipped without a call.
 A pass starts from the empty state (nothing committed or forbidden),
 where every static candidate is admitted and reuses no committed edge,
 so pushing every face gives each face's first row of each pattern its
@@ -115,13 +119,17 @@ def _deviations(pos: np.ndarray, v, a, b) -> tuple[np.ndarray, np.ndarray]:
     equality on the corpus; if it fails on some BLAS, the fix is a
     per-triple `d.dot(d)` here, never a changed stream. In place, so that
     three (n, 3) arrays at most are alive: -0.5 * s + p_v rounds as
-    p_v - 0.5 * s does."""
+    p_v - 0.5 * s does. A sum p_a + p_b past the float64 range (both
+    coordinates above half of it) overflows quietly to an infinite
+    deviation, which no WGC admits; the codec's extent ceiling keeps
+    every other term finite."""
     edge, dev = pos[a], pos[a]
     edge -= pos[b]
-    dev += pos[b]
-    dev *= -0.5
-    dev += pos[v]
-    return np.sqrt(np.vecdot(dev, dev)), np.sqrt(np.vecdot(edge, edge))
+    with np.errstate(over="ignore"):
+        dev += pos[b]
+        dev *= -0.5
+        dev += pos[v]
+        return np.sqrt(np.vecdot(dev, dev)), np.sqrt(np.vecdot(edge, edge))
 
 
 def _isin(table: np.ndarray, keys: np.ndarray) -> np.ndarray:
@@ -141,6 +149,34 @@ def _distinct(*cols) -> np.ndarray:
     return ok
 
 
+def _split_triples(v: np.ndarray, code: np.ndarray, nv: int) -> tuple:
+    """The distinct split triples among pairs (odd vertex v < nv, code of
+    its parent edge), as (codes, which, odd, inverse): codes holds the
+    distinct codes ascending, triple t is odd vertex odd[t] on the edge
+    codes[which[t]], and pair i is triple inverse[i]. The triples are
+    told apart by one key per pair, the code's index in codes times nv
+    plus v, which stays below len(code) * nv and so is exact whatever the
+    codes are (they run to nv**2)."""
+    codes, key = np.unique(code, return_inverse=True)
+    del code
+    key *= nv
+    key += v
+    keys, inverse = np.unique(key, return_inverse=True)
+    which, odd = np.divmod(keys, nv)
+    return codes, which, odd, inverse
+
+
+def _row_order(face, fine, nf: int) -> np.ndarray:
+    """The order of one pattern's readings by face, then by their sorted
+    fine face ids, ties kept in matcher order: one stable sort per key,
+    least significant first."""
+    cols = np.sort(np.array(fine), axis=0)
+    order = np.arange(len(face))
+    for key in (*cols[:0:-1], face * nf + cols[0]):
+        order = order[np.argsort(key[order], kind="stable")]
+    return order
+
+
 class _PassTables:
     """Adjacency, geometry and static candidates of one pass's input mesh.
 
@@ -154,7 +190,8 @@ class _PassTables:
     by one `tolist()` each: corner[i][r] is coarse corner i, and coarse
     edge i, (corner i, corner i + 1), has code[i][r] and midpoint
     mid[i][r], -1 where the edge is kept; fine[j][r] is fine face j, -1
-    past the pattern's 4, 3 or 2; then rank, scale and score.
+    past the pattern's 4, 3 or 2; then rank, scale and score. Equal ids
+    and equal codes are one int object, however many rows hold them.
     Rows run by pattern (quadrisect, trisect, bisect: pref 0, 1, 2), face
     and sorted fine face ids, ties in matcher order, and
     bounds[pref][f]:bounds[pref][f + 1] are pattern pref's rows seeded at
@@ -163,18 +200,20 @@ class _PassTables:
     on an empty state, seq numbering them f-major as pushes would.
 
     Each matcher reads every face in every rotation (and diagonal bit) at
-    once, in (rotation, bit) blocks, and hands the readings that pass its
-    topology checks to `_admissible` for the odd-vertex rules."""
+    once, face-major, and returns the readings that pass its topology
+    checks. One admissibility pass over distinct split triples,
+    `_admissible`, then applies the odd-vertex rules to all three
+    patterns' readings at once."""
 
     def __init__(self, mesh: TriMesh, wgc: WgcConfig = WgcConfig()):
         self.mesh = mesh
         self.wgc = wgc
         self.faces: list[list[int]] = mesh.faces.tolist()
-        o, vertex = mesh.opposite, mesh.faces.ravel()
+        o, self._vertex = mesh.opposite, mesh.faces.ravel()
         lone = o < 0
         self.opp = np.where(lone, -1, o // 3)
         # the apex across half-edge o is the corner before o in its face
-        self.apex = np.where(lone, -1, vertex[o - o % 3 + (o + 2) % 3])
+        self.apex = np.where(lone, -1, self._vertex[o - o % 3 + (o + 2) % 3])
         rim = mesh.edges[np.bincount(mesh.edge_of) == 1]
         self.boundary = self._code(*rim.T)
         self.on_boundary = np.zeros(mesh.vertex_count, dtype=bool)
@@ -182,18 +221,13 @@ class _PassTables:
         self.valence = np.bincount(mesh.edges.ravel(),
                                    minlength=mesh.vertex_count)
         self._edges = self._code(*mesh.edges.T)
-        face, corners, odd, fine, scale, score = map(np.concatenate, zip(
-            self._quadrisects(), self._trisects(), self._bisects()))
-        pref = 3 - (odd >= 0).sum(axis=1)
-        # stable, so ties keep matcher order; the -1 padding sorts first
-        order = np.lexsort((*np.sort(fine, axis=1).T[::-1], face, pref))
-        face, corners, odd, fine, scale, score, pref = (
-            x[order] for x in (face, corners, odd, fine, scale, score, pref))
+        face, pref, corners, mid, fine, code, scale, score = \
+            self._admissible()
         # Irregular interior vertices must survive every valid tiling, so
         # a candidate keeping one as an even corner is almost certainly in
         # the globally consistent coset: such candidates are preferred seeds.
         irregular = (self.valence != 6) & ~self.on_boundary
-        rank = np.where(irregular[corners].any(axis=1), 0, 1)
+        rank = np.where(irregular[corners].any(axis=0), 0, 1)
         nf = mesh.face_count
         start = np.searchsorted(pref * nf + face, np.arange(3 * nf + 1))
         self.bounds = [start[p * nf:(p + 1) * nf + 1].tolist()
@@ -209,13 +243,22 @@ class _PassTables:
         ids = np.array([*range(max(mesh.vertex_count, nf)), -1],
                        dtype=object)
         self.corner, self.mid, self.fine = (
-            ids[x.T].tolist() for x in (corners, odd, fine))
-        self.code = self._code(corners, np.roll(corners, -1, 1)).T.tolist()
+            ids[x].tolist() for x in (corners, mid, fine))
+        self.code = code.tolist()
         self.rank, self.scale, self.score = (
             x.tolist() for x in (rank, scale, score))
 
     def _code(self, u, w):
         return np.minimum(u, w) * self.mesh.vertex_count + np.maximum(u, w)
+
+    def _away(self, h, w):
+        """The half-edge of h's face that leaves out w, an end of h."""
+        return h - h % 3 + (h + 1 + (self._vertex[h] != w)) % 3
+
+    # Each matcher returns its readings as (face, corners, odd, fine,
+    # kept): coarse corners (a, b, c); the midpoints of the split coarse
+    # edges, which lead, 3, 2 or 1 of them; the fine faces; and the fine
+    # edge ids of the kept coarse edges, which follow.
 
     def _quadrisects(self) -> tuple:
         f = np.arange(self.mesh.face_count)
@@ -223,91 +266,151 @@ class _PassTables:
         n12, n23, n31 = opp.T
         b, c, a = self.apex.reshape(-1, 3).T
         m1, m2, m3 = self.mesh.faces.T
-        ok = ((opp >= 0).all(axis=1) & _distinct(f, n12, n23, n31)
-              & _distinct(a, b, c, m1, m2, m3))
-        return self._admissible(f[ok], np.stack([a, b, c], 1)[ok],
-                                self.mesh.faces[ok],
-                                np.stack([n31, n12, n23, f], 1)[ok])
+        ok = np.flatnonzero((opp >= 0).all(axis=1)
+                            & _distinct(f, n12, n23, n31)
+                            & _distinct(a, b, c, m1, m2, m3))
+        f, a, b, c, m1, m2, m3, n12, n23, n31 = (
+            x[ok] for x in (f, a, b, c, m1, m2, m3, n12, n23, n31))
+        return f, (a, b, c), (m1, m2, m3), (n31, n12, n23, f), ()
 
     def _trisects(self) -> tuple:
         """Each face as the middle face of a trisected coarse triangle."""
-        faces, nf = self.mesh.faces, self.mesh.face_count
-        block, g = np.divmod(np.arange(6 * nf), nf)    # 2 * rotation + bit
-        e = 3 * g + (block // 2 + 2) % 3               # edge (mb, ma)
-        has = self.opp[e] >= 0
-        block, g, e = block[has], g[has], e[has]
-        ma, b, mb = (faces[g, (block // 2 + i) % 3] for i in range(3))
+        vertex, opposite = self._vertex, self.mesh.opposite
+        g, k = np.divmod(np.arange(len(vertex)), 3)    # face, rotation
+        e = 3 * g + (k + 2) % 3                        # edge (mb, ma)
+        has = np.flatnonzero(self.opp[e] >= 0)
+        g, k, e = g[has], k[has], e[has]
+        ma, b, mb = (vertex[3 * g + (k + i) % 3] for i in range(3))
         n3, y = self.opp[e], self.apex[e]
+        # Both diagonal bits of each rotation, as columns 0 and 1.
         # bit 0: n3 = (ma, mb, C), diagonal from ma, hinge (ma, y);
         # bit 1: n3 = (A, ma, mb), hinge (mb, y). A hinge is the edge
-        # of n3 that follows the vertex it leaves out.
-        one = block % 2 == 1
-        at = np.argmax(faces[n3] == np.where(one, ma, mb)[:, None], axis=1)
-        e = 3 * n3 + (at + 1) % 3
-        n1, z = self.opp[e], self.apex[e]
-        A, C = np.where(one, y, z), np.where(one, z, y)
-        ok = ((n1 >= 0) & (n1 != g) & _distinct(A, b, C, ma, mb)
-              & _isin(self._edges, self._code(C, A)))
-        g, A, b, C, ma, mb, n1, n3, one = (
-            x[ok] for x in (g, A, b, C, ma, mb, n1, n3, one))
-        return self._admissible(
-            g, np.stack([A, b, C], 1),
-            np.stack([ma, mb, np.full_like(g, -1)], 1),
-            np.stack([np.where(one, n3, n1), g, np.where(one, n1, n3)], 1))
+        # of n3 that leaves out mb (bit 0) or ma (bit 1); z is the apex
+        # across it, and {A, C} = {y, z}.
+        hinge = self._away(opposite[e][:, None], np.stack([mb, ma], axis=1))
+        n1, z = self.opp[hinge], self.apex[hinge]
+        ok = ((n1 >= 0) & (n1 != g[:, None])
+              & _distinct(y, b, ma, mb)[:, None])
+        for w in (y, b, ma, mb):
+            ok &= z != w[:, None]
+        ok = np.flatnonzero(ok)         # in (face, rotation, bit) order
+        one = ok % 2 == 1
+        hinge, n1, z = (x.ravel()[ok] for x in (hinge, n1, z))
+        g, ma, b, mb, n3, y = (x[ok // 2] for x in (g, ma, b, mb, n3, y))
+        # the kept coarse edge (C, A) is the edge of n1 that leaves out ma
+        # (bit 0) or mb (bit 1)
+        kept = self.mesh.edge_of[self._away(opposite[hinge],
+                                            np.where(one, mb, ma))]
+        return (g, (np.where(one, y, z), b, np.where(one, z, y)), (ma, mb),
+                (np.where(one, n3, n1), g, np.where(one, n1, n3)), (kept,))
 
     def _bisects(self) -> tuple:
-        faces, nf = self.mesh.faces, self.mesh.face_count
-        rot, f = np.divmod(np.arange(3 * nf), nf)
-        a, m, c = (faces[f, (rot + i) % 3] for i in range(3))
-        e = 3 * f + (rot + 1) % 3                  # edge (m, c)
+        vertex, edge_of = self._vertex, self.mesh.edge_of
+        f, k = np.divmod(np.arange(len(vertex)), 3)    # face, rotation
+        a, m, c = (vertex[3 * f + (k + i) % 3] for i in range(3))
+        e = 3 * f + (k + 1) % 3                        # edge (m, c)
         n, b = self.opp[e], self.apex[e]
-        ok = (n >= 0) & _distinct(a, b, c, m)
-        f, a, b, c, m, n = (x[ok] for x in (f, a, b, c, m, n))
-        kept = np.full_like(f, -1)
-        return self._admissible(f, np.stack([a, b, c], 1),
-                                np.stack([m, kept, kept], 1),
-                                np.stack([f, n], 1))
+        ok = np.flatnonzero((n >= 0) & _distinct(a, b, c, m))
+        f, k, a, b, c, m, n, e = (x[ok] for x in (f, k, a, b, c, m, n, e))
+        # the kept coarse edges: (b, c), the edge of n that leaves out m,
+        # and (c, a)
+        kept = (edge_of[self._away(self.mesh.opposite[e], m)],
+                edge_of[3 * f + (k + 2) % 3])
+        return f, (a, b, c), (m,), (f, n), kept
 
-    def _admissible(self, face, corners, odd, fine) -> tuple:
-        """The readings whose odd vertices may all split their coarse
-        edges, as (face, corners, odd, fine, scale, score), fine
-        padded with -1 to 4 columns. The split edges lead: 3, 2 or 1 of
-        them for a quadrisect, trisect or bisect."""
-        splits = fine.shape[1] - 1
-        v = odd[:, :splits]
-        a, b = corners[:, :splits], corners[:, [1, 2, 0][:splits]]
+    def _admissible(self) -> tuple:
+        """The static candidates: the readings of all three matchers whose
+        odd vertices may all split their coarse edges, as row columns
+        (face, pref, corners, mid, fine, code, scale, score) in row order.
+
+        Split j of a reading puts odd j on the coarse edge (corner j,
+        corner j + 1). The rules read only its split triple (odd vertex,
+        parent edge), so they run once per distinct triple, over the
+        triples of every reading at once, and each reading gathers its
+        triples' results. Each pattern's readings are dropped as soon as
+        its rows are copied out."""
+        nv, nf = self.mesh.vertex_count, self.mesh.face_count
+        readings = [self._quadrisects(), self._trisects(), self._bisects()]
+        codes, which, v, inverse = _split_triples(
+            np.concatenate([x for r in readings for x in r[2]]),
+            np.concatenate([self._code(c[j], c[(j + 1) % 3])
+                            for _, c, odd, _, _ in readings
+                            for j in range(len(odd))]), nv)
+        a, b = (x[which] for x in np.divmod(codes, nv))
         # a boundary vertex may only collapse along the boundary; an
         # interior midpoint vertex has at most 6 star faces (<= 3 per side
         # of its parent edge), so higher valence rules odd out; a split
         # coarse edge must not also exist as a fine edge
-        along = (_isin(self.boundary, self._code(a, v))
-                 & _isin(self.boundary, self._code(v, b)))
-        keep = np.flatnonzero((np.where(self.on_boundary[v], along,
-                                        self.valence[v] <= 6)
-                               & ~_isin(self._edges, self._code(a, b))).all(1))
-        dev, length = (x.reshape(-1, splits) for x in _deviations(
-            self.mesh.vertices, v[keep].ravel(), a[keep].ravel(),
-            b[keep].ravel()))
+        rim = self.on_boundary[v]
+        ok = ((rim | (self.valence[v] <= 6))
+              & ~_isin(self._edges, codes)[which])
+        t = np.flatnonzero(rim)
+        ok[t] &= (_isin(self.boundary, self._code(a[t], v[t]))
+                  & _isin(self.boundary, self._code(v[t], b[t])))
+        t = np.flatnonzero(ok)
+        dev, length = _deviations(self.mesh.vertices, v[t], a[t], b[t])
         if self.wgc.enabled:
-            ok = ~(dev > self.wgc.gamma * length).any(axis=1)
-            keep, dev, length = keep[ok], dev[ok], length[ok]
-        # scale: mean parent-edge length, comparable across patterns (a
-        # coarse-face perimeter would make bisects look finer than
-        # quadrisects); score: worst deviation relative to the parent edge
-        # length, so true subdivision structure scores low. Both run over
-        # the split edges in order, as a scalar sum and max would.
-        total, worst = 0.0, np.zeros(len(keep))
+            ok[t] = ~(dev > self.wgc.gamma * length)
+        lengths, ratios = np.zeros(len(v)), np.zeros(len(v))
+        lengths[t] = length
         with np.errstate(divide="ignore", invalid="ignore"):
-            ratio = dev / length
-        for j in range(splits):
-            total = total + length[:, j]
-            worst = np.where(length[:, j] > 0.0,
-                             np.where(ratio[:, j] > worst, ratio[:, j], worst),
-                             np.inf)
-        fine = np.pad(fine[keep], ((0, 0), (0, 3 - splits)),
-                      constant_values=-1)
-        return (face[keep], corners[keep], odd[keep], fine, total / splits,
-                worst)
+            ratios[t] = dev / length
+
+        keeps, split_codes, scale, score = [], [], [], []
+        at = 0
+        for face, _, odd, fine, _ in readings:
+            splits, n = len(odd), len(face)
+            tri = inverse[at:at + splits * n].reshape(splits, n)
+            at += splits * n
+            keep = np.flatnonzero(ok[tri].all(axis=0))
+            keep = keep[_row_order(face[keep], [x[keep] for x in fine], nf)]
+            tri = tri[:, keep]
+            # scale: mean parent-edge length, comparable across patterns
+            # (a coarse-face perimeter would make bisects look finer than
+            # quadrisects); score: worst deviation relative to the parent
+            # edge length, so true subdivision structure scores low. Both
+            # run over the split edges in order, as a scalar sum and max
+            # would.
+            total, worst = 0.0, np.zeros(len(keep))
+            for j in tri:
+                total = total + lengths[j]
+                worst = np.where(lengths[j] > 0.0,
+                                 np.where(ratios[j] > worst, ratios[j], worst),
+                                 np.inf)
+            keeps.append(keep)
+            split_codes.append(which[tri])
+            scale.append(total / splits)
+            score.append(worst)
+        # the per-triple arrays go before the row columns are allocated,
+        # which lowers the build's peak at scale
+        del inverse, which, v, a, b, rim, ok, t, dev, length, lengths, ratios
+
+        sizes = [len(keep) for keep in keeps]
+        face = np.empty(sum(sizes), dtype=np.int64)
+        corners, code = (np.empty((3, len(face)), dtype=np.int64)
+                         for _ in range(2))
+        mid, fine = np.full((3, len(face)), -1), np.full((4, len(face)), -1)
+        lo = 0
+        for p, keep in enumerate(keeps):
+            rows = slice(lo, lo + len(keep))
+            lo += len(keep)
+            f, *cols, kept = readings[p]
+            readings[p] = None
+            face[rows] = f[keep]
+            for out, col in zip((corners, mid, fine), cols):
+                for i, x in enumerate(col):
+                    out[i, rows] = x[keep]
+            # the kept coarse edges, which are fine edges, follow the split
+            # ones; their codes index the pool past the distinct codes
+            splits = len(split_codes[p])
+            code[:splits, rows] = split_codes[p]
+            for i, x in enumerate(kept, splits):
+                code[i, rows] = len(codes) + x[keep]
+        # one int object per code: the split edges' codes and the kept
+        # edges' never meet (a split coarse edge is not a fine edge)
+        pool = np.concatenate([codes, self._edges]).astype(object)
+        return (face, np.repeat(np.arange(3), sizes), corners, mid, fine,
+                pool[code], np.concatenate(scale), np.concatenate(score))
 
     def corners(self, r: int) -> tuple[int, int, int]:
         a, b, c = self.corner

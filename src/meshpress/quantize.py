@@ -16,12 +16,13 @@ those in the reference arithmetic.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.spatial import cKDTree
 
-from .mesh import TriMesh, bounding_box
+from .mesh import MeshError, TriMesh, bounding_box
 
 __all__ = ["QuantGrid", "make_grid", "batch_precision", "assign_precision",
            "MIN_PRECISION", "DEFAULT_THRESHOLD"]
@@ -60,9 +61,12 @@ class QuantGrid:
 def make_grid(mesh: TriMesh, q_max: int = 12) -> QuantGrid:
     """Isotropic grid over the mesh bounding box (longest axis rules)."""
     box = bounding_box(mesh)
-    extent = float(box.extent.max())
+    with np.errstate(over="ignore"):
+        extent = float(box.extent.max())
     if extent <= 0.0:
-        raise ValueError("zero-extent mesh (all vertices coincident)")
+        raise MeshError("zero-extent mesh (all vertices coincident)")
+    if extent == math.inf:
+        raise MeshError("mesh extent overflows a float64")
     scale = ((1 << q_max) - 1) / extent
     origin = box.min_corner.copy()
     origin.setflags(write=False)

@@ -3,6 +3,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from meshpress import codec, shapes
 from meshpress.codec import (EncodeConfig, ProgressiveStream,
@@ -283,6 +285,52 @@ def test_encode_rejects_non_finite_grid_scale():
         tiny = TriMesh(mesh.vertices * 1e-300, mesh.faces)
         stream, _ = encode(tiny)
         assert_lossless(tiny, stream)
+
+
+@pytest.mark.parametrize("place", [
+    lambda v: np.zeros_like(v) + [1.5, -2.0, 3.0],     # one point
+    lambda v: v * 1e-300 + 1e300,                      # extent lost to offset
+], ids=["coincident", "offset"])
+def test_encode_rejects_zero_extent(place):
+    """A mesh whose vertices all sit at one point, exactly or after
+    rounding, is a MeshError like any other unusable geometry."""
+    mesh = shapes.icosphere(1)
+    with pytest.raises(MeshError, match="zero-extent"):
+        encode(TriMesh(place(mesh.vertices), mesh.faces))
+
+
+_FIXED_CONNECTIVITY = {"icosphere": shapes.icosphere(1),
+                       "cad": shapes.cad_solid(subdivisions=1)}
+_AXIS_SCALE = st.one_of(st.just(0.0),
+                        st.floats(-320, 308).map(lambda e: 10.0 ** e))
+_OFFSET = st.one_of(st.just(0.0),
+                    st.floats(allow_nan=False, allow_infinity=False))
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(st.sampled_from(sorted(_FIXED_CONNECTIVITY)),
+       st.tuples(_AXIS_SCALE, _AXIS_SCALE, _AXIS_SCALE),
+       st.tuples(_OFFSET, _OFFSET, _OFFSET), st.data())
+def test_any_coordinates_round_trip_or_raise_mesh_error(name, scale, offset,
+                                                        data):
+    """Fixed connectivity under any coordinates: each axis scaled by 0 (a
+    flattened axis) or 1e-320 to 1e308 and offset by any finite float,
+    with any set of vertices moved onto vertex 0. The mesh either
+    round-trips losslessly on the q_max grid or raises MeshError, and
+    nothing warns on the way."""
+    base = _FIXED_CONNECTIVITY[name]
+    with np.errstate(over="ignore"):
+        vertices = base.vertices * scale + offset
+    vertices[data.draw(st.lists(st.integers(0, base.vertex_count - 1)))] = \
+        vertices[0]
+    mesh = TriMesh(vertices, base.faces)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            stream, _ = encode(mesh)
+        except MeshError:
+            return
+        assert_lossless(mesh, stream)
 
 
 @pytest.mark.parametrize("adaptive", [True, False], ids=["adaptive", "fixed"])

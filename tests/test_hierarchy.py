@@ -625,6 +625,101 @@ def test_vecdot_matches_scalar_norm(monkeypatch):
     assert not wrong, f"{len(wrong)} of {count}: " + "; ".join(wrong[:5])
 
 
+def reference_admissible(t, reading):
+    """One pattern's readings through the odd-vertex rules as they ran
+    per pattern, every split edge of every reading checked where it
+    stands. Returns (face, corners, odd, fine, scale, score) of the
+    readings that pass: corners and odd as (n, 3), odd -1 past the split
+    edges, and fine padded with -1 to 4 columns."""
+    face, corners, odd, fine, _ = reading
+    n, splits = len(face), len(odd)
+    corners = np.stack(corners, axis=1)
+    odd = np.stack([*odd, *[np.full(n, -1)] * (3 - splits)], axis=1)
+    fine = np.stack(fine, axis=1)
+    v = odd[:, :splits]
+    a, b = corners[:, :splits], corners[:, [1, 2, 0][:splits]]
+    along = (hierarchy._isin(t.boundary, t._code(a, v))
+             & hierarchy._isin(t.boundary, t._code(v, b)))
+    keep = np.flatnonzero((np.where(t.on_boundary[v], along,
+                                    t.valence[v] <= 6)
+                           & ~hierarchy._isin(t._edges, t._code(a, b))).all(1))
+    dev, length = (x.reshape(-1, splits) for x in hierarchy._deviations(
+        t.mesh.vertices, v[keep].ravel(), a[keep].ravel(), b[keep].ravel()))
+    if t.wgc.enabled:
+        ok = ~(dev > t.wgc.gamma * length).any(axis=1)
+        keep, dev, length = keep[ok], dev[ok], length[ok]
+    total, worst = 0.0, np.zeros(len(keep))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratio = dev / length
+    for j in range(splits):
+        total = total + length[:, j]
+        worst = np.where(length[:, j] > 0.0,
+                         np.where(ratio[:, j] > worst, ratio[:, j], worst),
+                         np.inf)
+    fine = np.pad(fine[keep], ((0, 0), (0, 3 - splits)), constant_values=-1)
+    return face[keep], corners[keep], odd[keep], fine, total / splits, worst
+
+
+def test_admissible_matches_per_pattern_reference():
+    """The one admissibility pass over distinct split triples keeps the
+    rows the per-pattern rules keep on the same readings, in the same
+    order: every column row for row, the floats by hex."""
+    meshes = [make() for make in PIN_MESHES.values()] + [
+        shapes.grid_patch(9, 9), shapes.bumpy_sphere(3)]
+    passes = 0
+    for mesh in meshes:
+        for wgc in (WgcConfig(), NO_WGC, TIGHT_WGC):
+            for fine_mesh in pass_meshes(mesh, wgc):
+                t = _PassTables(fine_mesh, wgc)
+                face, corners, odd, fine, scale, score = map(
+                    np.concatenate, zip(*(reference_admissible(t, r) for r in (
+                        t._quadrisects(), t._trisects(), t._bisects()))))
+                pref = 3 - (odd >= 0).sum(axis=1)
+                order = np.lexsort((*np.sort(fine, axis=1).T[::-1], face,
+                                    pref))
+                code = t._code(corners, np.roll(corners, -1, axis=1))
+                assert t.corner == corners[order].T.tolist()
+                assert t.mid == odd[order].T.tolist()
+                assert t.fine == fine[order].T.tolist()
+                assert t.code == code[order].T.tolist()
+                assert [x.hex() for x in t.scale] == \
+                    [x.hex() for x in scale[order].tolist()]
+                assert [x.hex() for x in t.score] == \
+                    [x.hex() for x in score[order].tolist()]
+                nf = fine_mesh.face_count
+                start = np.searchsorted(pref[order] * nf + face[order],
+                                        np.arange(3 * nf + 1))
+                assert t.bounds == [start[p * nf:(p + 1) * nf + 1].tolist()
+                                    for p in range(3)]
+                passes += len(order) > 0
+    assert passes > 50
+
+
+def test_split_triple_key_is_exact_near_the_vertex_ceiling():
+    """The distinct-triple key stays exact at the format's 2^24 vertices:
+    ids 2^16 apart, which a key (v * nv + lo) * nv + hi would fold
+    together once it wraps past 2^63, stay apart."""
+    nv = 1 << 24
+    ids = nv - 1 - np.array([0, 1, 2, 1 << 16, (1 << 16) + 1, 1 << 20])
+    v, a, b = np.random.default_rng(24).choice(ids, (3, 3000))
+    code = np.minimum(a, b) * nv + np.maximum(a, b)
+    pairs = list(zip(v.tolist(), code.tolist()))
+    codes, which, odd, inverse = hierarchy._split_triples(v, code, nv)
+    assert len(odd) == len(set(pairs)) > 100
+    assert codes.tolist() == sorted({c for _, c in pairs})
+    assert list(zip(odd[inverse].tolist(),
+                    codes[which[inverse]].tolist())) == pairs
+
+
+def test_equal_codes_share_one_object():
+    """Each coarse-edge code is one int object however many rows hold it:
+    split edges take the distinct triples' codes, kept edges the mesh's."""
+    for mesh in (shapes.cad_solid(subdivisions=2), shapes.random_convex(200),
+                 shapes.grid_patch(9, 9)):
+        codes = [k for col in _PassTables(mesh).code for k in col]
+        assert len({id(k) for k in codes}) <= len(set(codes))
+
+
 # -- retraction --------------------------------------------------------------
 
 
