@@ -15,14 +15,26 @@ arithmetic. `encode_symbol`, `decode_symbol`, `SignedIntCoder.encode`
 and `SignedIntCoder.decode` wrap the kernels; the halving of the counts
 stays in :meth:`AdaptiveModel.rescale` and the carry in
 :meth:`RangeEncoder._shift_low`. The signed kernels find the escape from
-the top of the cumulative counts, without a scan, and code k raw bits in
-one step when the k halvings of `range` left before it renormalises are
-exact (`range` a multiple of 2**k).
+the top of the cumulative counts, without a scan.
+
+A raw bit is a floor halving: with `r = range >> 1`, bit 0 keeps
+`[low, low + r)` and bit 1 takes `[low + r, low + range)`, MSB first, and
+the coder renormalises after each bit. The encoder codes k bits in one
+step when the k halvings left before it renormalises are exact (`range`
+a multiple of 2**k). The decoder reads a whole field in about two steps,
+from two facts. (a) The k = `range.bit_length() - 24` halvings before a
+renormalisation split `range = q * 2**k + s` into 2**k leaves of size q
+or q + 1, and which leaves get the + 1 depends on (k, s) alone
+(`_SPLIT`), so one division by q and one table lookup read k bits in any
+state. (b) If bits are left after such a step, its leaf size L is below
+2**24, and every renormalisation after it makes `range` `L << 8`: all
+later bits split by L, so they are one long division of the code and the
+next bytes by L.
 """
 
 from __future__ import annotations
 
-from itertools import repeat
+from itertools import accumulate, repeat
 
 __all__ = ["AdaptiveModel", "RangeEncoder", "RangeDecoder", "BACKEND_NAME",
            "SignedIntCoder"]
@@ -35,6 +47,26 @@ _TOP = 1 << 24
 _MASK32 = 0xFFFFFFFF
 _INCREMENT = 32             # count added per coded symbol
 _RESCALE_LIMIT = 1 << 14    # total past which all counts are halved
+
+
+def _split_table() -> list[list[bytes]]:
+    """`_SPLIT[k][s][v]` for k <= 8, s < 2**k and v <= 2**k: how many of
+    the first v leaves of k floor halvings of `q * 2**k + s` have size
+    q + 1 (the rest have size q), so leaf v is
+    `[v * q + c[v], (v + 1) * q + c[v + 1])` with `c = _SPLIT[k][s]`.
+    A halving gives `q * 2**(k-1) + (s >> 1)` to bit 0 and the rest,
+    `s - (s >> 1)`, to bit 1, so the + 1 flags of (k, s) are those of
+    (k - 1, s >> 1) followed by those of (k - 1, s - (s >> 1))."""
+    flags = [b"\x00", b"\x01"]    # k = 0, s = 0 and s = 1
+    table = [[bytes(2)]]
+    for k in range(1, 9):
+        flags = [flags[s >> 1] + flags[s - (s >> 1)]
+                 for s in range((1 << k) + 1)]
+        table.append([bytes(accumulate(f, initial=0)) for f in flags[:-1]])
+    return table
+
+
+_SPLIT = _split_table()
 
 
 class AdaptiveModel:
@@ -288,9 +320,18 @@ class SignedIntCoder:
         """Kernel: the next `count` signed integers. The steps of
         :meth:`RangeDecoder.decode_symbols`, inlined for the magnitude
         symbol and the sign, and the raw escape bits; the mirror of
-        :meth:`encode_many`. The escape's interval ends below `range`, so
-        `code < range` holds through its raw bits even on a corrupt
-        stream, and a group of k bits reads `code // s < 2**k` unclamped."""
+        :meth:`encode_many`. A raw field takes a step of facts (a) and (b)
+        of the module docstring: k bits as `v = code // q`, lowered by one
+        when `v * q + c[v] > code`, then, if bits are left, the n left as
+        `divmod` of `(code << n)` and the top bits of the next
+        `n // 8 + 1` bytes (zero past the end) by the leaf size L, which
+        leaves `range = L << (8 - n % 8)`. The escape's interval ends below
+        `range`, so `code < range` holds when the field starts, even on a
+        corrupt stream; the leaves of a step tile `[0, range)` and a
+        renormalisation maps `code < range` to `code < range << 8`, so it
+        holds through the field. Every quotient therefore fits its bits
+        unclamped: `code // q <= 2**k` (`c` has 2**k + 1 entries) and
+        `(code << n | top bits) // L < 2**n`."""
         data, pos, rng, code = dec._data, dec._pos, dec._range, dec._code
         end = len(data)
         mag_model, sign_model = self.magnitude, self.sign
@@ -336,26 +377,31 @@ class SignedIntCoder:
                     k = rng.bit_length() - 24   # halvings before renormalising
                     if k > left:
                         k = left
-                    if rng & ((1 << k) - 1):    # not exact: one bit
-                        left -= 1
-                        r = rng >> 1
-                        mag <<= 1
-                        if code >= r:
-                            code -= r
-                            r = rng - r
-                            mag |= 1
-                        rng = r
-                    else:
-                        left -= k
-                        rng >>= k
-                        v = code // rng
-                        code -= v * rng
-                        mag = (mag << k) | v
-                    while rng < _TOP:
-                        rng <<= 8
-                        code = (((code << 8)
-                                 | (data[pos] if pos < end else 0)) & _MASK32)
-                        pos += 1
+                    q = rng >> k                # leaves of size q or q + 1
+                    cum = _SPLIT[k][rng & ((1 << k) - 1)]
+                    v = code // q
+                    if v * q + cum[v] > code:
+                        v -= 1
+                    code -= v * q + cum[v]
+                    rng = q + cum[v + 1] - cum[v]
+                    mag = (mag << k) | v
+                    left -= k
+                    if left and rng < _TOP:     # the rest: one division
+                        m, t = (left >> 3) + 1, 8 - (left & 7)
+                        block = data[pos:pos + m]   # zero past the end
+                        b = (int.from_bytes(block, "big")
+                             << 8 * (m - len(block)))
+                        v, code = divmod((code << left) | (b >> t), rng)
+                        mag = (mag << left) | v
+                        code = (code << t) | (b & ((1 << t) - 1))
+                        rng <<= t
+                        pos += m
+                        left = 0
+                while rng < _TOP:
+                    rng <<= 8
+                    code = (((code << 8)
+                             | (data[pos] if pos < end else 0)) & _MASK32)
+                    pos += 1
             if not mag:
                 append(0)
                 continue

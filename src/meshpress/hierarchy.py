@@ -498,6 +498,9 @@ def _matcher(st: _PassState):
     return first
 
 
+_SEED_BLOCK = 4096      # columns of `_PassTables.seed` listed at a time
+
+
 def _grow(st: _PassState, seed_faces=None) -> None:
     """Best-first region growing, one pattern at a time.
 
@@ -558,21 +561,24 @@ def _grow(st: _PassState, seed_faces=None) -> None:
             heapq.heappush(heap, (*key, seq, f, pref))
             seq += 1
 
-    seeds: list[tuple] = []
+    seeds = iter(())
     if seed_faces is None:
-        seeds = [(1, rank[r], float(p), scale[r], score[r], s, f, p)
-                 for s, f, p, r in zip(*t.seed.tolist())]
-        seq = len(seeds)
+        # each seed's entry is built when the merge reaches it
+        seeds = ((1, rank[r], float(p), scale[r], score[r], s, f, p)
+                 for lo in range(0, t.seed.shape[1], _SEED_BLOCK)
+                 for s, f, p, r in zip(*t.seed[:, lo:lo + _SEED_BLOCK]
+                                       .tolist()))
+        seq = t.seed.shape[1]
     else:
         for f in seed_faces:
             push(f, 1)
-    i, n = 0, len(seeds)
-    while i < n or heap:
+    seed = next(seeds, None)
+    while seed is not None or heap:
         # the seeds are sorted, so the least entry is the next seed or
         # the heap's top (keys are unique through seq)
-        if i < n and (not heap or seeds[i] < heap[0]):
-            entry = seeds[i]
-            i += 1
+        if seed is not None and (not heap or seed < heap[0]):
+            entry = seed
+            seed = next(seeds, None)
         else:
             entry = heapq.heappop(heap)
         f, pref = entry[-2], entry[-1]

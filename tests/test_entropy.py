@@ -8,8 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from meshpress.entropy import (BACKEND_NAME, AdaptiveModel, RangeDecoder,
-                               RangeEncoder, SignedIntCoder)
+from meshpress.entropy import (_SPLIT, BACKEND_NAME, AdaptiveModel,
+                               RangeDecoder, RangeEncoder, SignedIntCoder)
 
 
 def roundtrip(symbols, alphabet):
@@ -358,6 +358,80 @@ def test_decode_many_matches_reference_on_any_bytes(raw_bits):
             assert got == want
             assert _state(dec, coder.magnitude, coder.sign) == want_state
     assert reserved                         # the reserved symbol 17 is read
+
+
+def test_split_table_matches_floor_halving():
+    """Leaf v of k raw bits is `[v * q + c[v], (v + 1) * q + c[v + 1])`
+    with `c = _SPLIT[k][s]`: the interval k bit-by-bit floor halvings of
+    `q * 2**k + s` give the bits of v, MSB first, as `_Reference.raw`
+    takes them."""
+    for k in range(1, 9):
+        assert len(_SPLIT[k]) == 1 << k
+        for s in range(1 << k):
+            c = _SPLIT[k][s]
+            assert len(c) == (1 << k) + 1
+            for q in (1 << 23, (1 << 23) + 1, (1 << 24) - 1):
+                leaves = [(0, q << k | s)]      # (low, range), v order
+                for _ in range(k):
+                    leaves = [half for low, rng in leaves for half in (
+                        (low, rng >> 1), (low + (rng >> 1), rng - (rng >> 1)))]
+                assert leaves == [(v * q + c[v], q + c[v + 1] - c[v])
+                                  for v in range(1 << k)]
+
+
+@pytest.mark.parametrize("raw_bits", (14, 20, 32))
+def test_raw_field_across_chunk_end(raw_bits):
+    """A stream of escapes cut at every byte: each raw field whose bulk
+    read runs past the end reads zero bytes there, value for value and
+    state for state with `_Reference`."""
+    rng = np.random.default_rng(raw_bits)
+    top = (1 << raw_bits) - 1
+    values = (rng.integers(16, top, size=24, endpoint=True)
+              * rng.choice([-1, 1], size=24)).tolist()
+    enc = RangeEncoder()
+    SignedIntCoder(raw_bits).encode_many(enc, values)
+    data = enc.finish()
+    n = len(values) + 4
+    for cut in range(len(data) + 1):
+        ref, coder = _Reference(data[:cut]), SignedIntCoder(raw_bits)
+        want = [ref.signed(coder) for _ in range(n)]
+        want_state = _state(ref, coder.magnitude, coder.sign)
+        dec, coder = RangeDecoder(data[:cut]), SignedIntCoder(raw_bits)
+        assert coder.decode_many(dec, n) == want
+        assert _state(dec, coder.magnitude, coder.sign) == want_state
+    assert want[:len(values)] == values     # the last cut: whole stream
+
+
+def test_raw_field_after_a_leaf_of_full_range():
+    """A raw step can leave `range` at exactly 2**24 (q = 2**24 - 1 and a
+    + 1 leaf); then nothing renormalises, and the field takes another
+    table step before its long division. Streams reach that about once
+    in 2**24 escapes, so the state is set by hand: the escape leaves
+    `range = 2**25 - 1`, one halving into leaves q and q + 1. A long
+    division by 2**24 right away would read the same bits but end the
+    field at `range = 2**32` when the bits left are a multiple of 8,
+    which a sign model total of 34 carries into the state."""
+    r, f = 31 * 601, 1801                   # r * f == 2**25 - 1
+    q = (1 << 24) - 1
+    data = bytes(range(7, 250, 13))
+    for raw_bits in (9, 14, 17, 32):        # 8 or 16 bits after the first
+        for code in (0, q - 1, q, q + 1, q + 12345, 2 * q):
+            got = []
+            for dec in (_Reference(data), RangeDecoder(data)):
+                coder = SignedIntCoder(raw_bits)
+                coder.magnitude.freq[16] = f
+                coder.magnitude.total = 16 + f + 1
+                coder.sign.freq, coder.sign.total = [33, 1], 34
+                dec._range = r * coder.magnitude.total
+                dec._code = 16 * r + code   # `code` into the escape
+                values = ([dec.signed(coder) for _ in range(3)]
+                          if isinstance(dec, _Reference)
+                          else coder.decode_many(dec, 3))
+                got.append((values,
+                            _state(dec, coder.magnitude, coder.sign)))
+            assert got[0] == got[1]
+            mag = abs(got[0][0][0])         # its first bit: the leaf
+            assert mag >> (raw_bits - 1) == (code >= q)
 
 
 @pytest.mark.parametrize("raw_bits", _RAW_WIDTHS)
