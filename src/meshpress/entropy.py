@@ -11,25 +11,24 @@ and signed integers (:meth:`SignedIntCoder.encode_many` and
 sign inlined; raw bits are coded nowhere else). Each holds the coder
 state and the models' counts in locals, because in pure Python the
 attribute accesses and calls of a per-symbol coder cost more than the
-arithmetic. `encode_symbol`, `decode_symbol`, `SignedIntCoder.encode`
-and `SignedIntCoder.decode` wrap the kernels; the halving of the counts
-stays in :meth:`AdaptiveModel.rescale` and the carry in
+arithmetic. The halving of the counts stays in
+:meth:`AdaptiveModel.rescale` and the carry in
 :meth:`RangeEncoder._shift_low`. The signed kernels find the escape from
 the top of the cumulative counts, without a scan.
 
 A raw bit is a floor halving: with `r = range >> 1`, bit 0 keeps
 `[low, low + r)` and bit 1 takes `[low + r, low + range)`, MSB first, and
-the coder renormalises after each bit. The encoder codes k bits in one
-step when the k halvings left before it renormalises are exact (`range`
-a multiple of 2**k). The decoder reads a whole field in about two steps,
-from two facts. (a) The k = `range.bit_length() - 24` halvings before a
-renormalisation split `range = q * 2**k + s` into 2**k leaves of size q
-or q + 1, and which leaves get the + 1 depends on (k, s) alone
-(`_SPLIT`), so one division by q and one table lookup read k bits in any
-state. (b) If bits are left after such a step, its leaf size L is below
-2**24, and every renormalisation after it makes `range` `L << 8`: all
-later bits split by L, so they are one long division of the code and the
-next bytes by L.
+the coder renormalises after each bit. Both directions take a raw field
+a step at a time by fact (a): the k = `range.bit_length() - 24`
+halvings before a renormalisation (fewer if fewer bits are left) split
+`range = q * 2**k + s` into 2**k leaves of size q or q + 1, and which
+leaves get the + 1 depends on (k, s) alone (`_SPLIT`), so leaf v of the
+next k bits is `[v * q + c[v], (v + 1) * q + c[v + 1])` in any state.
+The encoder adds the leaf's start to `low`; the decoder finds v with one
+division by q. The decoder alone uses fact (b): if bits are left after
+such a step, its leaf size L is below 2**24, and every renormalisation
+after it makes `range` `L << 8`: all later bits split by L, so they are
+one long division of the code and the next bytes by L.
 """
 
 from __future__ import annotations
@@ -81,12 +80,6 @@ class AdaptiveModel:
         self.n = alphabet_size
         self.freq = [1] * alphabet_size
         self.total = alphabet_size
-
-    def update(self, sym: int) -> None:
-        self.freq[sym] += _INCREMENT
-        self.total += _INCREMENT
-        if self.total > _RESCALE_LIMIT:
-            self.rescale()
 
     def rescale(self) -> int:
         """Halve every count in place (rounding up); returns the new
@@ -148,9 +141,6 @@ class RangeEncoder:
         self._low, self._range = low, rng
         model.total = total
 
-    def encode_symbol(self, model: AdaptiveModel, sym: int) -> None:
-        self.encode_symbols(model, (sym,))
-
     def finish(self) -> bytes:
         # Any code point in [low, low + range) decodes to the same symbol
         # sequence, and the decoder zero-pads past the end of the stream;
@@ -176,16 +166,10 @@ class RangeDecoder:
 
     def __init__(self, data: bytes):
         self._data = data
-        self._pos = 0
+        self._pos = 5
         self._range = _MASK32
-        self._code = 0
-        for _ in range(5):
-            self._code = ((self._code << 8) | self._next_byte()) & _MASK32
-
-    def _next_byte(self) -> int:
-        p = self._pos
-        self._pos = p + 1
-        return self._data[p] if p < len(self._data) else 0
+        self._code = int.from_bytes(data[:5].ljust(5, b"\x00"),
+                                    "big") & _MASK32
 
     def decode_symbols(self, model: AdaptiveModel, count: int) -> list[int]:
         """Kernel: the next `count` symbols of one adaptive model."""
@@ -219,9 +203,6 @@ class RangeDecoder:
         self._pos, self._range, self._code = pos, rng, code
         model.total = total
         return out
-
-    def decode_symbol(self, model: AdaptiveModel) -> int:
-        return self.decode_symbols(model, 1)[0]
 
 
 class SignedIntCoder:
@@ -281,17 +262,12 @@ class SignedIntCoder:
                     k = rng.bit_length() - 24   # halvings before renormalising
                     if k > left:
                         k = left
-                    if rng & ((1 << k) - 1):    # not exact: one bit
-                        left -= 1
-                        r = rng >> 1
-                        if (mag >> left) & 1:
-                            low += r
-                            r = rng - r
-                        rng = r
-                    else:
-                        left -= k
-                        rng >>= k
-                        low += ((mag >> left) & ((1 << k) - 1)) * rng
+                    left -= k
+                    q = rng >> k                # leaves of size q or q + 1
+                    cum = _SPLIT[k][rng & ((1 << k) - 1)]
+                    v = (mag >> left) & ((1 << k) - 1)
+                    low += v * q + cum[v]
+                    rng = q + cum[v + 1] - cum[v]
                     while rng < _TOP:
                         rng <<= 8
                         low = enc._shift_low(low)
@@ -313,6 +289,7 @@ class SignedIntCoder:
         enc._low, enc._range = low, rng
         mag_model.total, sign_model.total = mtotal, stotal
 
+    # perfbench's `replay_completion` codes one value per call
     def encode(self, enc: RangeEncoder, value: int) -> None:
         self.encode_many(enc, (int(value),))
 
@@ -428,5 +405,6 @@ class SignedIntCoder:
         mag_model.total, sign_model.total = mtotal, stotal
         return out
 
+    # perfbench's `replay_completion` codes one value per call
     def decode(self, dec: RangeDecoder) -> int:
         return self.decode_many(dec, 1)[0]

@@ -168,13 +168,10 @@ def _split_triples(v: np.ndarray, code: np.ndarray, nv: int) -> tuple:
 
 def _row_order(face, fine, nf: int) -> np.ndarray:
     """The order of one pattern's readings by face, then by their sorted
-    fine face ids, ties kept in matcher order: one stable sort per key,
-    least significant first."""
+    fine face ids, ties kept in matcher order: one stable sort, face and
+    least fine id as its primary key."""
     cols = np.sort(np.array(fine), axis=0)
-    order = np.arange(len(face))
-    for key in (*cols[:0:-1], face * nf + cols[0]):
-        order = order[np.argsort(key[order], kind="stable")]
-    return order
+    return np.lexsort((*cols[:0:-1], face * nf + cols[0]))
 
 
 class _PassTables:
@@ -604,16 +601,14 @@ def _finalize_violations(st: _PassState) -> set[int]:
             for v in face if v in parent}
 
 
-def _retract(st: _PassState, bad: set[int]) -> tuple[_PassState, list[int]]:
+def _retract(st: _PassState, bad: set[int]) -> _PassState:
     """Drop every group that makes a vertex in `bad` odd and recommit the
-    survivors into a fresh state. Returns it and the freed faces."""
+    survivors into a fresh state, which it returns."""
     fresh = _PassState(st.tables, st.forbidden)
     for r in st.groups:
         if not any(v in bad for v in st.tables.odds(r)):
             fresh.commit(r)
-    freed = [f for f, (old, new) in enumerate(zip(st.grouped, fresh.grouped))
-             if old >= 0 and new < 0]
-    return fresh, freed
+    return fresh
 
 
 def _dissolve_conflicts(st: _PassState) -> None:
@@ -676,9 +671,9 @@ def simplify_once(mesh: TriMesh, wgc: WgcConfig | None = None) -> LevelRecord | 
             break
         prev = len(bad)
         forbidden |= bad
-        st, freed = _retract(st, bad)
-        stranded = [f for f, gid in enumerate(st.grouped) if gid < 0]
-        _grow(st, sorted(set(freed) | set(stranded)))
+        # regrow every ungrouped face, the ones the retraction freed too
+        st = _retract(st, bad)
+        _grow(st, [f for f, gid in enumerate(st.grouped) if gid < 0])
     if not st.parent:
         return None
 

@@ -175,9 +175,8 @@ from meshpress.entropy import AdaptiveModel, RangeEncoder
 rng = np.random.default_rng(20260823)
 enc = RangeEncoder()
 for a in (2, 5, 17, 256):
-    m = AdaptiveModel(a)
-    for s in rng.integers(0, a, size=25_000):
-        enc.encode_symbol(m, int(s))
+    syms = rng.integers(0, a, size=25_000).tolist()
+    enc.encode_symbols(AdaptiveModel(a), syms)
 import hashlib, sys
 sys.stdout.write(hashlib.sha256(enc.finish()).hexdigest())
 """

@@ -399,8 +399,7 @@ def _stream_over_base(faces, nv, level_count):
                       for f in faces for i in range(3)})
     for _ in range(level_count):
         enc = RangeEncoder()
-        for _ in range(edge_count):
-            enc.encode_symbol(m.split, 0)
+        enc.encode_symbols(m.split, [0] * edge_count)
         chunks += [enc.finish(), codec._encode_ints(m.detail, [])]
     chunks.append(codec._encode_ints(m.completion,
                                      np.zeros((nv, 3), dtype=int)))

@@ -14,24 +14,21 @@ from meshpress.entropy import (_SPLIT, BACKEND_NAME, AdaptiveModel,
 
 def roundtrip(symbols, alphabet):
     enc = RangeEncoder()
-    model = AdaptiveModel(alphabet)
-    for s in symbols:
-        enc.encode_symbol(model, s)
+    enc.encode_symbols(AdaptiveModel(alphabet), symbols)
     data = enc.finish()
     dec = RangeDecoder(data)
-    model = AdaptiveModel(alphabet)
-    return data, [dec.decode_symbol(model) for _ in symbols]
+    return data, dec.decode_symbols(AdaptiveModel(alphabet), len(symbols))
 
 
 # -- adaptive model --------------------------------------------------------
 
 
 def test_model_counts_stay_positive_through_rescale():
-    model = AdaptiveModel(4)
+    enc, model = RangeEncoder(), AdaptiveModel(4)
     rescales = 0
     for _ in range(2000):
         before = model.total
-        model.update(1)
+        enc.encode_symbols(model, [1])
         rescales += model.total < before
         assert all(f >= 1 for f in model.freq)
         assert model.total == sum(model.freq) <= 1 << 14
@@ -48,8 +45,6 @@ def test_symbol_out_of_alphabet_rejected():
     for syms in ([4], [0, 3, 4, 1], [2, -1]):
         with pytest.raises(ValueError):
             enc.encode_symbols(AdaptiveModel(4), syms)
-    with pytest.raises(ValueError):
-        enc.encode_symbol(AdaptiveModel(4), 4)
 
 
 # -- round trips -----------------------------------------------------------
@@ -95,11 +90,12 @@ def test_mixed_models_round_trip():
     enc = RangeEncoder()
     m2, m17 = AdaptiveModel(2), AdaptiveModel(17)
     for which, sym in plan:
-        enc.encode_symbol(m17 if which else m2, sym % (17 if which else 2))
+        enc.encode_symbols(m17 if which else m2, [sym % (17 if which else 2)])
     dec = RangeDecoder(enc.finish())
     m2, m17 = AdaptiveModel(2), AdaptiveModel(17)
     for which, sym in plan:
-        assert dec.decode_symbol(m17 if which else m2) == sym % (17 if which else 2)
+        assert dec.decode_symbols(m17 if which else m2, 1) == [
+            sym % (17 if which else 2)]
 
 
 @settings(max_examples=50, deadline=None)
@@ -154,10 +150,21 @@ _PAST_END = 40      # values decoded beyond the stream, from zero padding
 _MASK32 = 0xFFFFFFFF
 
 
+def _count(model, sym):
+    """The count rule of docs/format.md, applied without the code it
+    checks: +32 for the symbol coded, and every count halved (rounding
+    up) once the total passes 2**14."""
+    model.freq[sym] += 32
+    model.total += 32
+    if model.total > 1 << 14:
+        model.freq[:] = [(f + 1) >> 1 for f in model.freq]
+        model.total = sum(model.freq)
+
+
 class _Reference:
-    """Value-at-a-time decoding through attributes and `model.update`, as
-    the decoder ran before the batch kernels: their oracle, value for
-    value and state for state."""
+    """Value-at-a-time decoding through attributes, as the decoder ran
+    before the batch kernels, with the counts kept by `_count`: their
+    oracle, value for value and state for state."""
 
     def __init__(self, data):
         self.data, self._pos, self._range, self._code = data, 0, _MASK32, 0
@@ -185,7 +192,7 @@ class _Reference:
         self._code -= r * cum
         self._range = r * f
         self.renormalize()
-        model.update(sym)
+        _count(model, sym)
         return sym
 
     def raw(self, nbits):
@@ -211,9 +218,10 @@ class _Reference:
 
 
 class _ReferenceEncoder(RangeEncoder):
-    """Symbol-at-a-time encoding through attributes and `model.update`,
-    as the encoder ran before its batch kernels: their oracle, byte for
-    byte and count for count. The carry path and `finish` are shared."""
+    """Symbol-at-a-time encoding through attributes, raw bits one floor
+    halving at a time, as the encoder ran before its batch kernels, with
+    the counts kept by `_count`: their oracle, byte for byte and count
+    for count. The carry path and `finish` are shared."""
 
     def encode_symbol(self, model, sym):
         if not 0 <= sym < model.n:
@@ -224,7 +232,7 @@ class _ReferenceEncoder(RangeEncoder):
         while self._range < 1 << 24:
             self._range <<= 8
             self._low = self._shift_low(self._low)
-        model.update(sym)
+        _count(model, sym)
 
     def encode_raw(self, value, nbits):
         for i in range(nbits - 1, -1, -1):
@@ -311,9 +319,7 @@ def test_decode_symbols_matches_reference_in_any_split(monkeypatch,
     symbols = np.minimum(rng.geometric(0.3, size=4000) - 1,
                          alphabet - 1).tolist()
     enc = RangeEncoder()
-    model = AdaptiveModel(alphabet)
-    for sym in symbols:
-        enc.encode_symbol(model, sym)
+    enc.encode_symbols(AdaptiveModel(alphabet), symbols)
     data = enc.finish()
     rescales = _count_rescales(monkeypatch)
     n = len(symbols) + _PAST_END
@@ -434,6 +440,39 @@ def test_raw_field_after_a_leaf_of_full_range():
             assert mag >> (raw_bits - 1) == (code >= q)
 
 
+def test_encoder_raw_field_after_a_leaf_of_full_range():
+    """The encoder's side of the state above: the escape leaves
+    `range = 2**25 - 1`, whose first raw bit takes leaf q = 2**24 - 1
+    (bit 0) or the full-range leaf 2**24 (bit 1), after which nothing
+    renormalises and the field takes another split step. Set by hand, as
+    streams reach it about once in 2**24 escapes; bytes, coder state and
+    counts must equal `_ReferenceEncoder`'s, which halves bit by bit."""
+    r, f = 31 * 601, 1801                   # r * f == 2**25 - 1
+    for raw_bits in (9, 14, 17, 32):
+        rest = (1 << (raw_bits - 1)) - 1
+        for first in (0, 1):
+            mag = (first << (raw_bits - 1)) | (0x5A5A_5A5A & rest) | 16
+            values = [-mag, 7, rest]        # escape, direct, escape
+            for low in (0, 0xFEFF_FFFF):
+                got = []
+                for enc in (_ReferenceEncoder(), RangeEncoder()):
+                    coder = SignedIntCoder(raw_bits)
+                    coder.magnitude.freq[16] = f
+                    coder.magnitude.total = 16 + f + 1
+                    coder.sign.freq, coder.sign.total = [33, 1], 34
+                    enc._low, enc._range = low, r * coder.magnitude.total
+                    if isinstance(enc, _ReferenceEncoder):
+                        for v in values:
+                            enc.signed(coder, v)
+                    else:
+                        coder.encode_many(enc, values)
+                    got.append((bytes(enc._out), enc._low, enc._range,
+                                enc._cache, enc._cache_size,
+                                _counts(coder.magnitude, coder.sign),
+                                enc.finish()))
+                assert got[0] == got[1]
+
+
 @pytest.mark.parametrize("raw_bits", _RAW_WIDTHS)
 def test_encode_many_matches_reference_encoder(monkeypatch, raw_bits):
     values = _signed_values(raw_bits, 3000, raw_bits)
@@ -471,8 +510,9 @@ def test_encode_symbols_matches_reference_encoder(monkeypatch, alphabet):
 
 
 def test_per_symbol_and_batch_calls_interleave():
-    """One stream of signed values and symbols, read back with runs of
-    batch calls and per-value calls mixed on one decoder."""
+    """One stream of runs of signed values and symbols, one kernel call
+    per run, read back on one decoder in calls of 1-4 values, a single
+    signed value through the per-value `SignedIntCoder.decode`."""
     rng = np.random.default_rng(5)
     plan = []                   # (kind, value)
     for run in range(60):
@@ -484,24 +524,24 @@ def test_per_symbol_and_batch_calls_interleave():
                 plan.append((kind, int(rng.integers(0, 5))))
     enc = RangeEncoder()
     coder, model = SignedIntCoder(raw_bits=14), AdaptiveModel(5)
-    for kind, value in plan:
+    for kind, run in itertools.groupby(plan, key=lambda step: step[0]):
+        values = [value for _, value in run]
         if kind == "signed":
-            coder.encode(enc, value)
+            coder.encode_many(enc, values)
         else:
-            enc.encode_symbol(model, value)
+            enc.encode_symbols(model, values)
     dec = RangeDecoder(enc.finish())
     coder, model = SignedIntCoder(raw_bits=14), AdaptiveModel(5)
     got = []
     for kind, run in itertools.groupby(plan, key=lambda step: step[0]):
         left = len(list(run))
         while left:
-            n = min(left, int(rng.integers(1, 5)))  # 1: per-value call
+            n = min(left, int(rng.integers(1, 5)))
             if kind == "signed":
                 got += coder.decode_many(dec, n) if n > 1 else [
                     coder.decode(dec)]
             else:
-                got += dec.decode_symbols(model, n) if n > 1 else [
-                    dec.decode_symbol(model)]
+                got += dec.decode_symbols(model, n)
             left -= n
     assert got == [value for _, value in plan]
 
@@ -544,8 +584,7 @@ rng = np.random.default_rng(1234)
 enc = RangeEncoder()
 models = [AdaptiveModel(a) for a in (2, 5, 17, 256)]
 for a, m in zip((2, 5, 17, 256), models):
-    for s in rng.integers(0, a, size=2000):
-        enc.encode_symbol(m, int(s))
+    enc.encode_symbols(m, rng.integers(0, a, size=2000).tolist())
 print(hashlib.sha256(enc.finish()).hexdigest())
 """
 

@@ -536,6 +536,43 @@ def test_hierarchy_is_pinned():
     assert got == CONFIG_PINS
 
 
+def cascade_mesh(mesh, first, last):
+    """Midpoint refinement at mixed scales: every `first`-th edge, then
+    every edge, then every `last`-th. The coarser scale's groups cannot
+    coexist with the finer one, so the demotion fixpoint stalls and
+    `_dissolve_conflicts` has to give up deep regions."""
+    mesh = shapes.subdivide_midpoint(mesh, edges=mesh.edges[::first])
+    mesh = shapes.subdivide_midpoint(mesh)
+    return shapes.subdivide_midpoint(mesh, edges=mesh.edges[::last])
+
+
+# Hierarchy digests of meshes whose passes end in dissolve cascades, which
+# the pins above do not reach: the hull's three spread 38, 39 and 44
+# rounds of dissolved groups deep, the CAD mesh's four 7-8.
+CASCADE_PINS = {
+    "convex": "79f7c04135f8b91261b11c28b0d972845cfd66914bee2c3e513e65b1465ef9c9",
+    "cad": "0b644b1e66dadaf4adf18e03639b1745dd03fb40e0d3e3ca52a1a75f83900582",
+}
+
+
+def test_hierarchy_is_pinned_on_dissolve_cascades(monkeypatch):
+    meshes = {"convex": cascade_mesh(shapes.random_convex(100), 5, 2),
+              "cad": cascade_mesh(shapes.cad_solid(subdivisions=1), 2, 7)}
+    assert meshes["convex"].vertex_count == 1432
+    calls = Counter()
+
+    def counted(st, _dissolve=hierarchy._dissolve_conflicts):
+        calls[name] += 1
+        _dissolve(st)
+
+    monkeypatch.setattr(hierarchy, "_dissolve_conflicts", counted)
+    got = {}
+    for name, mesh in meshes.items():
+        got[name] = hierarchy_digest(build_hierarchy(mesh))
+    assert got == CASCADE_PINS
+    assert all(calls[name] for name in meshes), calls
+
+
 def pass_meshes(mesh, wgc=None):
     """The input mesh of every pass build_hierarchy runs, the last one
     (which finds nothing to remove) included."""
@@ -743,7 +780,10 @@ def test_retract_keeps_state_consistent(monkeypatch):
 
     def checked(st, bad, _retract=hierarchy._retract):
         before = list(st.groups)
-        fresh, freed = _retract(st, bad)
+        fresh = _retract(st, bad)
+        freed = [f for f, (old, new) in enumerate(zip(st.grouped,
+                                                      fresh.grouped))
+                 if old >= 0 and new < 0]
         kept, t = fresh.groups, st.tables
         assert not any(v in bad for r in kept for v in t.odds(r))
         assert kept == [r for r in before
@@ -760,7 +800,7 @@ def test_retract_keeps_state_consistent(monkeypatch):
         for gid, r in enumerate(kept):
             assert all(fresh.grouped[f] == gid for f in t.fine_ids(r))
         calls.append(len(bad))
-        return fresh, freed
+        return fresh
 
     monkeypatch.setattr(hierarchy, "_retract", checked)
     build_hierarchy(shapes.random_convex(200))
