@@ -16,6 +16,14 @@ arithmetic. The halving of the counts stays in
 :meth:`RangeEncoder._shift_low`. The signed kernels find the escape from
 the top of the cumulative counts, without a scan.
 
+A symbol decode reads `dv = code // r` with `r = range // total` and
+takes the symbol whose cumulative interval holds it; a `dv` at or past
+`total` (a corrupt stream) reads the last symbol. The decoder kernels
+take symbol 0, and the sign, by one multiply: `code < r * f0` equals
+`dv < f0` for every `code >= 0`, so only the other symbols divide, and
+their scan starts past symbol 0. Most values a codec stream carries are
+zeros, small magnitudes, signs and split flags.
+
 A raw bit is a floor halving: with `r = range >> 1`, bit 0 keeps
 `[low, low + r)` and bit 1 takes `[low + r, low + range)`, MSB first, and
 the coder renormalises after each bit. Both directions take a raw field
@@ -172,25 +180,36 @@ class RangeDecoder:
                                     "big") & _MASK32
 
     def decode_symbols(self, model: AdaptiveModel, count: int) -> list[int]:
-        """Kernel: the next `count` symbols of one adaptive model."""
+        """Kernel: the next `count` symbols of one adaptive model.
+        Symbol 0 is `code < (range // total) * f0`, without `code // r`;
+        past it, `dv >= total` reads the last symbol (symbol 0 of a
+        one-symbol alphabet), and any other `dv` scans from symbol 1."""
         data, pos, rng, code = self._data, self._pos, self._range, self._code
         end = len(data)
-        freq, total = model.freq, model.total
+        freq, total, last = model.freq, model.total, model.n - 1
         out = []
         append = out.append
         for _ in repeat(None, count):
             r = rng // total
-            dv = code // r
-            if dv >= total:
-                dv = total - 1
-            sym = cum = 0
             f = freq[0]
-            while cum + f <= dv:
-                cum += f
-                sym += 1
-                f = freq[sym]
-            code -= r * cum
             rng = r * f
+            if code < rng:              # symbol 0: cum 0, no division
+                sym = 0
+            else:
+                dv = code // r
+                if dv < total:          # scan past symbol 0
+                    sym, cum = 1, f
+                    f = freq[1]
+                    while cum + f <= dv:
+                        cum += f
+                        sym += 1
+                        f = freq[sym]
+                else:                   # corrupt: the last symbol
+                    sym = last
+                    f = freq[last]
+                    cum = total - f
+                code -= r * cum
+                rng = r * f
             while rng < _TOP:
                 rng <<= 8
                 code = ((code << 8) | (data[pos] if pos < end else 0)) & _MASK32
@@ -297,45 +316,67 @@ class SignedIntCoder:
         """Kernel: the next `count` signed integers. The steps of
         :meth:`RangeDecoder.decode_symbols`, inlined for the magnitude
         symbol and the sign, and the raw escape bits; the mirror of
-        :meth:`encode_many`. A raw field takes a step of facts (a) and (b)
-        of the module docstring: k bits as `v = code // q`, lowered by one
-        when `v * q + c[v] > code`, then, if bits are left, the n left as
+        :meth:`encode_many`. Magnitude 0 and sign 0 are
+        `code < (range // total) * f0`, without `code // r`. A `code // r`
+        at or past the escape's cumulative count (a running local: + 32
+        after each symbol below the escape, recomputed at a rescale) is
+        the escape, or the reserved 17 above it; any other scans from
+        magnitude 1. A raw field takes a step of facts (a) and (b) of the
+        module docstring: k bits as `v = code // q`, lowered by one when
+        `v * q + c[v] > code`, then, if bits are left, the n left as
         `divmod` of `(code << n)` and the top bits of the next
         `n // 8 + 1` bytes (zero past the end) by the leaf size L, which
-        leaves `range = L << (8 - n % 8)`. The escape's interval ends below
-        `range`, so `code < range` holds when the field starts, even on a
-        corrupt stream; the leaves of a step tile `[0, range)` and a
-        renormalisation maps `code < range` to `code < range << 8`, so it
-        holds through the field. Every quotient therefore fits its bits
-        unclamped: `code // q <= 2**k` (`c` has 2**k + 1 entries) and
-        `(code << n | top bits) // L < 2**n`."""
+        leaves `range = L << (8 - n % 8) >= 2**24`: the field ends there
+        without a renormalisation (an (a)-only field ends with one). The
+        escape's interval ends below `range`, so `code < range` holds when
+        the field starts, even on a corrupt stream; the leaves of a step
+        tile `[0, range)` and a renormalisation maps `code < range` to
+        `code < range << 8`, so it holds through the field. Every quotient
+        therefore fits its bits unclamped: `code // q <= 2**k` (`c` has
+        2**k + 1 entries) and `(code << n | top bits) // L < 2**n`."""
         data, pos, rng, code = dec._data, dec._pos, dec._range, dec._code
         end = len(data)
         mag_model, sign_model = self.magnitude, self.sign
         mfreq, mtotal = mag_model.freq, mag_model.total
         sfreq, stotal = sign_model.freq, sign_model.total
         escape, raw_bits = self.ESCAPE, self.raw_bits
-        tail = mfreq[escape] + mfreq[escape + 1]
+        start = mtotal - mfreq[escape] - mfreq[escape + 1]  # the escape's cum
         out = []
         append = out.append
         for _ in repeat(None, count):
             r = rng // mtotal
+            f = mfreq[0]
+            rng = r * f
+            if code < rng:              # magnitude 0: no division, no sign
+                while rng < _TOP:
+                    rng <<= 8
+                    code = (((code << 8)
+                             | (data[pos] if pos < end else 0)) & _MASK32)
+                    pos += 1
+                mfreq[0] = f + _INCREMENT
+                mtotal += _INCREMENT
+                start += _INCREMENT
+                if mtotal > _RESCALE_LIMIT:
+                    mtotal = mag_model.rescale()
+                    start = mtotal - mfreq[escape] - mfreq[escape + 1]
+                append(0)
+                continue
             dv = code // r
-            if dv >= mtotal - tail:     # the escape, found without a scan
-                cum = mtotal - tail
-                tail += _INCREMENT
+            if dv >= start:             # the escape, found without a scan
+                cum = start
                 mag, f = escape, mfreq[escape]
                 if dv >= cum + f:       # reserved 17 or dv >= mtotal: corrupt
                     cum += f
                     mag += 1
                     f = mfreq[mag]
-            else:
-                mag = cum = 0
-                f = mfreq[0]
+            else:                       # scan past magnitude 0
+                mag, cum = 1, f
+                f = mfreq[1]
                 while cum + f <= dv:
                     cum += f
                     mag += 1
                     f = mfreq[mag]
+                start += _INCREMENT
             code -= r * cum
             rng = r * f
             while rng < _TOP:
@@ -346,7 +387,7 @@ class SignedIntCoder:
             mtotal += _INCREMENT
             if mtotal > _RESCALE_LIMIT:
                 mtotal = mag_model.rescale()
-                tail = mfreq[escape] + mfreq[escape + 1]
+                start = mtotal - mfreq[escape] - mfreq[escape + 1]
             if mag == escape:
                 mag = 0
                 left = raw_bits
@@ -373,23 +414,24 @@ class SignedIntCoder:
                         code = (code << t) | (b & ((1 << t) - 1))
                         rng <<= t
                         pos += m
-                        left = 0
-                while rng < _TOP:
-                    rng <<= 8
-                    code = (((code << 8)
-                             | (data[pos] if pos < end else 0)) & _MASK32)
-                    pos += 1
-            if not mag:
-                append(0)
-                continue
+                        break           # L << t >= 2**24: no renormalising
+                else:
+                    while rng < _TOP:
+                        rng <<= 8
+                        code = (((code << 8)
+                                 | (data[pos] if pos < end else 0)) & _MASK32)
+                        pos += 1
+                if not mag:
+                    append(0)
+                    continue
             r = rng // stotal
             f = sfreq[0]
-            if code // r < f:           # sign 0: cum 0, nothing to subtract
+            rng = r * f
+            if code < rng:              # sign 0: cum 0, no division
                 negative = 0
-                rng = r * f
             else:
                 negative = 1
-                code -= r * f
+                code -= rng
                 f = sfreq[1]
                 rng = r * f
             while rng < _TOP:

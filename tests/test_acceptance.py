@@ -6,15 +6,13 @@ Run with ``pytest -v tests/test_acceptance.py`` to get one verdict line
 per criterion from pytest itself as well.
 """
 
-import hashlib
 import subprocess
 import sys
 import time
 
 import numpy as np
-import pytest
 
-from meshpress import codec, shapes
+from meshpress import shapes
 from meshpress.codec import EncodeConfig, bench_rows, decode_debug, encode
 from meshpress.entropy import AdaptiveModel, RangeDecoder, RangeEncoder
 from meshpress.hierarchy import resubdivide

@@ -1,5 +1,4 @@
 import itertools
-import math
 import subprocess
 import sys
 
@@ -364,6 +363,180 @@ def test_decode_many_matches_reference_on_any_bytes(raw_bits):
             assert got == want
             assert _state(dec, coder.magnitude, coder.sign) == want_state
     assert reserved                         # the reserved symbol 17 is read
+
+
+@pytest.mark.parametrize("alphabet", [1, 2, 3, 18])
+def test_decode_symbols_matches_reference_on_any_bytes(alphabet):
+    """Symbols and state equal `_Reference.symbol`'s on bytes no encoder
+    wrote, including the code points at or past `(range // total) *
+    total`, which read the last symbol (symbol 0 of a one-symbol
+    alphabet)."""
+    n, clamped = 300, 0
+    for data in _any_bytes():
+        ref, model = _Reference(data), AdaptiveModel(alphabet)
+        want = []
+        for _ in range(n):
+            clamped += ref._code // (ref._range // model.total) >= model.total
+            want.append(ref.symbol(model))
+        want_state = _state(ref, model)
+        for split in (1, 7, n):
+            dec, model = RangeDecoder(data), AdaptiveModel(alphabet)
+            got = []
+            while len(got) < n:
+                got += dec.decode_symbols(model, min(split, n - len(got)))
+            assert got == want
+            assert _state(dec, model) == want_state
+    assert clamped                          # the `dv >= total` case is read
+
+
+def _signed_case(values):
+    """`values` coded as SignedInt(14), a fresh coder and its models, and
+    its readers: `_Reference`'s one value and the kernel's k values."""
+    enc = RangeEncoder()
+    SignedIntCoder(14).encode_many(enc, values)
+
+    def fresh():
+        coder = SignedIntCoder(14)
+        return coder, (coder.magnitude, coder.sign)
+
+    return (enc.finish(), fresh, lambda ref, coder: ref.signed(coder),
+            lambda dec, coder, k: coder.decode_many(dec, k))
+
+
+def _symbol_case(values):
+    """`values` coded with one binary model; as `_signed_case`."""
+    enc = RangeEncoder()
+    enc.encode_symbols(AdaptiveModel(2), values)
+
+    def fresh():
+        model = AdaptiveModel(2)
+        return model, (model,)
+
+    return (enc.finish(), fresh, lambda ref, model: ref.symbol(model),
+            lambda dec, model, k: dec.decode_symbols(model, k))
+
+
+# each short path: the values coded, and the (model index, value) of a
+# decode on which that model's total passes 2**14 (model 0 is the
+# magnitude model or the binary model, 1 the sign model)
+_SHORT_PATHS = {
+    "magnitude 0": (_signed_case, [0] * 520, (0, 0)),
+    "sign 0": (_signed_case, [0] * 100 + [1] * 520, (1, 1)),
+    "symbol 0": (_symbol_case, [0] * 520, (0, 0)),
+}
+
+
+@pytest.mark.parametrize("path", _SHORT_PATHS)
+def test_rescale_on_each_short_path(path):
+    """A model's total passes 2**14 on a decode that the kernels take by
+    `code < (range // total) * f0`: magnitude 0 or sign 0 in
+    `decode_many`, symbol 0 of a binary model in `decode_symbols`, with
+    escapes and other symbols after it. Values and state (counts,
+    totals, range, code, position) equal `_Reference`'s after every
+    call, in calls of 1, 7 and all values. Then the same from the counts
+    just before that decode, on bytes no encoder wrote, where a code at
+    or past `(range // total) * total` after the rescale reads the
+    reserved magnitude 17 or the last symbol."""
+    case, prefix, halving = _SHORT_PATHS[path]
+    values = prefix + (_signed_values(14, 200, 14) if case is _signed_case
+                       else [1, 0, 1, 1] * 50)
+    data, fresh, ref_read, read = case(values)
+    ref, (state, models) = _Reference(data), fresh()
+    states, halvings = [], []
+    for v in values:
+        before = [m.total for m in models]
+        assert ref_read(ref, state) == v
+        halvings += [(len(states), (i, v)) for i, m in enumerate(models)
+                     if m.total < before[i]]
+        states.append(_state(ref, *models))
+    at = next(k for k, event in halvings if event == halving)
+    n = len(values)
+    for split in (1, 7, n):
+        dec, (state, models) = RangeDecoder(data), fresh()
+        got = []
+        while len(got) < n:
+            got += read(dec, state, min(split, n - len(got)))
+            assert _state(dec, *models) == states[len(got) - 1]
+        assert got == values
+
+    def near_rescale():
+        state, models = fresh()
+        for m, (freq, total) in zip(models, states[at - 1][3]):
+            m.freq[:], m.total = freq, total
+        return state, models
+
+    n, clamped = 300, 0
+    for data in _any_bytes():
+        ref, (state, models) = _Reference(data), near_rescale()
+        want = [ref_read(ref, state)]       # the decode that rescales
+        for _ in range(n - 1):
+            m = models[0]
+            clamped += ref._code // (ref._range // m.total) >= m.total
+            want.append(ref_read(ref, state))
+        want_state = _state(ref, *models)
+        for split in (1, 7, n):
+            dec, (state, models) = RangeDecoder(data), near_rescale()
+            got = []
+            while len(got) < n:
+                got += read(dec, state, min(split, n - len(got)))
+            assert got == want
+            assert _state(dec, *models) == want_state
+    assert clamped                  # model 0 reads a `dv >= total`
+
+
+def _at_bound(kind, offset):
+    """A range, the counts and a code `offset` from the bound
+    `(range // total) * f0` of the first `kind` decode (for the sign,
+    after a magnitude 1 that leaves `range` above 2**24)."""
+    rng = 0xF123_4567
+    if kind == "symbol":
+        freq, code = [5, 3], (rng // 8) * 5
+    elif kind == "magnitude":
+        freq, code = [40] + [1] * 17, (rng // 57) * 40
+    else:                   # magnitude 1 (cum 1), then the sign
+        r = rng // 1017
+        freq, code = [1, 1000] + [1] * 16, r + (r * 1000 // 9) * 7
+    return rng, freq, code + offset
+
+
+@pytest.mark.parametrize("kind", ["magnitude", "sign", "symbol"])
+def test_short_paths_at_their_bound(kind):
+    """A code one below `(range // total) * f0` reads symbol 0 and a
+    code at it the next symbol, for the magnitude, the sign and a binary
+    model, value for value and state for state with `_Reference`. Set by
+    hand, as streams meet the bound about once in `range // total`
+    decodes."""
+    data = bytes(range(7, 250, 13))
+    for offset in (-1, 0):
+        rng, freq, code = _at_bound(kind, offset)
+        got = []
+        for dec in (_Reference(data), RangeDecoder(data)):
+            dec._range, dec._code = rng, code
+            if kind == "symbol":
+                model = AdaptiveModel(2)
+                model.freq[:], model.total = freq, sum(freq)
+                values = ([dec.symbol(model) for _ in range(3)]
+                          if isinstance(dec, _Reference)
+                          else dec.decode_symbols(model, 3))
+                models = (model,)
+            else:
+                coder = SignedIntCoder(14)
+                coder.magnitude.freq[:] = freq
+                coder.magnitude.total = sum(freq)
+                coder.sign.freq, coder.sign.total = [7, 2], 9
+                values = ([dec.signed(coder) for _ in range(3)]
+                          if isinstance(dec, _Reference)
+                          else coder.decode_many(dec, 3))
+                models = (coder.magnitude, coder.sign)
+            got.append((values, _state(dec, *models)))
+        assert got[0] == got[1]
+        first, below = got[0][0][0], offset < 0
+        if kind == "symbol":
+            assert first == (0 if below else 1)
+        elif kind == "sign":
+            assert first == (1 if below else -1)
+        else:
+            assert (first == 0) == below
 
 
 def test_split_table_matches_floor_halving():

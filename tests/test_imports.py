@@ -1,13 +1,14 @@
-"""Every name a meshpress module imports is used in that module, and
-every private helper is used somewhere in the package.
+"""Every name a meshpress module or test file imports is used in that
+file, and every private helper is used somewhere in the package.
 
-Each module under src/meshpress except the package's __init__.py is parsed
-with `ast`; a name bound by an import statement must appear somewhere in
-the module as a name or in its `__all__`. A leftover import fails here and
-the test id names its module. A module-level function or class whose name
-starts with `_` must be referenced (as a name, an attribute or an imported
-name) by some code of src/meshpress outside its own definition, so a helper
-orphaned by a refactor fails here too.
+Each module under src/meshpress except the package's __init__.py, and
+each file under tests/, is parsed with `ast`; a name bound by an import
+statement must appear somewhere in the file as a name or in its
+`__all__`. A leftover import fails here and the test id names its file
+(`tests/` prefixed for a test file). A module-level function or class
+whose name starts with `_` must be referenced (as a name, an attribute or
+an imported name) by some code of src/meshpress outside its own
+definition, so a helper orphaned by a refactor fails here too.
 """
 
 import ast
@@ -15,8 +16,10 @@ from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "meshpress"
+TESTS = Path(__file__).resolve().parent
+SRC = TESTS.parent / "src" / "meshpress"
 MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
+TEST_FILES = sorted(TESTS.glob("*.py"))
 
 
 def unused_imports(source: str) -> list[str]:
@@ -48,7 +51,9 @@ def test_checker_finds_unused_names():
     assert unused_imports(source) == ["os", "field"]
 
 
-@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+@pytest.mark.parametrize(
+    "path", MODULES + TEST_FILES,
+    ids=lambda p: p.name if p.parent == SRC else f"tests/{p.name}")
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
 

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from meshpress import shapes
-from meshpress.mesh import (BBox, MeshError, NonManifoldError, TriMesh,
+from meshpress.mesh import (MeshError, NonManifoldError, TriMesh,
                             bounding_box, edge_key, validate_manifold)
 
 
