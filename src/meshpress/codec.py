@@ -77,6 +77,9 @@ _MAX_BASE_FACES = 1 << 25   # base_face_count
 # Ceiling on the grid extent, (2^q_max - 1) / scale: it keeps squared
 # distances between decoded positions finite.
 _MAX_EXTENT = 1e100
+# Positions at most this large in magnitude (NaN is not) have finite
+# midpoint sums: the decoder checks them before it averages.
+_MAX_AVERAGED = float(np.finfo(np.float64).max) / 2
 _FLAG_WGC = 2
 _FLAG_ADAPTIVE = 4
 
@@ -457,14 +460,14 @@ class ProgressiveDecoder:
                                   validate=False)
         split_edges = self.last_split_edges
         if self.adaptive:
-            prediction = 0.5 * (self.positions[split_edges[:, 0]]
-                                + self.positions[split_edges[:, 1]])
-            if not (np.isfinite(self.positions).all()
-                    and np.isfinite(prediction).all()):
+            # checked before the sum, which a forged origin can overflow
+            if not np.abs(self.positions).max(initial=0.0) <= _MAX_AVERAGED:
                 raise StreamFormatError(
                     f"level {len(self.q_recomputed) + 1} predicts from "
-                    "positions that are "
-                    "not finite")
+                    "positions that are not finite or too large to "
+                    "average")
+            prediction = 0.5 * (self.positions[split_edges[:, 0]]
+                                + self.positions[split_edges[:, 1]])
             self.level_q = batch_precision(prediction, self.positions,
                                            self.grid, self.threshold).tolist()
         else:

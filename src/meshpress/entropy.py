@@ -1,8 +1,10 @@
 """Adaptive range coding: the coder core and the signed-integer front end.
 
-Carry-aware 32-bit range coder with byte renormalization and order-0
-adaptive frequency models. All arithmetic is integer, so output is
-byte-identical across platforms.
+32-bit range coder with byte renormalization and order-0 adaptive
+frequency models. All arithmetic is integer, so output is byte-identical
+across platforms. The output is an in-memory bytearray, so a carry out
+of `low` is added in place into the bytes already written, through any
+run of 0xFF, rather than held back in a cache as a streaming coder must.
 
 Both directions run in batch kernels of one shape: one adaptive model
 (:meth:`RangeEncoder.encode_symbols`, :meth:`RangeDecoder.decode_symbols`)
@@ -33,10 +35,13 @@ halvings before a renormalisation (fewer if fewer bits are left) split
 leaves get the + 1 depends on (k, s) alone (`_SPLIT`), so leaf v of the
 next k bits is `[v * q + c[v], (v + 1) * q + c[v + 1])` in any state.
 The encoder adds the leaf's start to `low`; the decoder finds v with one
-division by q. The decoder alone uses fact (b): if bits are left after
-such a step, its leaf size L is below 2**24, and every renormalisation
-after it makes `range` `L << 8`: all later bits split by L, so they are
-one long division of the code and the next bytes by L.
+division by q. Both then use fact (b): if bits are left after such a
+step, its leaf size L is below 2**24, and every renormalisation after it
+makes `range` `L << 8`: all later bits split by L. The decoder reads
+them as one long division of the code and the next bytes by L; the
+encoder adds `v * L` for each whole byte v and shifts, and `v * (L << t)`
+for the last n % 8 bits, t = 8 - n % 8, which leaves `range = L << t`
+(`L << 8` when n % 8 = 0).
 """
 
 from __future__ import annotations
@@ -101,29 +106,29 @@ class AdaptiveModel:
 
 
 class RangeEncoder:
-    __slots__ = ("_low", "_range", "_cache", "_cache_size", "_out")
+    """Encoder state: `low`, `range` and the bytes written, which start
+    with the byte above the first byte of `low`."""
+
+    __slots__ = ("_low", "_range", "_out")
 
     def __init__(self):
         self._low = 0
         self._range = _MASK32
-        self._cache = 0
-        self._cache_size = 1
-        self._out = bytearray()
+        # zero, as the interval never passes 2**32; the decoder skips it
+        self._out = bytearray(1)
 
     def _shift_low(self, low: int) -> int:
-        """The one carry path: moves the top byte of `low` into the cache
-        (written out once no carry can reach it) and returns `low`
-        shifted up one byte."""
-        if low < 0xFF000000 or low > _MASK32:
-            carry = low >> 32
-            out = self._out
-            out.append((self._cache + carry) & 0xFF)
-            filler = (0xFF + carry) & 0xFF
-            for _ in range(self._cache_size - 1):
-                out.append(filler)
-            self._cache = (low >> 24) & 0xFF
-            self._cache_size = 0
-        self._cache_size += 1
+        """The one carry path: adds bit 32 of `low` into the bytes already
+        written (through any run of 0xFF), appends the top byte of `low`
+        and returns `low` shifted up one byte."""
+        out = self._out
+        if low > _MASK32:
+            i = -1
+            while out[i] == 0xFF:
+                out[i] = 0
+                i -= 1
+            out[i] += 1
+        out.append((low >> 24) & 0xFF)
         return (low << 8) & _MASK32
 
     def encode_symbols(self, model: AdaptiveModel, syms: list[int]) -> None:
@@ -160,7 +165,7 @@ class RangeEncoder:
             if c - low < rng:
                 low = c
                 break
-        for _ in range(5):
+        for _ in range(4):
             low = self._shift_low(low)
         return bytes(self._out).rstrip(b"\x00")
 
@@ -243,8 +248,8 @@ class SignedIntCoder:
     def encode_many(self, enc: RangeEncoder, values: list[int]) -> None:
         """Kernel: code each int of `values`. The steps of
         :meth:`RangeEncoder.encode_symbols`, inlined for the magnitude
-        symbol and the sign, and the raw escape bits; the mirror of
-        :meth:`decode_many`."""
+        symbol and the sign, and the raw escape bits by facts (a) and (b)
+        of the module docstring; the mirror of :meth:`decode_many`."""
         escape, raw_bits = self.ESCAPE, self.raw_bits
         top = max(map(abs, values), default=0)
         if top >= max(escape, 1 << raw_bits):
@@ -287,6 +292,15 @@ class SignedIntCoder:
                     v = (mag >> left) & ((1 << k) - 1)
                     low += v * q + cum[v]
                     rng = q + cum[v + 1] - cum[v]
+                    if left and rng < _TOP:     # the rest: bytes of L
+                        low = enc._shift_low(low)
+                        for i in range(left - 8, -1, -8):
+                            low = enc._shift_low(
+                                low + ((mag >> i) & 0xFF) * rng)
+                        t = 8 - (left & 7)
+                        rng <<= t
+                        low += (mag & (0xFF >> t)) * rng
+                        break           # L << t >= 2**24: no renormalising
                     while rng < _TOP:
                         rng <<= 8
                         low = enc._shift_low(low)

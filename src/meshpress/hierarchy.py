@@ -62,10 +62,11 @@ so pushing every face gives each face's first row of each pattern its
 seed key: the first `_grow` reads those keys in the order of one sort
 (`_PassTables.seed`), taking at each step the next seed or the push
 heap's top, whichever is less, and only the regrows of the demotion
-fixpoint push their seeds. A committed group stays its row until the
-pass ends: `_retract` recommits the survivors' edge entries, and
-`simplify_once` reads the coarse faces' corners from the rows once.
-Nothing cached outlives `simplify_once`.
+fixpoint push their seeds. A seed whose face is grouped or whose slot
+is settled by then is skipped before its key is built (`_seeds`). A
+committed group stays its row until the pass ends: `_retract` recommits
+the survivors' edge entries, and `simplify_once` reads the coarse faces'
+corners from the rows once. Nothing cached outlives `simplify_once`.
 """
 
 from __future__ import annotations
@@ -498,6 +499,20 @@ def _matcher(st: _PassState):
 _SEED_BLOCK = 4096      # columns of `_PassTables.seed` listed at a time
 
 
+def _seeds(st: _PassState):
+    """The heap entries of a first grow's seeds, in merge order, each
+    built when the merge reaches it. A seed whose face is grouped or whose
+    slot is settled is skipped: on one state both only ever turn true, so
+    the merge would drop it when taken."""
+    t = st.tables
+    grouped, bounds, cursor = st.grouped, t.bounds, st.cursor
+    rank, scale, score = t.rank, t.scale, t.score
+    for lo in range(0, t.seed.shape[1], _SEED_BLOCK):
+        for s, f, p, r in zip(*t.seed[:, lo:lo + _SEED_BLOCK].tolist()):
+            if grouped[f] < 0 and cursor[p][f] < bounds[p][f + 1]:
+                yield (1, rank[r], float(p), scale[r], score[r], s, f, p)
+
+
 def _grow(st: _PassState, seed_faces=None) -> None:
     """Best-first region growing, one pattern at a time.
 
@@ -560,11 +575,7 @@ def _grow(st: _PassState, seed_faces=None) -> None:
 
     seeds = iter(())
     if seed_faces is None:
-        # each seed's entry is built when the merge reaches it
-        seeds = ((1, rank[r], float(p), scale[r], score[r], s, f, p)
-                 for lo in range(0, t.seed.shape[1], _SEED_BLOCK)
-                 for s, f, p, r in zip(*t.seed[:, lo:lo + _SEED_BLOCK]
-                                       .tolist()))
+        seeds = _seeds(st)
         seq = t.seed.shape[1]
     else:
         for f in seed_faces:

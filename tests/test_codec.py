@@ -259,6 +259,25 @@ def test_header_scale_beyond_extent_ceiling(make, scale):
             decode(data)
 
 
+def test_forged_origin_overflow_raises_without_warning():
+    """One bit flipped into header byte 35, the top exponent bit of
+    origin[1], sets it to about -1.7e308. The header check passes, as
+    origin + extent is finite, but the first level's midpoint sum would
+    overflow: every level past the base is a format error, with no
+    warning on the way, and the base mesh alone decodes."""
+    stream = encode(shapes.random_convex(60))[0]
+    data = bytearray(stream.to_bytes())
+    assert data[35] == 0xBF
+    data[35] |= 0x40
+    data = bytes(data)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert decode(data, up_to_level=0).vertex_count > 0
+        for level in [*range(1, stream.level_count + 1), None]:
+            with pytest.raises(StreamFormatError, match="too large"):
+                decode(data, up_to_level=level)
+
+
 def test_encode_extent_ceiling():
     """The encoder rejects a mesh wider than the extent ceiling at the
     door, and one just inside it still round-trips losslessly."""

@@ -259,6 +259,31 @@ class _ReferenceEncoder(RangeEncoder):
             self.encode_symbol(coder.sign, 1 if value < 0 else 0)
 
 
+class _WideEncoder(_ReferenceEncoder):
+    """`_ReferenceEncoder` with `low` an unbounded int over every byte
+    written, the leading one included, and `finish` by the rule of
+    docs/format.md: no carry is ever propagated, as each byte is read off
+    the final `low`. The carry oracle of `RangeEncoder._shift_low`."""
+
+    def __init__(self, out=b"\x00", low=0, rng=_MASK32):
+        super().__init__()
+        self._low = (int.from_bytes(out, "big") << 32) + low
+        self._range, self._shifts = rng, len(out) - 1
+
+    def _shift_low(self, low):
+        self._shifts += 1
+        return low << 8
+
+    def finish(self):
+        low = self._low
+        for k in range(4, 0, -1):   # the most trailing zero bytes
+            c = -(-low >> 8 * k) << 8 * k
+            if c - low < self._range:
+                low = c
+                break
+        return low.to_bytes(self._shifts + 5, "big").rstrip(b"\x00")
+
+
 def _counts(*models):
     return [(list(m.freq), m.total) for m in models]
 
@@ -640,7 +665,6 @@ def test_encoder_raw_field_after_a_leaf_of_full_range():
                     else:
                         coder.encode_many(enc, values)
                     got.append((bytes(enc._out), enc._low, enc._range,
-                                enc._cache, enc._cache_size,
                                 _counts(coder.magnitude, coder.sign),
                                 enc.finish()))
                 assert got[0] == got[1]
@@ -680,6 +704,157 @@ def test_encode_symbols_matches_reference_encoder(monkeypatch, alphabet):
         assert enc.finish() == want
         assert _counts(model) == want_counts
     assert len(rescales) >= 4 * 3
+
+
+class _CarryCount(RangeEncoder):
+    """`RangeEncoder` that counts the shifts that carry."""
+
+    def __init__(self):
+        super().__init__()
+        self.carries = 0
+
+    def _shift_low(self, low):
+        self.carries += low > _MASK32
+        return super()._shift_low(low)
+
+
+def _mixed_plan(seed, n=200):
+    """Runs of signed values (escapes of 14 and 32 bits among them) and
+    symbols of 2 and 256: (kind, values) per kernel call."""
+    rng = np.random.default_rng(seed)
+    plan = []
+    for _ in range(n):
+        kind = int(rng.integers(0, 4))
+        size = int(rng.integers(1, 30))
+        if kind < 2:
+            top = (1 << (14, 32)[kind]) - 1
+            values = np.where(rng.random(size) < 0.4,
+                              rng.integers(-top, top, size=size,
+                                           endpoint=True),
+                              rng.integers(-15, 16, size=size))
+        else:
+            values = rng.integers(0, (2, 256)[kind - 2], size=size)
+        plan.append((kind, values.tolist()))
+    return plan
+
+
+def _encode_plan(enc, plan, coders=None):
+    """Codes `plan` by the kernels on a `RangeEncoder`, value at a time on
+    a `_ReferenceEncoder`, with `coders` (as returned) or fresh ones;
+    returns them."""
+    if coders is None:
+        coders = [SignedIntCoder(14), SignedIntCoder(32),
+                  AdaptiveModel(2), AdaptiveModel(256)]
+    models = coders[2:]
+    for kind, values in plan:
+        if isinstance(enc, _ReferenceEncoder):
+            for v in values:
+                if kind < 2:
+                    enc.signed(coders[kind], v)
+                else:
+                    enc.encode_symbol(models[kind - 2], v)
+        elif kind < 2:
+            coders[kind].encode_many(enc, values)
+        else:
+            enc.encode_symbols(models[kind - 2], values)
+    return coders
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_carries_match_wide_oracle(seed):
+    """`finish()` of random symbol and escape streams equals the bytes of
+    `_WideEncoder`, which keeps `low` whole and never carries."""
+    plan = _mixed_plan(seed)
+    enc, wide = _CarryCount(), _WideEncoder()
+    _encode_plan(enc, plan)
+    _encode_plan(wide, plan)
+    assert enc.finish() == wide.finish()
+    assert enc.carries > 50
+
+
+# (bytes written, low, range) a first binary symbol 1 carries out of:
+# low + range // 2 == 2**32, through three or more 0xFF bytes, through
+# every byte into the leading one, or into the leading byte right away
+_CARRY_STATES = [
+    (bytes([0, 0x5A, 0xFF, 0xFF, 0xFF]), 0xFF80_0000, 1 << 24),
+    (bytes([0, 0x01, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF]), 0xFF00_0001,
+     (1 << 25) - 2),
+    (bytes([0, 0xFF, 0xFF, 0xFF]), 0xFF80_0000, 1 << 24),
+    (bytes([0]), 0xFF80_0000, 1 << 24),
+]
+
+
+@pytest.mark.parametrize("state", _CARRY_STATES)
+def test_carry_through_set_state_matches_wide_oracle(state):
+    """Hand-set states whose next symbol carries through a run of 0xFF
+    bytes, or into the leading byte that `RangeEncoder` starts with: the
+    bytes written, the state and `finish()` equal `_WideEncoder`'s, on
+    the symbol kernel and, after it, the signed kernel with escapes."""
+    out, low, rng = state
+    plan = [(2, [1]), (2, [0, 1, 1]), (1, [1 << 31, -7, 0, 123456789]),
+            (0, [-(1 << 13), 15, 16])]
+    enc, wide = _CarryCount(), _WideEncoder(out, low, rng)
+    enc._out, enc._low, enc._range = bytearray(out), low, rng
+    coders = _encode_plan(enc, plan[:1])
+    assert enc.carries == 1
+    assert enc._out[:len(out)] != out
+    _encode_plan(enc, plan[1:], coders)
+    _encode_plan(wide, plan)
+    whole = wide._low >> 32
+    assert enc._out == whole.to_bytes(wide._shifts + 1, "big")
+    assert (enc._low, enc._range) == (wide._low & _MASK32, wide._range)
+    assert enc.finish() == wide.finish()
+
+
+def _escape_range(k):
+    """A fresh coder's encoder range after which the escape leaves a
+    range of bit length 24 + k, so the first raw step takes k bits."""
+    x = (3 << (22 + k)) + 12345
+    if 18 * x > _MASK32:
+        x >>= 8                 # renormalised once after the escape
+    rng = 18 * x + 7
+    assert 1 << 24 <= rng <= _MASK32
+    after = rng // 18
+    while after < 1 << 24:
+        after <<= 8
+    assert after.bit_length() == 24 + k
+    return rng
+
+
+@pytest.mark.parametrize("raw_bits", range(5, 33))
+def test_encoder_raw_field_by_bytes_of_the_leaf(raw_bits):
+    """The encoder's fact (b): once a first raw step of k bits leaves a
+    leaf L below 2**24 with n bits left, the whole bytes add `v * L` and
+    shift, and the last n % 8 bits end at `range = L << (8 - n % 8)`, or
+    at `L << 8` when n % 8 = 0. Every width, every first step k from 1
+    to 8 (k >= n takes the field in one step), lows that carry or not:
+    bytes, state, counts and `finish()` equal `_ReferenceEncoder`'s,
+    which halves bit by bit."""
+    top = (1 << raw_bits) - 1
+    rng = np.random.default_rng(raw_bits)
+    mags = [16, top, *rng.integers(16, top, size=3, endpoint=True).tolist()]
+    ends = set()
+    for k in range(1, 9):
+        if k < raw_bits:
+            ends.add((raw_bits - k) % 8 == 0)
+        for mag in mags:
+            values = [mag, -mag, 5, top]
+            for low in (0, 0x7FFF_FFFF, 0xFFFF_FFFF):
+                got = []
+                for enc in (_ReferenceEncoder(), RangeEncoder()):
+                    coder = SignedIntCoder(raw_bits)
+                    enc._low, enc._range = low, _escape_range(k)
+                    if isinstance(enc, _ReferenceEncoder):
+                        for v in values:
+                            enc.signed(coder, v)
+                    else:
+                        coder.encode_many(enc, values)
+                    got.append((bytes(enc._out), enc._low, enc._range,
+                                _counts(coder.magnitude, coder.sign),
+                                enc.finish()))
+                assert got[0] == got[1]
+    # n % 8 = 0 needs n >= 8 bits after a step of k >= 1
+    assert ends == ({True, False} if raw_bits > 8 else {False})
 
 
 def test_per_symbol_and_batch_calls_interleave():

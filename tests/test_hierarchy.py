@@ -907,6 +907,44 @@ def test_sorted_seed_matches_pushed_seed():
     assert passes > 20
 
 
+def test_first_grow_pulls_only_live_seeds(monkeypatch):
+    """Every seed the first grow's merge pulls is on a free face with an
+    unsettled slot: `_seeds` skips the stale ones before their keys are
+    built. A pulled seed waits for its turn against the heap, so it can go
+    stale before the merge takes it, but only if a group is committed in
+    between. The merge resumes the generator right after taking a seed,
+    before it revalidates, so the state checked there is the one the merge
+    sees."""
+    seeds, checks = hierarchy._seeds, []
+
+    def checked(st):
+        bounds = st.tables.bounds
+
+        def live(f, pref):
+            return (st.grouped[f] < 0
+                    and st.cursor[pref][f] < bounds[pref][f + 1])
+
+        for entry in seeds(st):
+            f, pref = entry[-2], entry[-1]
+            pulled, commits = live(f, pref), len(st.groups)
+            yield entry
+            checks.append((pulled, live(f, pref), len(st.groups) > commits))
+
+    monkeypatch.setattr(hierarchy, "_seeds", checked)
+    cases = [(make(), None) for make in PIN_MESHES.values()] + [
+        (make(), wgc) for make in (lambda: shapes.grid_patch(9, 9),
+                                   lambda: shapes.bumpy_sphere(3))
+        for wgc in (NO_WGC, TIGHT_WGC)]
+    for mesh, wgc in cases:
+        for fine in pass_meshes(mesh, wgc):
+            st = _PassState(_PassTables(fine, wgc or WgcConfig()), set())
+            hierarchy._grow(st)
+    assert all(pulled for pulled, _, _ in checks)
+    assert all(taken or waited for _, taken, waited in checks)
+    assert len(checks) > 100
+    assert any(not taken for _, taken, _ in checks)
+
+
 def test_pass_tables_hold_no_per_candidate_objects():
     """The static candidates are columns of ints and floats: building a
     pass's tables leaves about one tracked object per face (the face
