@@ -459,13 +459,14 @@ class ProgressiveDecoder:
         self._next_conn = TriMesh((), subdivide(self._plan, bits),
                                   validate=False)
         split_edges = self.last_split_edges
+        # checked on every stream before any midpoint sum (the prediction
+        # here, synthesis after the details), which a forged origin can
+        # overflow
+        if not np.abs(self.positions).max(initial=0.0) <= _MAX_AVERAGED:
+            raise StreamFormatError(
+                f"level {len(self.q_recomputed) + 1} predicts from "
+                "positions that are not finite or too large to average")
         if self.adaptive:
-            # checked before the sum, which a forged origin can overflow
-            if not np.abs(self.positions).max(initial=0.0) <= _MAX_AVERAGED:
-                raise StreamFormatError(
-                    f"level {len(self.q_recomputed) + 1} predicts from "
-                    "positions that are not finite or too large to "
-                    "average")
             prediction = 0.5 * (self.positions[split_edges[:, 0]]
                                 + self.positions[split_edges[:, 1]])
             self.level_q = batch_precision(prediction, self.positions,

@@ -158,15 +158,14 @@ class RangeEncoder:
         # Any code point in [low, low + range) decodes to the same symbol
         # sequence, and the decoder zero-pads past the end of the stream;
         # pick the point with the most trailing zero bytes and drop them.
-        low, rng = self._low, self._range
-        for k in range(4, 0, -1):
-            mod = 1 << (8 * k)
-            c = (low + mod - 1) // mod * mod
-            if c - low < rng:
-                low = c
-                break
-        for _ in range(4):
-            low = self._shift_low(low)
+        # A multiple of 2**24 always fits, as range >= 2**24; its low three
+        # bytes are zero, so one shift writes its last byte that can be
+        # nonzero (and any carry).
+        low = self._low
+        up = -low % (1 << 32)
+        if up >= self._range:
+            up = -low % (1 << 24)
+        self._shift_low(low + up)
         return bytes(self._out).rstrip(b"\x00")
 
 

@@ -66,10 +66,12 @@ def subdivide_midpoint(mesh: TriMesh, edges=None, position=None) -> TriMesh:
     """Midpoint-subdivide all (or a subset of) edges.
 
     `edges` holds vertex pairs in either order; a pair that is not an
-    edge of the mesh raises ValueError. `position(a, b, mid)` may override
-    the inserted vertex position (e.g. to project onto a surface). Faces
-    follow the codec's subdivision conventions, so the result is
-    invertible by construction.
+    edge of the mesh raises ValueError. `position(mids)` may override the
+    inserted vertex positions (e.g. to project onto a surface): it takes
+    the (k, 3) array of midpoints of the split edges, in `mesh.edges`
+    order (k may be 0), and returns a (k, 3) array of positions, row i
+    for midpoint i. Faces follow the codec's subdivision conventions, so
+    the result is invertible by construction.
     """
     nv = mesh.vertex_count
     pick = np.ones(len(mesh.edges), dtype=bool)
@@ -83,19 +85,20 @@ def subdivide_midpoint(mesh: TriMesh, edges=None, position=None) -> TriMesh:
                              f"{tuple(pairs[~known][0].tolist())}")
         pick = np.isin(codes, pairs @ [nv, 1])
     split = np.where(pick, nv - 1 + np.cumsum(pick), -1)
-    new_pts = []
-    for a, b in mesh.edges[pick].tolist():
-        mid = 0.5 * (mesh.vertices[a] + mesh.vertices[b])
-        new_pts.append(position(a, b, mid) if position else mid)
-    verts = np.vstack([mesh.vertices, np.array(new_pts).reshape(-1, 3)]) \
-        if new_pts else mesh.vertices
+    ends = mesh.vertices[mesh.edges[pick]]
+    mids = 0.5 * (ends[:, 0] + ends[:, 1])
+    if position is not None:
+        mids = position(mids)
+    verts = np.vstack([mesh.vertices, mids])
     plan = split_plan(mesh, split)
     faces = subdivide(plan, np.zeros(len(plan), dtype=np.int64))
     return TriMesh(verts, faces)
 
 
-def _sphere_project(_a, _b, mid):
-    return mid / np.linalg.norm(mid)
+def _sphere_project(mids: np.ndarray) -> np.ndarray:
+    # `vecdot` runs the dot kernel of `np.linalg.norm` on one row, so each
+    # norm is that row's alone bit for bit; `norm(mids, axis=1)` is not
+    return mids / np.sqrt(np.vecdot(mids, mids))[:, None]
 
 
 def icosphere(subdivisions: int = 2) -> TriMesh:
@@ -131,13 +134,16 @@ def _cad_planes() -> np.ndarray:
 _CAD_PLANES = _cad_planes()
 
 
-def _cad_radius(d: np.ndarray) -> float:
-    return 1.0 / float(np.abs(_CAD_PLANES @ d).max())
+def _cad_radius(d: np.ndarray) -> np.ndarray:
+    """The solid's radius along each unit row of `d`. One matrix-vector
+    product per row, as a stack: `d @ _CAD_PLANES.T` would round some
+    plane dots differently in the last bit."""
+    return 1.0 / np.abs((_CAD_PLANES @ d[:, :, None])[:, :, 0]).max(axis=1)
 
 
-def _cad_project(_a, _b, mid):
-    d = mid / np.linalg.norm(mid)
-    return d * _cad_radius(d)
+def _cad_project(mids: np.ndarray) -> np.ndarray:
+    d = _sphere_project(mids)
+    return d * _cad_radius(d)[:, None]
 
 
 def _oriented_hull(pts: np.ndarray) -> TriMesh:
@@ -176,8 +182,7 @@ def cad_solid(base_points: int = 27, subdivisions: int = 4,
     typical of tessellated CAD models.
     """
     base = _sphere_hull(base_points, seed)
-    mesh = base.with_vertices(np.array([_cad_project(0, 0, d)
-                                        for d in base.vertices]))
+    mesh = base.with_vertices(_cad_project(base.vertices))
     for _ in range(subdivisions):
         mesh = subdivide_midpoint(mesh, position=_cad_project)
     return mesh

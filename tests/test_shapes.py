@@ -1,4 +1,5 @@
-"""The procedural hulls against the per-face loop they were built with."""
+"""The procedural hulls and projections against the per-face and
+per-vertex loops they were built with."""
 
 import numpy as np
 import pytest
@@ -46,3 +47,65 @@ def test_oriented_hull_matches_per_face_loop(n):
             mesh = make(n, seed)
             assert np.array_equal(mesh.vertices, verts), (n, seed, jitter)
             assert np.array_equal(mesh.faces, faces), (n, seed, jitter)
+
+
+def sphere_reference(mid):
+    """`shapes._sphere_project` of one midpoint, as it ran per vertex."""
+    return mid / np.linalg.norm(mid)
+
+
+def cad_reference(mid):
+    """`shapes._cad_project` of one midpoint, as it ran per vertex."""
+    d = mid / np.linalg.norm(mid)
+    return d * (1.0 / np.abs(shapes._CAD_PLANES @ d).max())
+
+
+def reference_subdivide(mesh, project, edges=None):
+    """`subdivide_midpoint` with one `project` call per split edge, in
+    `mesh.edges` order; the faces do not depend on the positions."""
+    plain = shapes.subdivide_midpoint(mesh, edges=edges)
+    pairs = mesh.edges if edges is None else np.sort(edges)
+    mids = [project(0.5 * (mesh.vertices[a] + mesh.vertices[b]))
+            for a, b in pairs.tolist()]
+    return plain.with_vertices(
+        np.vstack([mesh.vertices, np.reshape(mids, (-1, 3))]))
+
+
+def assert_same_mesh(got, want, label):
+    assert np.array_equal(got.vertices, want.vertices), label
+    assert np.array_equal(got.faces, want.faces), label
+
+
+def test_array_projections_match_per_vertex_reference():
+    """The generators project all midpoints of a level in one array call;
+    every vertex equals the per-vertex projection bit for bit. If this
+    fails on some BLAS, the array norms or plane products round
+    differently from the one-vector kernels, and every generated mesh,
+    the corpus and benchmark meshes included, changes."""
+    for seed in (1, 2, 5, 11):
+        base = shapes._sphere_hull(27, seed)
+        want = base.with_vertices(np.array([cad_reference(v)
+                                            for v in base.vertices]))
+        for sub in range(4):
+            assert_same_mesh(shapes.cad_solid(subdivisions=sub, seed=seed),
+                             want, ("cad_solid", seed, sub))
+            want = reference_subdivide(want, cad_reference)
+    want = shapes.icosahedron()
+    for sub in range(4):
+        assert_same_mesh(shapes.icosphere(sub), want, ("icosphere", sub))
+        want = reference_subdivide(want, sphere_reference)
+    ico = shapes.icosphere(1)
+    some = ico.edges[::3]
+    assert_same_mesh(
+        shapes.subdivide_midpoint(ico, edges=some,
+                                  position=shapes._sphere_project),
+        reference_subdivide(ico, sphere_reference, some), "some edges")
+    shapes_seen = []
+
+    def project(mids):
+        shapes_seen.append(mids.shape)
+        return shapes._cad_project(mids)
+
+    none = shapes.subdivide_midpoint(ico, edges=[], position=project)
+    assert shapes_seen == [(0, 3)]
+    assert_same_mesh(none, ico, "no edges")
