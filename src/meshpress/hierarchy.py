@@ -45,17 +45,22 @@ the pass's columns, plain lists read by row id; no object is built per
 candidate. The dynamic half, the `first` function `_matcher` binds once
 per `_grow`, runs on every call: free faces, `even`, `forbidden`,
 `parent` (a vertex is odd exactly when it has a parent edge), and the
-committed coarse edges, `_PassState.edges`. Within one `_grow` those
-state checks only get stricter (faces only fill, vertices only become
-even or odd, edges are only added or gain groups), so `_grow` pushes
-each face once per commit: a second push in the same commit would add a
-heap entry with the same key and a larger sequence number, which can
-never commit anything. The same holds for the whole life of a
-`_PassState` (`forbidden` only grows, `_retract` starts a fresh state,
-and `_dissolve_conflicts` frees faces only after the pass's last grow),
-so a row `first` has seen fail never passes again: each pattern slot
-(pref, f) keeps a cursor, `_PassState.cursor`, where `first` resumes its
-scan, and a slot whose cursor is at its end is skipped without a call.
+committed coarse edges, `_PassState.edges`. The pass over a row's
+edges that admits it also counts its reuse (split edges already
+committed with the same midpoint), which `push` reads from
+`_PassState.reuse`, so each candidate's edges are read once. Within one
+`_grow` those state checks only get stricter (faces only fill, vertices
+only become even or odd, edges are only added or gain groups), so
+`_grow` pushes each free face once per commit and never a grouped one:
+a second push in the same commit would add a heap entry with the same
+key and a larger sequence number, which can never commit anything, and
+every row seeded at a grouped face holds that face. The same holds for
+the whole life of a `_PassState` (`forbidden` only grows, `_retract`
+starts a fresh state, and `_dissolve_conflicts` frees faces only after
+the pass's last grow), so a row `first` has seen fail never passes
+again: each pattern slot (pref, f) keeps a cursor, `_PassState.cursor`,
+where `first` resumes its scan, and a slot whose cursor is at its end
+is skipped without a call.
 A pass starts from the empty state (nothing committed or forbidden),
 where every static candidate is admitted and reuses no committed edge,
 so pushing every face gives each face's first row of each pattern its
@@ -243,6 +248,7 @@ class _PassTables:
         self.corner, self.mid, self.fine = (
             ids[x].tolist() for x in (corners, mid, fine))
         self.code = code.tolist()
+        self.pairs = tuple(zip(self.code, self.mid))
         self.rank, self.scale, self.score = (
             x.tolist() for x in (rank, scale, score))
 
@@ -416,7 +422,7 @@ class _PassTables:
 
     def entries(self, r: int) -> list[tuple[int, int]]:
         """(code, midpoint or -1) of row r's coarse edges, in edge order."""
-        return [(k[r], m[r]) for k, m in zip(self.code, self.mid)]
+        return [(k[r], m[r]) for k, m in self.pairs]
 
     def odds(self, r: int) -> list[int]:
         """The midpoints of row r's split edges, in edge order."""
@@ -431,7 +437,9 @@ class _PassState:
     `parent` maps each odd vertex to its parent edge's code, and `edges`
     each coarse edge's code to [midpoint or -1, groups using it].
     cursor[pref][f] is the first row of slot (pref, f) that `first` has
-    not yet seen fail, bounds[pref][f + 1] once none is left."""
+    not yet seen fail, bounds[pref][f + 1] once none is left. `reuse` is
+    the reuse count of the row `first` last admitted: its split edges
+    already committed with the same midpoint."""
 
     def __init__(self, tables: _PassTables, forbidden: set[int]):
         self.tables = tables
@@ -442,17 +450,27 @@ class _PassState:
         self.groups: list[int] = []
         self.edges: dict[int, list] = {}
         self.cursor = [list(rows) for rows in tables.bounds]
+        self.reuse = 0
 
     def commit(self, r: int) -> None:
-        gid = len(self.groups)
+        """Row r becomes the next group, written straight from its
+        columns."""
+        t, gid = self.tables, len(self.groups)
         self.groups.append(r)
-        for fid in self.tables.fine_ids(r):
-            self.grouped[fid] = gid
-        for corner in self.tables.corners(r):
-            self.even[corner] = True
+        grouped, even = self.grouped, self.even
+        for g in t.fine:
+            if (fid := g[r]) >= 0:
+                grouped[fid] = gid
+        for corner in t.corner:
+            even[corner[r]] = True
         edges, parent = self.edges, self.parent
-        for key, v in self.tables.entries(r):
-            edges.setdefault(key, [v, 0])[1] += 1
+        for code, mid in t.pairs:
+            key, v = code[r], mid[r]
+            cur = edges.get(key)
+            if cur is None:
+                edges[key] = [v, 1]
+            else:
+                cur[1] += 1
             if v >= 0:
                 parent[v] = key
 
@@ -464,9 +482,10 @@ def _matcher(st: _PassState):
     new or already odd on the same parent edge, and each coarse edge is
     new or has the same midpoint and fewer than two groups. The scan
     starts at the slot's cursor and leaves it at the row it returns, or
-    at the slot's end."""
+    at the slot's end. The pass over the edges that admits a row also
+    counts its reuse, which `first` leaves in `st.reuse` for `push`."""
     t = st.tables
-    bounds, (a, b, c), pairs = t.bounds, t.corner, tuple(zip(t.code, t.mid))
+    bounds, (a, b, c), pairs = t.bounds, t.corner, t.pairs
     slots = [t.fine[:4 - pref] for pref in range(3)]
     grouped, parent, even = st.grouped, st.parent, st.even
     edges, forbidden, cursor = st.edges, st.forbidden, st.cursor
@@ -480,16 +499,20 @@ def _matcher(st: _PassState):
             else:
                 if a[r] in parent or b[r] in parent or c[r] in parent:
                     continue
+                reuse = 0
                 for code, mid in pairs:
                     key, v = code[r], mid[r]
                     if v >= 0 and (v in forbidden or even[v]
                                    or parent.get(v, key) != key):
                         break
                     cur = edges.get(key)
-                    if cur is not None and (cur[0] != v or cur[1] >= 2):
-                        break
+                    if cur is not None:
+                        if cur[0] != v or cur[1] >= 2:
+                            break
+                        reuse += v >= 0
                 else:
                     at[f] = r
+                    st.reuse = reuse
                     return r
         at[f] = end
         return -1
@@ -523,32 +546,29 @@ def _grow(st: _PassState, seed_faces=None) -> None:
     odd vertices then force its neighborhood into the same consistent
     tiling, and conflicts can only arise along seams between independently
     seeded regions. Without `seed_faces`, `st` must be empty, and every
-    face is seeded from `_PassTables.seed` (see the module docstring).
+    face is seeded from `_PassTables.seed` (see the module docstring);
+    `seed_faces` must be free. `push` runs only on free faces and takes
+    each row's reuse from `first` (`_PassState.reuse`).
     """
     t = st.tables
     first = _matcher(st)
-    vertex_faces, grouped, edges = t.mesh.vertex_faces, st.grouped, st.edges
-    bounds, cursor, pairs = t.bounds, st.cursor, tuple(zip(t.code, t.mid))
+    vertex_faces, grouped, bounds, cursor = (
+        t.mesh.vertex_faces, st.grouped, t.bounds, st.cursor)
+    (a, b, c), (m0, m1, m2) = t.corner, t.mid
     rank, scale, score = t.rank, t.scale, t.score
+    heappush, heappop = heapq.heappush, heapq.heappop
     seq = 0
     heap: list[tuple] = []
 
     def push(f: int, tier: int, ref_scale: float | None = None) -> None:
         nonlocal seq
-        if grouped[f] >= 0:
-            return
         for pref in range(3):
             if cursor[pref][f] == bounds[pref][f + 1]:
                 continue        # settled: no row of this slot is admitted
             r = first(pref, f)
             if r < 0:
                 continue
-            reuse = 0           # split edges committed with this midpoint
-            for code, mid in pairs:
-                v = mid[r]
-                if v >= 0:
-                    cur = edges.get(code[r])
-                    reuse += cur is not None and cur[0] == v
+            reuse = st.reuse    # split edges committed with this midpoint
             # a candidate re-using a committed split edge is the forced
             # continuation of that region: frontier tier, ordered by how
             # strongly it is forced. Without reuse, a coarser candidate
@@ -570,7 +590,7 @@ def _grow(st: _PassState, seed_faces=None) -> None:
                 # scales the finest structure claims its faces before any
                 # coarser grouping can
                 key = (1, rank[r], float(pref), scale[r], score[r])
-            heapq.heappush(heap, (*key, seq, f, pref))
+            heappush(heap, (*key, seq, f, pref))
             seq += 1
 
     seeds = iter(())
@@ -588,7 +608,7 @@ def _grow(st: _PassState, seed_faces=None) -> None:
             entry = seed
             seed = next(seeds, None)
         else:
-            entry = heapq.heappop(heap)
+            entry = heappop(heap)
         f, pref = entry[-2], entry[-1]
         # revalidate against the current state
         if grouped[f] >= 0 or cursor[pref][f] == bounds[pref][f + 1]:
@@ -597,11 +617,12 @@ def _grow(st: _PassState, seed_faces=None) -> None:
         if r < 0:
             continue
         st.commit(r)
-        # each face once per commit: exact, see the module docstring
-        touched = (nf for v in (*t.corners(r), *t.odds(r))
-                   for nf in vertex_faces[v])
+        # each free face once per commit: exact, see the module docstring
+        ref_scale = scale[r]
+        touched = [nf for v in (a[r], b[r], c[r], m0[r], m1[r], m2[r])
+                   if v >= 0 for nf in vertex_faces[v] if grouped[nf] < 0]
         for nf in dict.fromkeys(touched):
-            push(nf, 0, scale[r])
+            push(nf, 0, ref_scale)
 
 
 def _finalize_violations(st: _PassState) -> set[int]:

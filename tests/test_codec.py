@@ -1,5 +1,8 @@
+import functools
 import time
 import warnings
+import zlib
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -559,6 +562,71 @@ def test_bit_flips_raise_only_documented_errors():
                 outcomes["truncated"] += 1
         assert time.perf_counter() - start < 5.0, f"bit {bit}"
     assert all(outcomes.values()), outcomes
+
+
+@functools.cache
+def _fuzz_stream(name: str) -> ProgressiveStream:
+    make = {"icosphere": lambda: shapes.icosphere(2),
+            "cad": lambda: shapes.cad_solid(subdivisions=1),
+            "convex": lambda: shapes.random_convex(60)}[name]
+    return encode(make())[0]
+
+
+@st.composite
+def _mutated_streams(draw) -> bytes:
+    """A corpus stream with 1-3 overwritten bytes, one flipped bit or a
+    truncation. Overwrites and flips land past the fixed header: a forged
+    header claim (counts, origin, scale) is not a random mutation, and
+    bounding its cost needs a byte bound on the decoder's work. With
+    `refresh`, every chunk-table entry gets the CRC32 of the bytes it now
+    frames, so that a damaged payload reaches the range decoders."""
+    stream = _fuzz_stream(draw(st.sampled_from(["cad", "convex",
+                                                "icosphere"])))
+    data = bytearray(stream.to_bytes())
+    head, end = codec._HEADER.size, _table_end(stream)
+    kind = draw(st.sampled_from(["overwrite", "flip", "truncate"]))
+    if kind == "overwrite":
+        for _ in range(draw(st.integers(1, 3))):
+            data[draw(st.integers(head, len(data) - 1))] = \
+                draw(st.integers(0, 255))
+    elif kind == "flip":
+        bit = draw(st.integers(8 * head, 8 * len(data) - 1))
+        data[bit // 8] ^= 1 << bit % 8
+    else:
+        del data[draw(st.integers(0, len(data) - 1)):]
+    if kind != "truncate" and draw(st.booleans()):
+        start = end
+        for i in range(stream.chunk_count):
+            at = head + codec._ENTRY.size * i
+            length = codec._ENTRY.unpack_from(data, at)[0]
+            codec._ENTRY.pack_into(data, at, length,
+                                   zlib.crc32(data[start:start + length]))
+            start += length
+    return bytes(data)
+
+
+def test_mutated_streams_decode_or_raise_documented_errors():
+    """Any random mutation of a corpus stream decodes to a mesh or raises
+    one of the two documented stream errors, with no warning, quickly."""
+    outcomes = Counter()
+
+    @settings(max_examples=400, deadline=None, derandomize=True)
+    @given(_mutated_streams())
+    def decode_one(data):
+        start = time.perf_counter()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            try:
+                assert isinstance(decode(data), TriMesh)
+                outcomes["mesh"] += 1
+            except StreamFormatError:
+                outcomes["format"] += 1
+            except TruncatedStreamError:
+                outcomes["truncated"] += 1
+        assert time.perf_counter() - start < 1.0
+
+    decode_one()
+    assert min(outcomes.values()) > 20, outcomes
 
 
 def test_encoding_is_deterministic():

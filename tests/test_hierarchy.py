@@ -1,5 +1,6 @@
 import gc
 import hashlib
+import heapq
 import math
 from collections import Counter
 
@@ -881,6 +882,54 @@ def test_matcher_cursor_is_exact(monkeypatch):
     for mesh, wgc in cases:
         build_hierarchy(mesh, wgc)
     assert calls > 10000
+
+
+def reuse_from_scratch(st, r):
+    """Row r's split edges that `st` has committed with the same
+    midpoint."""
+    return sum(v >= 0 and st.edges.get(key, [None])[0] == v
+               for key, v in st.tables.entries(r))
+
+
+def test_pushes_count_reuse_on_free_faces(monkeypatch):
+    """During build_hierarchy, `push` runs only on free faces: every
+    `first` call and every heap entry is on one. Each heap entry's reuse
+    (-key[1] in the frontier tier, 0 in the seed tier) equals a count
+    from scratch of its row's reused split edges, on the state at push
+    time; the row is the slot's first admitted one, by a full scan."""
+    states, kinds = [], Counter()
+
+    def checked(st, _matcher=hierarchy._matcher):
+        states.append(st)
+        first = _matcher(st)
+
+        def on_free_face(pref, f):
+            assert st.grouped[f] < 0, (pref, f)
+            return first(pref, f)
+        return on_free_face
+
+    def counted(heap, entry, _heappush=heapq.heappush):
+        st = states[-1]
+        tier, term, *_, f, pref = entry
+        rows = st.tables.bounds[pref]
+        r = next(r for r in range(rows[f], rows[f + 1]) if admits(st, r))
+        assert st.grouped[f] < 0, (pref, f)
+        reuse = -term if tier == 0 else 0
+        assert reuse == reuse_from_scratch(st, r), (pref, f, entry)
+        kinds[tier, reuse > 0] += 1
+        _heappush(heap, entry)
+
+    monkeypatch.setattr(hierarchy, "_matcher", checked)
+    monkeypatch.setattr(heapq, "heappush", counted)
+    cases = [(make(), None) for make in PIN_MESHES.values()] + [
+        (make(), wgc) for make in (lambda: shapes.grid_patch(9, 9),
+                                   lambda: shapes.bumpy_sphere(3))
+        for wgc in (NO_WGC, TIGHT_WGC)]
+    for mesh, wgc in cases:
+        build_hierarchy(mesh, wgc)
+    # reused edges, frontier entries without reuse, and seed entries
+    assert all(kinds[k] > 100 for k in [(0, True), (0, False), (1, False)]), \
+        kinds
 
 
 # -- the first grow's seed heap ----------------------------------------------
